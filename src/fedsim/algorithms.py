@@ -16,7 +16,6 @@ average a single round's gradient mean.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +115,7 @@ class Simulation:
     touches any training randomness.
     """
 
-    def __init__(self, objective: Objective, scheduler: Scheduler, cfg: RunConfig,
-                 threads: int = 1):
+    def __init__(self, objective: Objective, scheduler: Scheduler, cfg: RunConfig):
         if cfg.n_clients != objective.n_clients:
             raise ValueError("config n_clients does not match the objective.")
         self.objective = objective
@@ -141,17 +139,11 @@ class Simulation:
             self.cv = control_variate_init(cfg.cv_init, objective, self.x_global,
                                            cfg.seed, cfg.local_steps)
         self.uplink_scalars = 0
-        self._pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     @property
     def model(self) -> np.ndarray:
         """The live server model (re-based to the global model at commits)."""
         return self.w_inner
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     def _client_work(self, client: int, r: int) -> tuple[np.ndarray, np.ndarray]:
         rng = rng_stream(self.seed, "gradient-noise", client, r)
@@ -165,17 +157,11 @@ class Simulation:
         part = self.scheduler.sample_round(r, self.seed)
         part.check()
         sampled = part.sampled
-        if self._pool is not None and len(sampled) > 1:
-            results = dict(zip(sampled, self._pool.map(
-                lambda i: self._client_work(i, r), sampled)))
-        else:
-            results = {i: self._client_work(i, r) for i in sampled}
-
-        # Aggregation walks clients in index order so the floating-point
-        # reduction is identical under any thread count.
+        # `sampled` is sorted, so the floating-point reduction always walks
+        # clients in index order.
         new_inner = np.zeros(self.objective.dim)
         for i in sampled:
-            end, grad_sum = results[i]
+            end, grad_sum = self._client_work(i, r)
             q = part.weights[i]
             new_inner += q * end
             if self.uses_cv:

@@ -20,6 +20,7 @@ from dataclasses import replace
 from .core import (
     ConfigError,
     PATTERNS,
+    RunConfig,
     apply_overrides,
     build_run_config,
     format_value,
@@ -29,14 +30,7 @@ from .core import (
 from .data import _atomic_write, label_histogram, make_blobs, partition_by_similarity, save_idx
 from .diagnostics import assumption_suite, checks_to_csv_rows, format_report
 from .harness import best_cell, load_dataset, rounds_to_target, run_grid, run_once, write_grid_csv, write_run_csv
-from .participation import (
-    CyclicScheduler,
-    GroupedCyclicScheduler,
-    IidScheduler,
-    RegularizedScheduler,
-    ScaScheduler,
-    Scheduler,
-)
+from .participation import make_scheduler
 
 
 def _load_values(args: argparse.Namespace) -> dict[str, str]:
@@ -55,7 +49,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         values["seed"] = str(args.seed)
     cfg = build_run_config(values)
-    record = run_once(cfg, threads=args.threads)
+    record = run_once(cfg)
     path = _out_path(args, "run.csv")
     write_run_csv(record, path)
 
@@ -85,7 +79,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         spec = replace(spec, base=apply_overrides(spec.base, args.override))
     if args.seed is not None:
         spec = replace(spec, seeds=[args.seed])
-    results = run_grid(spec, threads=args.threads)
+    results = run_grid(spec)
     grid_keys = list(spec.grid)
     path = _out_path(args, "grid.csv")
     write_grid_csv(results, grid_keys, path)
@@ -104,22 +98,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scheduler_from_args(args: argparse.Namespace) -> Scheduler:
-    if args.pattern == "iid":
-        return IidScheduler(args.n, args.s)
-    if args.pattern == "cyclic":
-        return CyclicScheduler(args.n, args.k_bar, args.s)
-    if args.pattern == "grouped_cyclic":
-        return GroupedCyclicScheduler(args.n, args.k_bar, args.s, args.g)
-    if args.pattern == "regularized":
-        return RegularizedScheduler(args.n, args.window_p)
-    return ScaScheduler(args.n, args.k_bar, args.s, args.g, args.p_active, args.p_inactive)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError("trials must be >= 1.")
-    scheduler = _scheduler_from_args(args)
+    scheduler = make_scheduler(RunConfig(
+        n_clients=args.n, pattern=args.pattern, s_clients=args.s, k_bar=args.k_bar,
+        avail_rounds_g=args.g, window_p=args.window_p, p_active=args.p_active,
+        p_inactive=args.p_inactive))
     checks = assumption_suite(scheduler, args.trials, seed=args.seed)
     print(format_report(checks))
     path = _out_path(args, "verify.csv")
@@ -178,13 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subs.add_parser("run", help="execute one seeded run and write run.csv")
     _add_common(run)
-    run.add_argument("--threads", type=int, default=1, help="worker threads for client updates")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.set_defaults(func=cmd_run)
 
     grid = subs.add_parser("grid", help="run an experiment grid and write grid.csv")
     _add_common(grid)
-    grid.add_argument("--threads", type=int, default=1)
     grid.add_argument("--seed", type=int, default=None, help="replace the seed list with one seed")
     grid.set_defaults(func=cmd_grid)
 

@@ -37,17 +37,6 @@ class ConfigError(ValueError):
 # Random streams
 
 
-@dataclass(frozen=True)
-class StreamKey:
-    """Address of a single random value."""
-
-    seed: int
-    purpose: str
-    client: int = 0
-    round_idx: int = 0
-    step: int = 0
-
-
 def rng_stream(seed: int, purpose: str, client: int = 0, round_idx: int = 0) -> np.random.Generator:
     """Return the generator for one (seed, purpose, client, round) stream.
 
@@ -63,11 +52,6 @@ def rng_stream(seed: int, purpose: str, client: int = 0, round_idx: int = 0) -> 
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def draw_uniforms(seed: int, purpose: str, n: int, client: int = 0, round_idx: int = 0) -> np.ndarray:
-    """First n uniform [0, 1) draws of the addressed stream."""
-    return rng_stream(seed, purpose, client, round_idx).random(n)
-
-
 def gaussians_from(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
     """n draws from N(0, sigma^2) using the given stream; sigma=0 gives exact zeros."""
     if sigma < 0:
@@ -77,27 +61,6 @@ def gaussians_from(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray
         return np.zeros(n)
     u = np.maximum(rng.random(n), _MIN_UNIFORM)
     return sigma * ndtri(u)
-
-
-def draw_gaussians(seed: int, purpose: str, n: int, sigma: float, client: int = 0, round_idx: int = 0) -> np.ndarray:
-    return gaussians_from(rng_stream(seed, purpose, client, round_idx), n, sigma)
-
-
-def next_uniform(key: StreamKey) -> float:
-    """The single uniform value addressed by the key (its step-th draw)."""
-    if key.step < 0:
-        raise ValueError("step must be >= 0.")
-    values = draw_uniforms(key.seed, key.purpose, key.step + 1, key.client, key.round_idx)
-    return float(values[-1])
-
-
-def next_gaussian(key: StreamKey, sigma: float) -> float:
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0.")
-    if sigma == 0:
-        return 0.0
-    u = max(next_uniform(key), _MIN_UNIFORM)
-    return float(sigma * ndtri(u))
 
 
 # ---------------------------------------------------------------------------

@@ -78,14 +78,12 @@ class ParticipationHistory:
 
 
 def window_stats(window: list[RoundParticipation] | np.ndarray,
-                 z_source=None) -> WindowStats:
+                 history: ParticipationHistory | None = None) -> WindowStats:
     """Compute the window statistics.
 
-    z_source supplies each client's reference weights for the regularity
-    ratio: a ParticipationHistory (most recent participated window, the
-    exact definition), a previous window (cheap approximation, exact when
-    every sampled client participated in it), a (z, has_history) pair, or
-    None to exclude every client from that term.
+    history supplies each client's reference weights for the regularity
+    ratio: the weight column of its most recent participated window.
+    Without it every client is excluded from that term.
     """
     q = window_matrix(window)
     window_len, n_clients = q.shape
@@ -99,19 +97,13 @@ def window_stats(window: list[RoundParticipation] | np.ndarray,
     coef[seen] = 1.0 / (window_len * qbar[seen])
     w = overlap @ coef / n_clients
 
-    if z_source is None:
+    if history is None:
         z = np.zeros_like(q.T)
         has = np.zeros(n_clients, dtype=bool)
-    elif isinstance(z_source, ParticipationHistory):
-        z, has = z_source.snapshot()
-    elif isinstance(z_source, tuple):
-        z, has = z_source
     else:
-        prev = window_matrix(z_source)
-        if prev.shape != q.shape:
-            raise ValueError("window length mismatch between the two windows.")
-        z = prev.T
-        has = prev.sum(axis=0) > 0
+        z, has = history.snapshot()
+        if z.shape != (n_clients, window_len):
+            raise ValueError("history shape does not match the window.")
     v = qbar - 1.0 / n_clients
     v_sq_lambda = 0.0
     for i in np.flatnonzero(has):
@@ -338,20 +330,6 @@ def assumption_suite(scheduler: Scheduler, trials: int, seed: int = 0) -> list[C
             check="qbar_variance_closed_form", statistic=rel, expected=expected,
             observed=observed, passed=rel <= 0.05))
     return checks
-
-
-def qbar_variance_check(scheduler: Scheduler, trials: int, seed: int = 0) -> CheckResult:
-    """Empirical window-averaged weight variance against its closed form."""
-    if not isinstance(scheduler, CyclicScheduler):
-        raise ValueError("the variance closed form applies to cyclic-family schedulers.")
-    params = scheduler.params()
-    mc = monte_carlo_stats(scheduler, trials, seed)
-    expected = cyclic_qbar_variance(scheduler.n_clients, scheduler.k_bar,
-                                    scheduler.s_clients, params.window)
-    observed = float(mc.qbar_var.mean())
-    rel = abs(observed - expected) / expected if expected else abs(observed)
-    return CheckResult(check="qbar_variance_closed_form", statistic=rel,
-                       expected=expected, observed=observed, passed=rel <= 0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def _eval_rounds(rounds: int, eval_every: int) -> list[int]:
     return sorted(marks)
 
 
-def run_once(cfg: RunConfig, threads: int = 1) -> RunRecord:
+def run_once(cfg: RunConfig) -> RunRecord:
     """Execute one seeded run and return its metric record.
 
     A run whose loss or iterates leave the finite range is truncated at the
@@ -85,7 +85,7 @@ def run_once(cfg: RunConfig, threads: int = 1) -> RunRecord:
     cfg = validate_run_config(cfg)
     objective = build_objective(cfg)
     scheduler = make_scheduler(cfg)
-    sim = Simulation(objective, scheduler, cfg, threads=threads)
+    sim = Simulation(objective, scheduler, cfg)
 
     marks = _eval_rounds(cfg.rounds, cfg.eval_every)
     rounds: list[int] = []
@@ -93,7 +93,6 @@ def run_once(cfg: RunConfig, threads: int = 1) -> RunRecord:
     losses: list[float] = []
     test_metrics: list[float] = []
     uplink: list[int] = []
-    diverged = False
 
     def record(round_idx: int) -> bool:
         x = sim.model
@@ -109,20 +108,17 @@ def run_once(cfg: RunConfig, threads: int = 1) -> RunRecord:
         uplink.append(sim.uplink_scalars)
         return True
 
-    try:
-        diverged = not record(0)
-        if not diverged:
-            for r in range(cfg.rounds):
-                try:
-                    sim.run_round(r)
-                except DivergenceError:
-                    diverged = True
-                    break
-                if (r + 1) in marks and not record(r + 1):
-                    diverged = True
-                    break
-    finally:
-        sim.close()
+    diverged = not record(0)
+    if not diverged:
+        for r in range(cfg.rounds):
+            try:
+                sim.run_round(r)
+            except DivergenceError:
+                diverged = True
+                break
+            if (r + 1) in marks and not record(r + 1):
+                diverged = True
+                break
     return RunRecord(rounds=rounds, grad_norms=grad_norms, train_losses=losses,
                      test_metrics=test_metrics, uplink_scalars=uplink, diverged=diverged)
 
@@ -166,7 +162,7 @@ class GridCellResult:
     diverged_runs: int
 
 
-def run_grid(spec: ExperimentSpec, threads: int = 1) -> list[GridCellResult]:
+def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
     """Run every grid cell for every seed; cells expand in key order."""
     results = []
     for cell_id, cell in enumerate(spec.cells()):
@@ -178,7 +174,7 @@ def run_grid(spec: ExperimentSpec, threads: int = 1) -> list[GridCellResult]:
             values.update(cell)
             values["seed"] = str(seed)
             cfg = build_run_config(values)
-            record = run_once(cfg, threads=threads)
+            record = run_once(cfg)
             finals.append(record.final_loss)
             diverged += int(record.diverged)
             if not math.isnan(cfg.target_value):

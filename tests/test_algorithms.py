@@ -21,9 +21,9 @@ def _cfg(**kw) -> RunConfig:
     return RunConfig(**base)
 
 
-def _sim(cfg: RunConfig, centers, threads: int = 1) -> Simulation:
+def _sim(cfg: RunConfig, centers) -> Simulation:
     objective = Quadratic(np.asarray(centers, dtype=float), cfg.sigma)
-    return Simulation(objective, make_scheduler(cfg), cfg, threads=threads)
+    return Simulation(objective, make_scheduler(cfg), cfg)
 
 
 def test_single_local_step_endpoint_and_gradient_sum():
@@ -62,7 +62,6 @@ def test_round_aggregates_by_participation_weight():
         ends.append(end)
     sim.run_round(0)
     assert sim.model[0] == 0.5 * (ends[0][0] + ends[1][0])
-    sim.close()
 
 
 def test_commit_amplifies_beyond_the_window_average():
@@ -72,7 +71,6 @@ def test_commit_amplifies_beyond_the_window_average():
     # inner model moved to -0.5; the commit doubles the movement
     assert sim.x_global[0] == -1.0
     assert sim.model[0] == -1.0
-    sim.close()
 
 
 def test_amp_fedavg_with_gamma_one_matches_fedavg_exactly():
@@ -85,8 +83,6 @@ def test_amp_fedavg_with_gamma_one_matches_fedavg_exactly():
         a.run_round(r)
         b.run_round(r)
         assert np.array_equal(a.model, b.model)
-    a.close()
-    b.close()
 
 
 def test_fedprox_with_zero_mu_matches_fedavg_exactly():
@@ -97,8 +93,6 @@ def test_fedprox_with_zero_mu_matches_fedavg_exactly():
         a.run_round(r)
         b.run_round(r)
         assert np.array_equal(a.model, b.model)
-    a.close()
-    b.close()
 
 
 def test_warm_start_control_variates_without_noise():
@@ -125,7 +119,6 @@ def test_refresh_uses_window_average_of_raw_gradients():
     assert sim.cv.per_client[0][0] == grad_sum[0] / 2
     # the accumulators reset at the commit
     assert not sim.cv.accum.any() and not sim.cv.qbar.any()
-    sim.close()
 
 
 def test_clients_absent_all_window_keep_their_variate():
@@ -143,7 +136,6 @@ def test_clients_absent_all_window_keep_their_variate():
     assert len(quiet) == 2
     for i in quiet:
         np.testing.assert_array_equal(sim.cv.per_client[i], before[i])
-    sim.close()
 
 
 def test_global_variate_stays_the_mean_after_every_refresh():
@@ -158,7 +150,6 @@ def test_global_variate_stays_the_mean_after_every_refresh():
             assert gap <= 1e-12
             corrections = sum(sim.cv.global_cv - sim.cv.per_client[i] for i in range(4))
             assert np.linalg.norm(corrections) <= 1e-12
-    sim.close()
 
 
 def test_scaffold_correction_is_applied():
@@ -174,8 +165,6 @@ def test_scaffold_correction_is_applied():
     corrected.run_round(0)
     # client 0 alone pulls toward +1; the variates cancel most of that pull
     assert abs(corrected.model[0]) < abs(plain.model[0])
-    plain.close()
-    corrected.close()
 
 
 def test_gd_equivalence_window_one():
@@ -188,7 +177,6 @@ def test_gd_equivalence_window_one():
         sim.run_round(r)
         x = x - 0.1 * (x - centers.mean(axis=0))
         assert np.abs(sim.model - x).max() <= 1e-12
-    sim.close()
 
 
 def test_divergence_is_raised():
@@ -197,21 +185,25 @@ def test_divergence_is_raised():
     with pytest.raises(DivergenceError):
         for r in range(5):
             sim.run_round(r)
-    sim.close()
 
 
-def test_thread_count_does_not_change_the_trajectory():
-    kw = dict(n_clients=8, s_clients=8, sigma=1.0, local_steps=5, rounds=6)
-    centers = rng_stream(4, "init").random((8, 3)).tolist()
-    a = _sim(_cfg(**kw), centers, threads=1)
-    b = _sim(_cfg(**kw), centers, threads=4)
-    for r in range(6):
-        a.run_round(r)
-        b.run_round(r)
-        assert np.array_equal(a.model, b.model)
-    assert a.uplink_scalars == b.uplink_scalars
-    a.close()
-    b.close()
+def test_client_updates_do_not_depend_on_execution_order():
+    # Each update reads only its own (seed, client, round) stream, so running
+    # one round's sampled clients in reverse order changes no bit.
+    cfg = _cfg(n_clients=8, s_clients=5, sigma=1.0, local_steps=5, seed=4)
+    objective = Quadratic(rng_stream(4, "init").random((8, 3)), cfg.sigma)
+    sampled = make_scheduler(cfg).sample_round(3, cfg.seed).sampled
+    start = np.full(3, 0.5)
+
+    def update(client):
+        return client_local_update(objective, client, start, cfg.local_steps, cfg.eta,
+                                   rng_stream(cfg.seed, "gradient-noise", client, 3))
+
+    forward = {i: update(i) for i in sampled}
+    backward = {i: update(i) for i in reversed(sampled)}
+    for i in sampled:
+        assert np.array_equal(forward[i][0], backward[i][0])
+        assert np.array_equal(forward[i][1], backward[i][1])
 
 
 def test_uplink_accounting():
@@ -222,8 +214,6 @@ def test_uplink_accounting():
         cv.run_round(r)
     assert plain.uplink_scalars == 3 * 2 * 2
     assert cv.uplink_scalars == 3 * 2 * 2 * 2
-    plain.close()
-    cv.close()
 
 
 def test_mismatched_population_is_rejected():

@@ -3,6 +3,14 @@ import pytest
 
 from fedsim.cli import build_parser, main
 from fedsim.data import load_idx
+from fedsim.diagnostics import assumption_suite, checks_to_csv_rows
+from fedsim.participation import (
+    CyclicScheduler,
+    GroupedCyclicScheduler,
+    IidScheduler,
+    RegularizedScheduler,
+    ScaScheduler,
+)
 
 QUAD_CFG = """\
 # small deterministic run
@@ -85,15 +93,6 @@ def test_run_seed_flag_changes_the_bytes(tmp_path):
     assert a != (tmp_path / "c" / "run.csv").read_bytes()
 
 
-def test_run_threads_flag_keeps_the_bytes(tmp_path):
-    cfg = _write(tmp_path, "run.cfg", QUAD_CFG)
-    for threads, name in ((1, "t1"), (4, "t4")):
-        rc = main(["run", "--config", cfg, "--out", str(tmp_path / name),
-                   "--override", "sigma=1.0", "--threads", str(threads)])
-        assert rc == 0
-    assert (tmp_path / "t1" / "run.csv").read_bytes() == (tmp_path / "t4" / "run.csv").read_bytes()
-
-
 def test_run_reports_rounds_to_target(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", QUAD_CFG)
     rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -158,6 +157,24 @@ def test_verify_passes_on_iid(tmp_path, capsys):
     lines = (out / "verify.csv").read_text().splitlines()
     assert lines[0] == "check,statistic,expected,observed,pass"
     assert all(row.endswith(",True") for row in lines[1:])
+
+
+@pytest.mark.parametrize("flags, scheduler", [
+    (["--pattern", "iid", "--n", "10", "--s", "3"], IidScheduler(10, 3)),
+    (["--pattern", "cyclic", "--n", "12", "--k-bar", "3", "--s", "2"],
+     CyclicScheduler(12, 3, 2)),
+    (["--pattern", "grouped_cyclic", "--n", "12", "--k-bar", "3", "--s", "2", "--g", "2"],
+     GroupedCyclicScheduler(12, 3, 2, 2)),
+    (["--pattern", "regularized", "--n", "12", "--window-p", "4"], RegularizedScheduler(12, 4)),
+    (["--pattern", "sca", "--n", "12", "--k-bar", "3", "--s", "2", "--g", "2",
+      "--p-active", "0.7", "--p-inactive", "0.1"], ScaScheduler(12, 3, 2, 2, 0.7, 0.1)),
+], ids=["iid", "cyclic", "grouped_cyclic", "regularized", "sca"])
+def test_verify_flags_build_the_named_scheduler(tmp_path, capsys, flags, scheduler):
+    rc = main(["verify", *flags, "--trials", "60", "--seed", "5", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc in (0, 1)
+    expected = checks_to_csv_rows(assumption_suite(scheduler, 60, seed=5))
+    assert (tmp_path / "verify.csv").read_text() == "\n".join(expected) + "\n"
 
 
 def test_verify_reports_regularized_exactness(tmp_path, capsys):

@@ -8,15 +8,10 @@ from fedsim.core import (
     ExperimentSpec,
     RunConfig,
     RunRecord,
-    StreamKey,
     apply_overrides,
     build_run_config,
-    draw_gaussians,
-    draw_uniforms,
     format_value,
     gaussians_from,
-    next_gaussian,
-    next_uniform,
     parse_config_text,
     parse_experiment_text,
     rng_stream,
@@ -46,14 +41,14 @@ def test_streams_do_not_collide_at_scale():
     blocks = []
     for client in range(20):
         for round_idx in range(10):
-            blocks.append(draw_uniforms(0, "gradient-noise", 5000, client, round_idx))
+            blocks.append(rng_stream(0, "gradient-noise", client, round_idx).random(5000))
     values = np.concatenate(blocks)
     assert values.size == 1_000_000
     assert np.unique(values).size == values.size
 
 
 def test_uniforms_are_uniform():
-    u = draw_uniforms(123, "sampling", 100_000)
+    u = rng_stream(123, "sampling").random(100_000)
     counts, _ = np.histogram(u, bins=100, range=(0.0, 1.0))
     expected = 1000.0
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -62,7 +57,7 @@ def test_uniforms_are_uniform():
 
 
 def test_gaussian_moments():
-    z = draw_gaussians(7, "gradient-noise", 100_000, 1.0)
+    z = gaussians_from(rng_stream(7, "gradient-noise"), 100_000, 1.0)
     assert abs(float(z.mean())) < 0.02
     assert 0.98 < float(z.var()) < 1.02
 
@@ -80,15 +75,15 @@ def test_gaussian_sigma_zero_is_exact_and_consumes_the_stream():
 def test_gaussian_rejects_negative_sigma():
     with pytest.raises(ValueError):
         gaussians_from(rng_stream(0, "gradient-noise"), 1, -0.5)
-    with pytest.raises(ValueError):
-        next_gaussian(StreamKey(0, "gradient-noise"), -1.0)
 
 
-def test_single_draw_addressing():
-    key = StreamKey(seed=11, purpose="sampling", client=2, round_idx=9, step=4)
-    expected = draw_uniforms(11, "sampling", 5, client=2, round_idx=9)[4]
-    assert next_uniform(key) == expected
-    assert next_gaussian(key, 0.0) == 0.0
+def test_batched_draws_equal_sequential_draws():
+    # The k-th draw of a stream is the value addressed by step k, however
+    # the draws are grouped into calls.
+    batch = rng_stream(11, "sampling", client=2, round_idx=9).random(7)
+    rng = rng_stream(11, "sampling", client=2, round_idx=9)
+    sequential = np.array([rng.random() for _ in range(7)])
+    assert np.array_equal(batch, sequential)
 
 
 def test_stream_key_range_checks():

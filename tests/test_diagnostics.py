@@ -14,7 +14,6 @@ from fedsim.diagnostics import (
     format_report,
     grad_check,
     monte_carlo_stats,
-    qbar_variance_check,
     sample_window,
     window_matrix,
     window_stats,
@@ -78,9 +77,9 @@ def test_uniform_window_is_perfectly_regular():
 
 def test_single_client_window_statistics():
     q = np.array([[1.0, 0.0], [1.0, 0.0]])
-    z = np.array([[1.0, 1.0], [0.0, 0.0]])
-    has = np.array([True, False])
-    stats = window_stats(q, z_source=(z, has))
+    history = ParticipationHistory(2, 2)
+    history.observe(q)
+    stats = window_stats(q, history)
     np.testing.assert_array_equal(stats.qbar, [1.0, 0.0])
     np.testing.assert_allclose(stats.w, [0.5, 0.0])
     # only client 0 carries history: (1 - 1/2)^2 * lambda with lambda = 1
@@ -108,11 +107,16 @@ def _cyclic_windows(sched: CyclicScheduler) -> list[np.ndarray]:
 
 def test_cyclic_windows_enumerated_exactly():
     outcomes = [_one_hot_window(a, b) for a in (0, 1) for b in (2, 3)]
-    z = np.zeros((4, 2))
-    z[np.arange(4), np.arange(4) % 2] = 1.0
-    has = np.ones(4, dtype=bool)
+    # every client's history column is one-hot: e_0 for clients 0 and 2,
+    # e_1 for clients 1 and 3
+    history = ParticipationHistory(4, 2)
+    history.observe(_one_hot_window(0, 1))
+    history.observe(_one_hot_window(2, 3))
+    z, has = history.snapshot()
+    np.testing.assert_array_equal(z, np.eye(2)[np.arange(4) % 2])
+    assert has.all()
     for q in outcomes:
-        stats = window_stats(q, z_source=(z, has))
+        stats = window_stats(q, history)
         # every outcome: two sampled clients at w = 1/4, so the client
         # average is 1/8 regardless of which clients were drawn
         assert abs(float(stats.w.mean()) - 0.125) <= 1e-15
@@ -142,11 +146,18 @@ def test_cyclic_windows_enumerated_exactly():
 
 
 def test_previous_window_reference_counts_only_its_participants():
-    prev = _one_hot_window(0, 2)
-    cur = _one_hot_window(1, 3)
-    stats = window_stats(cur, z_source=prev)
+    history = ParticipationHistory(4, 2)
+    history.observe(_one_hot_window(0, 2))
+    stats = window_stats(_one_hot_window(1, 3), history)
     # clients 0 and 2 have history; both sit at v^2 = 1/16 with lambda = 2
     assert stats.v_sq_lambda == 0.25
+
+
+def test_window_stats_rejects_a_history_of_another_shape():
+    q = _one_hot_window(0, 2)
+    for n_clients, window_len in ((4, 3), (3, 2), (2, 4)):
+        with pytest.raises(ValueError, match="history shape"):
+            window_stats(q, ParticipationHistory(n_clients, window_len))
 
 
 def test_history_tracker_keeps_the_latest_participated_window():
@@ -244,10 +255,10 @@ def test_assumption_suite_rejects_a_stuck_scheduler():
 
 
 def test_variance_check_wants_a_cyclic_scheduler():
-    check = qbar_variance_check(CyclicScheduler(8, 2, 2), trials=800, seed=3)
-    assert check.passed
-    with pytest.raises(ValueError, match="cyclic"):
-        qbar_variance_check(IidScheduler(8, 2), trials=10)
+    checks = _by_name(assumption_suite(CyclicScheduler(8, 2, 2), trials=800, seed=3))
+    assert checks["qbar_variance_closed_form"].passed
+    checks = _by_name(assumption_suite(IidScheduler(8, 2), trials=10))
+    assert "qbar_variance_closed_form" not in checks
 
 
 def test_grad_check_quadratic_is_tight():

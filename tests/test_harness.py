@@ -67,11 +67,6 @@ def test_rerun_is_byte_identical():
     assert run_record_csv(run_once(cfg)) == run_record_csv(run_once(cfg))
 
 
-def test_thread_count_does_not_change_the_bytes():
-    cfg = _quad(sigma=1.0, rounds=12)
-    assert run_record_csv(run_once(cfg, threads=1)) == run_record_csv(run_once(cfg, threads=2))
-
-
 def test_eval_schedule_does_not_change_the_trajectory():
     dense = run_once(_quad(sigma=0.5, eval_every=1))
     sparse = run_once(_quad(sigma=0.5, eval_every=8))
