@@ -20,12 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RunConfig, rng_stream
+from .core import CV_ALGORITHMS, WINDOW_ALGORITHMS, RunConfig, rng_stream
 from .objectives import Objective
 from .participation import Scheduler, effective_window
-
-CV_ALGORITHMS = ("scaffold", "amp_scaffold")
-WINDOW_ALGORITHMS = ("amp_fedavg", "amp_scaffold")
 
 
 class DivergenceError(ArithmeticError):

@@ -147,11 +147,10 @@ def cmd_datagen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, config_required: bool = True) -> None:
-    if config_required:
-        sub.add_argument("--config", required=True, help="config file path")
-        sub.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
-                         help="override a config key; repeatable, later wins")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", required=True, help="config file path")
+    sub.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
+                     help="override a config key; repeatable, later wins")
     sub.add_argument("--out", default=".", help="output directory")
 
 

@@ -16,6 +16,10 @@ import numpy as np
 from scipy.special import ndtri
 
 ALGORITHMS = ("fedavg", "fedprox", "scaffold", "amp_fedavg", "amp_scaffold")
+# Algorithms that keep control variates, and those that commit once per
+# participation window.
+CV_ALGORITHMS = ("scaffold", "amp_scaffold")
+WINDOW_ALGORITHMS = ("amp_fedavg", "amp_scaffold")
 PATTERNS = ("iid", "cyclic", "grouped_cyclic", "regularized", "sca")
 OBJECTIVES = ("synthetic_hard", "quadratic", "logistic")
 CV_INIT_MODES = ("warm_start", "zero")
@@ -205,7 +209,7 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("mu must be >= 0.")
     if cfg.mu > 0 and cfg.algorithm != "fedprox":
         raise ConfigError("mu is only meaningful for fedprox.")
-    if cfg.algorithm in ("fedavg", "fedprox", "scaffold") and cfg.gamma != 1.0:
+    if cfg.algorithm not in WINDOW_ALGORITHMS and cfg.gamma != 1.0:
         raise ConfigError(f"{cfg.algorithm} requires gamma = 1.")
     if not 0 <= cfg.seed < _U64:
         raise ConfigError("seed must fit in an unsigned 64-bit integer.")
@@ -214,24 +218,11 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
 
     out = dataclasses.replace(cfg)
 
+    # imported here because participation imports this module
+    from .participation import make_scheduler
+    make_scheduler(cfg)
     if cfg.pattern == "regularized":
-        if cfg.window_p < 1:
-            raise ConfigError("regularized pattern requires window_p >= 1.")
-        if cfg.n_clients % cfg.window_p != 0:
-            raise ConfigError("regularized pattern requires n_clients to be a multiple of window_p.")
         out.s_clients = cfg.n_clients // cfg.window_p
-    else:
-        if not 1 <= cfg.s_clients <= cfg.n_clients:
-            raise ConfigError("s_clients must be in [1, n_clients].")
-    if cfg.pattern in ("cyclic", "grouped_cyclic", "sca"):
-        if cfg.k_bar < 1 or cfg.n_clients % cfg.k_bar != 0:
-            raise ConfigError("cyclic patterns require n_clients to be a multiple of k_bar.")
-        if cfg.s_clients > cfg.n_clients // cfg.k_bar:
-            raise ConfigError("s_clients cannot exceed the cyclic group size n_clients / k_bar.")
-    if cfg.pattern in ("grouped_cyclic", "sca") and cfg.avail_rounds_g < 1:
-        raise ConfigError("avail_rounds_g must be >= 1.")
-    if cfg.pattern == "sca" and not (0 <= cfg.p_inactive <= 1 and 0 <= cfg.p_active <= 1):
-        raise ConfigError("sca probabilities must lie in [0, 1].")
 
     if cfg.objective == "synthetic_hard":
         if cfg.n_clients != 2:

@@ -16,8 +16,7 @@ import numpy as np
 
 from .core import format_value, gaussians_from, rng_stream
 from .objectives import Objective
-from .participation import (CyclicScheduler, RegularizedScheduler, RoundParticipation,
-                            ScaScheduler, Scheduler)
+from .participation import CyclicScheduler, RegularizedScheduler, ScaScheduler, Scheduler
 
 _EXACT_TOL = 1e-12
 
@@ -30,7 +29,6 @@ class WindowStats:
     w: np.ndarray
     v_sq_lambda: float
     rho_sq_realized: float
-    sampled_frac: float
 
 
 @dataclass
@@ -45,17 +43,6 @@ class CheckResult:
     passed: bool
 
 
-def window_matrix(window: list[RoundParticipation] | np.ndarray) -> np.ndarray:
-    """Stack a window into a (rounds, clients) weight matrix."""
-    if isinstance(window, np.ndarray):
-        if window.ndim != 2:
-            raise ValueError("window matrix must be two dimensional.")
-        return window
-    if not window:
-        raise ValueError("window must contain at least one round.")
-    return np.stack([part.weights for part in window])
-
-
 class ParticipationHistory:
     """Tracks, per client, the weight column of its most recent window with
     any participation. Clients never seen have no history and are excluded
@@ -65,8 +52,8 @@ class ParticipationHistory:
         self.z = np.zeros((n_clients, window_len))
         self.has_history = np.zeros(n_clients, dtype=bool)
 
-    def observe(self, window: list[RoundParticipation] | np.ndarray) -> None:
-        q = window_matrix(window)
+    def observe(self, q: np.ndarray) -> None:
+        """Record a (rounds, clients) weight matrix."""
         if q.shape != (self.z.shape[1], self.z.shape[0]):
             raise ValueError("window shape does not match the history tracker.")
         participated = q.sum(axis=0) > 0
@@ -77,15 +64,15 @@ class ParticipationHistory:
         return self.z.copy(), self.has_history.copy()
 
 
-def window_stats(window: list[RoundParticipation] | np.ndarray,
-                 history: ParticipationHistory | None = None) -> WindowStats:
-    """Compute the window statistics.
+def window_stats(q: np.ndarray, history: ParticipationHistory | None = None) -> WindowStats:
+    """Compute the window statistics of a (rounds, clients) weight matrix.
 
     history supplies each client's reference weights for the regularity
     ratio: the weight column of its most recent participated window.
     Without it every client is excluded from that term.
     """
-    q = window_matrix(window)
+    if q.ndim != 2:
+        raise ValueError("window matrix must be two dimensional.")
     window_len, n_clients = q.shape
     qbar = q.mean(axis=0)
 
@@ -118,7 +105,6 @@ def window_stats(window: list[RoundParticipation] | np.ndarray,
         w=w,
         v_sq_lambda=float(v_sq_lambda),
         rho_sq_realized=float((q ** 2).sum(axis=1).max()),
-        sampled_frac=float(np.mean(seen)),
     )
 
 
@@ -170,7 +156,6 @@ class MonteCarloStats:
     rho_sq_max: float
     sum_q_max_dev: float
     fallback_rounds: int
-    mean_sampled_frac: float
 
 
 def sample_window(scheduler: Scheduler, window_index: int, seed: int, window_len: int) -> np.ndarray:
@@ -204,7 +189,6 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int,
     rho_sq_max = 0.0
     sum_q_max_dev = 0.0
     fallback = 0
-    sampled_frac_sum = 0.0
 
     for t in range(trials):
         q = sample_window(scheduler, t, seed, window_len)
@@ -226,7 +210,6 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int,
         # nominal draw size, pushing the per-round concentration above the
         # pattern constant.
         fallback += int(((q ** 2).sum(axis=1) > rho_sq_nominal + _EXACT_TOL).sum())
-        sampled_frac_sum += stats.sampled_frac
 
     qbar_mean = qbar_sum / trials
     w_mean = w_sum / trials
@@ -246,7 +229,6 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int,
         rho_sq_max=rho_sq_max,
         sum_q_max_dev=sum_q_max_dev,
         fallback_rounds=fallback,
-        mean_sampled_frac=sampled_frac_sum / trials,
     )
 
 

@@ -11,7 +11,6 @@ makes re-runs byte-identical.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RunConfig, rng_stream
+from .core import ConfigError, RunConfig, rng_stream
 
 SCA_MAX_RETRIES = 100
 
@@ -62,7 +62,7 @@ class IidScheduler(Scheduler):
 
     def __init__(self, n_clients: int, s_clients: int):
         if not 1 <= s_clients <= n_clients:
-            raise ValueError("s_clients must be in [1, n_clients].")
+            raise ConfigError("s_clients must be in [1, n_clients].")
         self.n_clients = n_clients
         self.s_clients = s_clients
 
@@ -76,45 +76,32 @@ class IidScheduler(Scheduler):
 
 
 class CyclicScheduler(Scheduler):
-    """Clients split into k_bar contiguous groups; group (r mod k_bar) is the
-    only eligible group at round r and S clients are drawn inside it."""
+    """Clients split into k_bar contiguous groups; each group stays the only
+    eligible group for avail_rounds_g consecutive rounds, in turn, and S
+    clients are drawn inside it. The window is avail_rounds_g * k_bar rounds;
+    avail_rounds_g = 1 is plain cyclic participation."""
 
-    def __init__(self, n_clients: int, k_bar: int, s_clients: int):
+    def __init__(self, n_clients: int, k_bar: int, s_clients: int, avail_rounds_g: int = 1):
         if k_bar < 1 or n_clients % k_bar != 0:
-            raise ValueError("n_clients must be a multiple of k_bar.")
+            raise ConfigError("n_clients must be a multiple of k_bar.")
         if not 1 <= s_clients <= n_clients // k_bar:
-            raise ValueError("s_clients must be in [1, n_clients / k_bar].")
+            raise ConfigError("s_clients must be in [1, n_clients / k_bar].")
+        if avail_rounds_g < 1:
+            raise ConfigError("avail_rounds_g must be >= 1.")
         self.n_clients = n_clients
         self.k_bar = k_bar
         self.s_clients = s_clients
+        self.avail_rounds_g = avail_rounds_g
         self.group_size = n_clients // k_bar
 
     def active_group(self, r: int) -> int:
-        return r % self.k_bar
+        return (r // self.avail_rounds_g) % self.k_bar
 
     def sample_round(self, r: int, seed: int) -> RoundParticipation:
         rng = rng_stream(seed, "sampling", 0, r)
         base = self.active_group(r) * self.group_size
         chosen = base + rng.permutation(self.group_size)[: self.s_clients]
         return self._emit(chosen)
-
-    def params(self) -> PatternParams:
-        return PatternParams(1.0 / self.s_clients, self.k_bar,
-                             self.s_clients * self.k_bar / self.n_clients)
-
-
-class GroupedCyclicScheduler(CyclicScheduler):
-    """Cyclic grouping where each group stays eligible for g consecutive
-    rounds, giving window length g * k_bar."""
-
-    def __init__(self, n_clients: int, k_bar: int, s_clients: int, avail_rounds_g: int):
-        super().__init__(n_clients, k_bar, s_clients)
-        if avail_rounds_g < 1:
-            raise ValueError("avail_rounds_g must be >= 1.")
-        self.avail_rounds_g = avail_rounds_g
-
-    def active_group(self, r: int) -> int:
-        return (r // self.avail_rounds_g) % self.k_bar
 
     def params(self) -> PatternParams:
         return PatternParams(1.0 / self.s_clients, self.avail_rounds_g * self.k_bar,
@@ -128,7 +115,7 @@ class RegularizedScheduler(Scheduler):
 
     def __init__(self, n_clients: int, window_p: int):
         if window_p < 1 or n_clients % window_p != 0:
-            raise ValueError("n_clients must be a multiple of window_p.")
+            raise ConfigError("n_clients must be a multiple of window_p.")
         self.n_clients = n_clients
         self.window_p = window_p
         self.slot_size = n_clients // window_p
@@ -142,7 +129,7 @@ class RegularizedScheduler(Scheduler):
         return PatternParams(self.window_p / self.n_clients, self.window_p, 1.0)
 
 
-class ScaScheduler(GroupedCyclicScheduler):
+class ScaScheduler(CyclicScheduler):
     """Grouped-cyclic eligibility with stochastic availability.
 
     Every client flips an availability coin each round (p_active inside the
@@ -156,7 +143,7 @@ class ScaScheduler(GroupedCyclicScheduler):
                  p_active: float = 0.8, p_inactive: float = 0.05):
         super().__init__(n_clients, k_bar, s_clients, avail_rounds_g)
         if not (0 <= p_active <= 1 and 0 <= p_inactive <= 1):
-            raise ValueError("availability probabilities must lie in [0, 1].")
+            raise ConfigError("availability probabilities must lie in [0, 1].")
         self.p_active = p_active
         self.p_inactive = p_inactive
 
@@ -183,13 +170,13 @@ def make_scheduler(cfg: RunConfig) -> Scheduler:
     if cfg.pattern == "cyclic":
         return CyclicScheduler(cfg.n_clients, cfg.k_bar, cfg.s_clients)
     if cfg.pattern == "grouped_cyclic":
-        return GroupedCyclicScheduler(cfg.n_clients, cfg.k_bar, cfg.s_clients, cfg.avail_rounds_g)
+        return CyclicScheduler(cfg.n_clients, cfg.k_bar, cfg.s_clients, cfg.avail_rounds_g)
     if cfg.pattern == "regularized":
         return RegularizedScheduler(cfg.n_clients, cfg.window_p)
     if cfg.pattern == "sca":
         return ScaScheduler(cfg.n_clients, cfg.k_bar, cfg.s_clients, cfg.avail_rounds_g,
                             cfg.p_active, cfg.p_inactive)
-    raise ValueError(f"unknown pattern: {cfg.pattern!r}")
+    raise ConfigError(f"unknown pattern: {cfg.pattern!r}")
 
 
 def effective_window(cfg: RunConfig, scheduler: Scheduler) -> int:

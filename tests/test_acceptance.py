@@ -17,7 +17,6 @@ from fedsim.harness import build_objective, rounds_to_target, run_once, run_reco
 from fedsim.objectives import Logistic, Quadratic, SyntheticHard
 from fedsim.participation import (
     CyclicScheduler,
-    GroupedCyclicScheduler,
     IidScheduler,
     RegularizedScheduler,
     make_scheduler,
@@ -144,7 +143,7 @@ def test_criterion_5():
     # participation assumptions hold on every pattern at 1e4 trials, and the
     # round-robin pattern is exactly uniform
     for sched in (IidScheduler(20, 5), CyclicScheduler(20, 5, 2),
-                  GroupedCyclicScheduler(20, 5, 2, 3), RegularizedScheduler(20, 5)):
+                  CyclicScheduler(20, 5, 2, avail_rounds_g=3), RegularizedScheduler(20, 5)):
         checks = assumption_suite(sched, trials=10_000, seed=0)
         by_name = {c.check: c for c in checks}
         failed = [c.check for c in checks if not c.passed]

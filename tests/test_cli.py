@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from fedsim.cli import build_parser, main
+from fedsim.core import ConfigError, build_run_config
 from fedsim.data import load_idx
 from fedsim.diagnostics import assumption_suite, checks_to_csv_rows
 from fedsim.participation import (
     CyclicScheduler,
-    GroupedCyclicScheduler,
     IidScheduler,
     RegularizedScheduler,
     ScaScheduler,
@@ -164,7 +164,7 @@ def test_verify_passes_on_iid(tmp_path, capsys):
     (["--pattern", "cyclic", "--n", "12", "--k-bar", "3", "--s", "2"],
      CyclicScheduler(12, 3, 2)),
     (["--pattern", "grouped_cyclic", "--n", "12", "--k-bar", "3", "--s", "2", "--g", "2"],
-     GroupedCyclicScheduler(12, 3, 2, 2)),
+     CyclicScheduler(12, 3, 2, avail_rounds_g=2)),
     (["--pattern", "regularized", "--n", "12", "--window-p", "4"], RegularizedScheduler(12, 4)),
     (["--pattern", "sca", "--n", "12", "--k-bar", "3", "--s", "2", "--g", "2",
       "--p-active", "0.7", "--p-inactive", "0.1"], ScaScheduler(12, 3, 2, 2, 0.7, 0.1)),
@@ -207,6 +207,29 @@ def test_verify_bad_arguments_exit_2(tmp_path, capsys):
                "--trials", "10", "--out", str(tmp_path / "v")])
     assert rc == 2
     assert "availability draws" in capsys.readouterr().err
+
+
+VERIFY_FLAGS = {"n_clients": "--n", "s_clients": "--s", "k_bar": "--k-bar",
+                "avail_rounds_g": "--g", "window_p": "--window-p", "p_active": "--p-active"}
+
+
+@pytest.mark.parametrize("pattern, keys", [
+    ("cyclic", {"n_clients": "6", "k_bar": "4"}),
+    ("grouped_cyclic", {"n_clients": "6", "k_bar": "3", "avail_rounds_g": "0"}),
+    ("sca", {"n_clients": "6", "k_bar": "3", "p_active": "1.5"}),
+    ("regularized", {"n_clients": "5", "window_p": "2"}),
+    ("iid", {"n_clients": "6", "s_clients": "7"}),
+], ids=["cyclic", "grouped_cyclic", "sca", "regularized", "iid"])
+def test_run_config_and_verify_reject_bad_participation_alike(tmp_path, capsys, pattern, keys):
+    flags = [arg for key, value in keys.items() for arg in (VERIFY_FLAGS[key], value)]
+    rc = main(["verify", "--pattern", pattern, *flags, "--trials", "10", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    values = {"rounds": "1", "algorithm": "fedavg", "eta": "0.1", "objective": "quadratic",
+              "centers": "0", "pattern": pattern, **keys}
+    with pytest.raises(ConfigError) as exc:
+        build_run_config(values)
+    assert err == f"error: {exc.value}\n"
 
 
 def test_partition_report(tmp_path, capsys):

@@ -15,13 +15,11 @@ from fedsim.diagnostics import (
     grad_check,
     monte_carlo_stats,
     sample_window,
-    window_matrix,
     window_stats,
 )
 from fedsim.objectives import Logistic, Quadratic, SyntheticHard
 from fedsim.participation import (
     CyclicScheduler,
-    GroupedCyclicScheduler,
     IidScheduler,
     PatternParams,
     RegularizedScheduler,
@@ -53,16 +51,14 @@ class _StuckScheduler(Scheduler):
         return RoundParticipation(weights, (0,))
 
 
-def test_window_matrix_shapes_and_errors():
+def test_window_stats_wants_a_two_dimensional_window():
     parts = [RoundParticipation(np.array([1.0, 0.0]), (0,)),
              RoundParticipation(np.array([0.0, 1.0]), (1,))]
-    q = window_matrix(parts)
-    np.testing.assert_array_equal(q, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    np.testing.assert_array_equal(window_matrix(q), q)
-    with pytest.raises(ValueError, match="at least one round"):
-        window_matrix([])
-    with pytest.raises(ValueError, match="two dimensional"):
-        window_matrix(np.zeros((2, 2, 2)))
+    q = np.stack([p.weights for p in parts])
+    np.testing.assert_array_equal(window_stats(q).qbar, [0.5, 0.5])
+    for bad in (np.zeros(2), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="two dimensional"):
+            window_stats(bad)
 
 
 def test_uniform_window_is_perfectly_regular():
@@ -72,7 +68,7 @@ def test_uniform_window_is_perfectly_regular():
     np.testing.assert_allclose(stats.w, [0.5, 0.5])
     assert stats.v_sq_lambda == 0.0
     assert stats.rho_sq_realized == 0.5
-    assert stats.sampled_frac == 1.0
+    assert np.mean(stats.qbar > 0) == 1.0
 
 
 def test_single_client_window_statistics():
@@ -85,7 +81,7 @@ def test_single_client_window_statistics():
     # only client 0 carries history: (1 - 1/2)^2 * lambda with lambda = 1
     assert stats.v_sq_lambda == 0.25
     assert stats.rho_sq_realized == 1.0
-    assert stats.sampled_frac == 0.5
+    assert np.mean(stats.qbar > 0) == 0.5
 
 
 def _cyclic_windows(sched: CyclicScheduler) -> list[np.ndarray]:
@@ -205,7 +201,7 @@ def test_monte_carlo_matches_the_cyclic_closed_forms():
     assert mc.sum_q_max_dev <= 1e-12
     assert mc.rho_sq_max == 1.0
     assert mc.fallback_rounds == 0
-    assert mc.mean_sampled_frac == 0.5
+    assert mc.qbar_pos_freq.mean() == 0.5
     assert abs(float(mc.w_mean.mean()) - cyclic_w_mean(4, 2, 1)) <= 1e-12
     var = float(mc.qbar_var.mean())
     assert abs(var - cyclic_qbar_variance(4, 2, 1, 2)) <= 0.05 * (1 / 16)
@@ -226,7 +222,7 @@ def _by_name(checks):
 @pytest.mark.parametrize("sched", [
     IidScheduler(12, 3),
     CyclicScheduler(12, 3, 2),
-    GroupedCyclicScheduler(12, 3, 2, 2),
+    CyclicScheduler(12, 3, 2, avail_rounds_g=2),
     RegularizedScheduler(12, 4),
 ])
 def test_assumption_suite_passes_on_every_pattern(sched):

@@ -4,7 +4,6 @@ import pytest
 from fedsim.core import RunConfig
 from fedsim.participation import (
     CyclicScheduler,
-    GroupedCyclicScheduler,
     IidScheduler,
     RegularizedScheduler,
     ScaScheduler,
@@ -31,7 +30,7 @@ def test_cyclic_round_four_stays_in_its_group():
 
 
 def test_grouped_cyclic_holds_each_group_for_g_rounds():
-    sch = GroupedCyclicScheduler(6, 3, 2, avail_rounds_g=2)
+    sch = CyclicScheduler(6, 3, 2, avail_rounds_g=2)
     assert [sch.active_group(r) for r in range(8)] == [0, 0, 1, 1, 2, 2, 0, 0]
     part = sch.sample_round(4, seed=0)
     assert set(part.sampled) == {4, 5}
@@ -51,7 +50,7 @@ def test_regularized_is_deterministic_and_exact():
 @pytest.mark.parametrize("sch,expected", [
     (IidScheduler(12, 3), (1 / 3, 1, 0.25)),
     (CyclicScheduler(12, 3, 2), (0.5, 3, 0.5)),
-    (GroupedCyclicScheduler(12, 3, 2, 4), (0.5, 12, 0.5)),
+    (CyclicScheduler(12, 3, 2, avail_rounds_g=4), (0.5, 12, 0.5)),
     (RegularizedScheduler(12, 4), (1 / 3, 4, 1.0)),
 ])
 def test_pattern_constants(sch, expected):
@@ -62,7 +61,7 @@ def test_pattern_constants(sch, expected):
 @pytest.mark.parametrize("sch", [
     IidScheduler(9, 3),
     CyclicScheduler(8, 2, 3),
-    GroupedCyclicScheduler(8, 2, 3, 5),
+    CyclicScheduler(8, 2, 3, avail_rounds_g=5),
     RegularizedScheduler(9, 3),
     ScaScheduler(8, 2, 3, 5),
 ])
@@ -115,7 +114,7 @@ def test_constructor_validation():
     with pytest.raises(ValueError, match="s_clients must be in"):
         CyclicScheduler(6, 3, 3)
     with pytest.raises(ValueError):
-        GroupedCyclicScheduler(6, 3, 1, 0)
+        CyclicScheduler(6, 3, 1, avail_rounds_g=0)
     with pytest.raises(ValueError, match="window_p"):
         RegularizedScheduler(5, 2)
     with pytest.raises(ValueError):
@@ -132,6 +131,11 @@ def _cfg(**kw) -> RunConfig:
 def test_factory_builds_the_right_scheduler():
     assert isinstance(make_scheduler(_cfg(pattern="iid", s_clients=3)), IidScheduler)
     assert isinstance(make_scheduler(_cfg(pattern="cyclic", k_bar=3, s_clients=2)), CyclicScheduler)
+    # cyclic ignores avail_rounds_g; grouped_cyclic holds each group that long
+    for pattern, window in (("cyclic", 3), ("grouped_cyclic", 12)):
+        sch = make_scheduler(_cfg(pattern=pattern, k_bar=3, s_clients=2, avail_rounds_g=4))
+        assert type(sch) is CyclicScheduler
+        assert sch.params().window == window
     sca = make_scheduler(_cfg(pattern="sca", k_bar=3, s_clients=2, avail_rounds_g=2))
     assert isinstance(sca, ScaScheduler)
     reg = make_scheduler(_cfg(pattern="regularized", window_p=4, s_clients=3))
@@ -139,7 +143,7 @@ def test_factory_builds_the_right_scheduler():
 
 
 def test_effective_window_prefers_explicit_value():
-    sch = GroupedCyclicScheduler(12, 3, 2, 4)
+    sch = CyclicScheduler(12, 3, 2, avail_rounds_g=4)
     assert effective_window(_cfg(), sch) == 12
     assert effective_window(_cfg(window_p=6), sch) == 6
 

@@ -1,0 +1,35 @@
+"""Static checks over the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fedsim"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Module-level imports of `path` whose bound name is never read.
+
+    Names listed in `__all__` count as read, since re-exporting is the
+    point of importing them.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_package_has_no_unused_imports():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    unused = [entry for path in modules for entry in unused_imports(path)]
+    assert not unused, f"unused module-level imports: {unused}"
