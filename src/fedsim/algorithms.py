@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import CV_ALGORITHMS, WINDOW_ALGORITHMS, RunConfig, rng_stream
 from .objectives import Objective
-from .participation import Scheduler, effective_window
+from .participation import Scheduler
 
 
 class DivergenceError(ArithmeticError):
@@ -124,7 +124,7 @@ class Simulation:
         self.seed = cfg.seed
         self.uses_cv = cfg.algorithm in CV_ALGORITHMS
         if cfg.algorithm in WINDOW_ALGORITHMS:
-            self.window_len = effective_window(cfg, scheduler)
+            self.window_len = scheduler.params().window
             self.gamma = cfg.gamma
         else:
             self.window_len = 1
@@ -151,15 +151,13 @@ class Simulation:
                                    self.local_steps, self.eta, rng, correction, self.mu)
 
     def run_round(self, r: int) -> None:
-        part = self.scheduler.sample_round(r, self.seed)
-        part.check()
-        sampled = part.sampled
-        # `sampled` is sorted, so the floating-point reduction always walks
-        # clients in index order.
+        sampled = self.scheduler.sample_round(r, self.seed)
+        # Every sampled client weighs 1/S. `sampled` is sorted, so the
+        # floating-point reduction always walks clients in index order.
+        q = 1.0 / len(sampled)
         new_inner = np.zeros(self.objective.dim)
-        for i in sampled:
+        for i in sampled.tolist():
             end, grad_sum = self._client_work(i, r)
-            q = part.weights[i]
             new_inner += q * end
             if self.uses_cv:
                 self.cv.accum[i] += q * grad_sum

@@ -10,6 +10,7 @@ line and # comments.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,9 @@ def rng_stream(seed: int, purpose: str, client: int = 0, round_idx: int = 0) -> 
     """
     if purpose not in PURPOSES:
         raise ValueError(f"unknown rng purpose: {purpose!r}")
+    # operator.index turns numpy integers into Python ints, whose shifts
+    # below cannot overflow, and rejects floats.
+    seed, client, round_idx = map(operator.index, (seed, client, round_idx))
     for name, value in (("seed", seed), ("client", client), ("round_idx", round_idx)):
         if not 0 <= value < _U64:
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
@@ -221,8 +225,6 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
     # imported here because participation imports this module
     from .participation import make_scheduler
     make_scheduler(cfg)
-    if cfg.pattern == "regularized":
-        out.s_clients = cfg.n_clients // cfg.window_p
 
     if cfg.objective == "synthetic_hard":
         if cfg.n_clients != 2:

@@ -60,16 +60,13 @@ class ParticipationHistory:
         self.z[participated] = q[:, participated].T
         self.has_history |= participated
 
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.z.copy(), self.has_history.copy()
 
-
-def window_stats(q: np.ndarray, history: ParticipationHistory | None = None) -> WindowStats:
+def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
     """Compute the window statistics of a (rounds, clients) weight matrix.
 
     history supplies each client's reference weights for the regularity
-    ratio: the weight column of its most recent participated window.
-    Without it every client is excluded from that term.
+    ratio: the weight column of its most recent participated window. A
+    client without history is excluded from that term.
     """
     if q.ndim != 2:
         raise ValueError("window matrix must be two dimensional.")
@@ -84,13 +81,9 @@ def window_stats(q: np.ndarray, history: ParticipationHistory | None = None) -> 
     coef[seen] = 1.0 / (window_len * qbar[seen])
     w = overlap @ coef / n_clients
 
-    if history is None:
-        z = np.zeros_like(q.T)
-        has = np.zeros(n_clients, dtype=bool)
-    else:
-        z, has = history.snapshot()
-        if z.shape != (n_clients, window_len):
-            raise ValueError("history shape does not match the window.")
+    z, has = history.z, history.has_history
+    if z.shape != (n_clients, window_len):
+        raise ValueError("history shape does not match the window.")
     v = qbar - 1.0 / n_clients
     v_sq_lambda = 0.0
     for i in np.flatnonzero(has):
@@ -159,9 +152,13 @@ class MonteCarloStats:
 
 
 def sample_window(scheduler: Scheduler, window_index: int, seed: int, window_len: int) -> np.ndarray:
-    """Weight matrix of the aligned window [t*P, (t+1)*P)."""
-    rounds = range(window_index * window_len, (window_index + 1) * window_len)
-    return np.stack([scheduler.sample_round(r, seed).weights for r in rounds])
+    """Weight matrix of the aligned window [t*P, (t+1)*P): each client
+    sampled in a round weighs 1/S there, S the round's sample size."""
+    q = np.zeros((window_len, scheduler.n_clients))
+    for row in range(window_len):
+        idx = scheduler.sample_round(window_index * window_len + row, seed)
+        q[row, idx] = 1.0 / len(idx)
+    return q
 
 
 def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int,
@@ -174,8 +171,8 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int,
     if trials < 1:
         raise ValueError("trials must be >= 1.")
     n = scheduler.n_clients
-    window_len = scheduler.params().window
-    rho_sq_nominal = scheduler.params().rho_sq
+    params = scheduler.params()
+    window_len = params.window
     history = ParticipationHistory(n, window_len)
 
     qbar_sum = np.zeros(n)
@@ -209,7 +206,7 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int,
         # A fallback round concentrates weight on fewer clients than the
         # nominal draw size, pushing the per-round concentration above the
         # pattern constant.
-        fallback += int(((q ** 2).sum(axis=1) > rho_sq_nominal + _EXACT_TOL).sum())
+        fallback += int(((q ** 2).sum(axis=1) > params.rho_sq + _EXACT_TOL).sum())
 
     qbar_mean = qbar_sum / trials
     w_mean = w_sum / trials

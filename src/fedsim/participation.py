@@ -1,10 +1,11 @@
 """Per-round client participation schedulers.
 
-Each scheduler maps a round index and a seed to the aggregation weight
-vector for that round. Weights are 1/S for each of the S sampled clients
-and 0 elsewhere, so they sum to one by construction. Schedulers are
-stateless; all randomness comes from the round-addressed sampling stream,
-which keeps rounds independent and reproducible under any execution order.
+Each scheduler maps a round index and a seed to the sorted int64 indices
+of the clients sampled that round. Each of the S sampled clients weighs
+1/S, so a round's weights sum to one by construction, and the pattern alone
+sets the window. Schedulers are stateless; all randomness comes from the
+round-addressed sampling stream, which keeps rounds independent and
+reproducible under any execution order.
 """
 
 from __future__ import annotations
@@ -16,20 +17,6 @@ import numpy as np
 from .core import ConfigError, RunConfig, rng_stream
 
 SCA_MAX_RETRIES = 100
-
-
-@dataclass(frozen=True)
-class RoundParticipation:
-    """Aggregation weights for one round plus the sampled client set."""
-
-    weights: np.ndarray
-    sampled: tuple[int, ...]
-
-    def check(self) -> None:
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("participation weights must sum to 1.")
-        if any(self.weights[i] <= 0 for i in self.sampled):
-            raise ValueError("sampled clients must carry positive weight.")
 
 
 @dataclass(frozen=True)
@@ -45,16 +32,12 @@ class PatternParams:
 class Scheduler:
     n_clients: int
 
-    def sample_round(self, r: int, seed: int) -> RoundParticipation:
+    def sample_round(self, r: int, seed: int) -> np.ndarray:
+        """Sorted int64 indices of the clients sampled at round r."""
         raise NotImplementedError
 
     def params(self) -> PatternParams:
         raise NotImplementedError
-
-    def _emit(self, chosen: np.ndarray) -> RoundParticipation:
-        weights = np.zeros(self.n_clients)
-        weights[chosen] = 1.0 / len(chosen)
-        return RoundParticipation(weights=weights, sampled=tuple(sorted(int(i) for i in chosen)))
 
 
 class IidScheduler(Scheduler):
@@ -66,10 +49,9 @@ class IidScheduler(Scheduler):
         self.n_clients = n_clients
         self.s_clients = s_clients
 
-    def sample_round(self, r: int, seed: int) -> RoundParticipation:
+    def sample_round(self, r: int, seed: int) -> np.ndarray:
         rng = rng_stream(seed, "sampling", 0, r)
-        chosen = rng.permutation(self.n_clients)[: self.s_clients]
-        return self._emit(chosen)
+        return np.sort(rng.permutation(self.n_clients)[: self.s_clients])
 
     def params(self) -> PatternParams:
         return PatternParams(1.0 / self.s_clients, 1, self.s_clients / self.n_clients)
@@ -97,11 +79,10 @@ class CyclicScheduler(Scheduler):
     def active_group(self, r: int) -> int:
         return (r // self.avail_rounds_g) % self.k_bar
 
-    def sample_round(self, r: int, seed: int) -> RoundParticipation:
+    def sample_round(self, r: int, seed: int) -> np.ndarray:
         rng = rng_stream(seed, "sampling", 0, r)
         base = self.active_group(r) * self.group_size
-        chosen = base + rng.permutation(self.group_size)[: self.s_clients]
-        return self._emit(chosen)
+        return np.sort(base + rng.permutation(self.group_size)[: self.s_clients])
 
     def params(self) -> PatternParams:
         return PatternParams(1.0 / self.s_clients, self.avail_rounds_g * self.k_bar,
@@ -120,10 +101,9 @@ class RegularizedScheduler(Scheduler):
         self.window_p = window_p
         self.slot_size = n_clients // window_p
 
-    def sample_round(self, r: int, seed: int) -> RoundParticipation:
+    def sample_round(self, r: int, seed: int) -> np.ndarray:
         base = (r % self.window_p) * self.slot_size
-        chosen = np.arange(base, base + self.slot_size)
-        return self._emit(chosen)
+        return np.arange(base, base + self.slot_size, dtype=np.int64)
 
     def params(self) -> PatternParams:
         return PatternParams(self.window_p / self.n_clients, self.window_p, 1.0)
@@ -147,7 +127,7 @@ class ScaScheduler(CyclicScheduler):
         self.p_active = p_active
         self.p_inactive = p_inactive
 
-    def sample_round(self, r: int, seed: int) -> RoundParticipation:
+    def sample_round(self, r: int, seed: int) -> np.ndarray:
         group = self.active_group(r)
         in_group = (np.arange(self.n_clients) // self.group_size) == group
         probs = np.where(in_group, self.p_active, self.p_inactive)
@@ -157,30 +137,31 @@ class ScaScheduler(CyclicScheduler):
             if len(available) == 0:
                 continue
             if len(available) <= self.s_clients:
-                return self._emit(available)
-            chosen = available[rng.permutation(len(available))[: self.s_clients]]
-            return self._emit(chosen)
+                return available
+            return np.sort(available[rng.permutation(len(available))[: self.s_clients]])
         raise ValueError(
             f"no clients available at round {r} after {SCA_MAX_RETRIES} availability draws.")
 
 
+# The participation keys each pattern reads, in its scheduler's argument
+# order after n_clients. A pattern rejects any other key that is not at its
+# RunConfig default, so a value set for another pattern never passes silently.
+_PATTERNS = {
+    "iid": (IidScheduler, ("s_clients",)),
+    "cyclic": (CyclicScheduler, ("k_bar", "s_clients")),
+    "grouped_cyclic": (CyclicScheduler, ("k_bar", "s_clients", "avail_rounds_g")),
+    "regularized": (RegularizedScheduler, ("window_p",)),
+    "sca": (ScaScheduler, ("k_bar", "s_clients", "avail_rounds_g", "p_active", "p_inactive")),
+}
+_PARTICIPATION_KEYS = ("s_clients", "k_bar", "avail_rounds_g", "window_p", "p_active", "p_inactive")
+_DEFAULTS = RunConfig()
+
+
 def make_scheduler(cfg: RunConfig) -> Scheduler:
-    if cfg.pattern == "iid":
-        return IidScheduler(cfg.n_clients, cfg.s_clients)
-    if cfg.pattern == "cyclic":
-        return CyclicScheduler(cfg.n_clients, cfg.k_bar, cfg.s_clients)
-    if cfg.pattern == "grouped_cyclic":
-        return CyclicScheduler(cfg.n_clients, cfg.k_bar, cfg.s_clients, cfg.avail_rounds_g)
-    if cfg.pattern == "regularized":
-        return RegularizedScheduler(cfg.n_clients, cfg.window_p)
-    if cfg.pattern == "sca":
-        return ScaScheduler(cfg.n_clients, cfg.k_bar, cfg.s_clients, cfg.avail_rounds_g,
-                            cfg.p_active, cfg.p_inactive)
-    raise ConfigError(f"unknown pattern: {cfg.pattern!r}")
-
-
-def effective_window(cfg: RunConfig, scheduler: Scheduler) -> int:
-    """Window length used by the window-structured algorithms."""
-    if cfg.window_p > 0:
-        return cfg.window_p
-    return scheduler.params().window
+    if cfg.pattern not in _PATTERNS:
+        raise ConfigError(f"unknown pattern: {cfg.pattern!r}")
+    cls, keys = _PATTERNS[cfg.pattern]
+    for key in _PARTICIPATION_KEYS:
+        if key not in keys and getattr(cfg, key) != getattr(_DEFAULTS, key):
+            raise ConfigError(f"pattern {cfg.pattern} does not read {key}; leave it unset.")
+    return cls(cfg.n_clients, *(getattr(cfg, key) for key in keys))

@@ -131,8 +131,8 @@ def test_clients_absent_all_window_keep_their_variate():
     sim.run_round(1)
     sampled_over_window = {0, 1} | {2, 3}
     quiet = sampled_over_window - set(
-        make_scheduler(cfg).sample_round(0, 3).sampled
-    ) - set(make_scheduler(cfg).sample_round(1, 3).sampled)
+        make_scheduler(cfg).sample_round(0, 3).tolist()
+    ) - set(make_scheduler(cfg).sample_round(1, 3).tolist())
     assert len(quiet) == 2
     for i in quiet:
         np.testing.assert_array_equal(sim.cv.per_client[i], before[i])
@@ -192,7 +192,7 @@ def test_client_updates_do_not_depend_on_execution_order():
     # one round's sampled clients in reverse order changes no bit.
     cfg = _cfg(n_clients=8, s_clients=5, sigma=1.0, local_steps=5, seed=4)
     objective = Quadratic(rng_stream(4, "init").random((8, 3)), cfg.sigma)
-    sampled = make_scheduler(cfg).sample_round(3, cfg.seed).sampled
+    sampled = make_scheduler(cfg).sample_round(3, cfg.seed).tolist()
     start = np.full(3, 0.5)
 
     def update(client):

@@ -213,18 +213,29 @@ VERIFY_FLAGS = {"n_clients": "--n", "s_clients": "--s", "k_bar": "--k-bar",
                 "avail_rounds_g": "--g", "window_p": "--window-p", "p_active": "--p-active"}
 
 
-@pytest.mark.parametrize("pattern, keys", [
-    ("cyclic", {"n_clients": "6", "k_bar": "4"}),
-    ("grouped_cyclic", {"n_clients": "6", "k_bar": "3", "avail_rounds_g": "0"}),
-    ("sca", {"n_clients": "6", "k_bar": "3", "p_active": "1.5"}),
-    ("regularized", {"n_clients": "5", "window_p": "2"}),
-    ("iid", {"n_clients": "6", "s_clients": "7"}),
-], ids=["cyclic", "grouped_cyclic", "sca", "regularized", "iid"])
-def test_run_config_and_verify_reject_bad_participation_alike(tmp_path, capsys, pattern, keys):
+@pytest.mark.parametrize("pattern, keys, reason", [
+    ("cyclic", {"n_clients": "6", "k_bar": "4"}, "multiple of k_bar"),
+    ("grouped_cyclic", {"n_clients": "6", "k_bar": "3", "avail_rounds_g": "0"}, "avail_rounds_g"),
+    ("sca", {"n_clients": "6", "k_bar": "3", "p_active": "1.5"}, "probabilities"),
+    ("regularized", {"n_clients": "5", "window_p": "2"}, "multiple of window_p"),
+    ("iid", {"n_clients": "6", "s_clients": "7"}, "s_clients must be in"),
+    # keys the pattern does not read
+    ("grouped_cyclic", {"n_clients": "6", "k_bar": "3", "window_p": "3"}, "does not read window_p"),
+    ("cyclic", {"n_clients": "6", "k_bar": "3", "avail_rounds_g": "2"},
+     "does not read avail_rounds_g"),
+    ("iid", {"n_clients": "6", "p_active": "0.5"}, "does not read p_active"),
+    ("regularized", {"n_clients": "6", "window_p": "3", "k_bar": "2"}, "does not read k_bar"),
+    ("regularized", {"n_clients": "6", "window_p": "3", "s_clients": "2"},
+     "does not read s_clients"),
+], ids=["cyclic", "grouped_cyclic", "sca", "regularized", "iid", "grouped_cyclic-window_p",
+        "cyclic-avail_rounds_g", "iid-p_active", "regularized-k_bar", "regularized-s_clients"])
+def test_run_config_and_verify_reject_bad_participation_alike(tmp_path, capsys, pattern, keys,
+                                                              reason):
     flags = [arg for key, value in keys.items() for arg in (VERIFY_FLAGS[key], value)]
     rc = main(["verify", "--pattern", pattern, *flags, "--trials", "10", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
+    assert reason in err
     values = {"rounds": "1", "algorithm": "fedavg", "eta": "0.1", "objective": "quadratic",
               "centers": "0", "pattern": pattern, **keys}
     with pytest.raises(ConfigError) as exc:

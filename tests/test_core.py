@@ -95,6 +95,14 @@ def test_stream_key_range_checks():
         rng_stream(0, "no-such-purpose")
 
 
+def test_numpy_integer_keys_address_the_same_stream():
+    want = rng_stream(0, "gradient-noise", 3, 7).random(4)
+    got = rng_stream(np.uint64(0), "gradient-noise", np.int64(3), np.int64(7)).random(4)
+    assert np.array_equal(got, want)
+    with pytest.raises(TypeError):
+        rng_stream(0, "gradient-noise", 3.0, 7)
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 
@@ -163,11 +171,12 @@ def test_validation_rejects_inconsistent_combinations():
                               centers="0;0;0;0;0", pattern="cyclic", k_bar="2"))
 
 
-def test_regularized_pattern_derives_s_clients():
-    cfg = build_run_config(dict(BASE, n_clients="8", objective="quadratic",
-                                centers="0;0;0;0;0;0;0;0", pattern="regularized",
-                                window_p="4", s_clients="7"))
-    assert cfg.s_clients == 2
+def test_regularized_pattern_rejects_s_clients():
+    values = dict(BASE, n_clients="8", objective="quadratic", centers="0;0;0;0;0;0;0;0",
+                  pattern="regularized", window_p="4")
+    assert build_run_config(values).s_clients == 1
+    with pytest.raises(ConfigError, match="does not read s_clients"):
+        build_run_config(dict(values, s_clients="7"))
 
 
 def test_eval_every_defaults_by_objective():

@@ -23,7 +23,6 @@ from fedsim.participation import (
     IidScheduler,
     PatternParams,
     RegularizedScheduler,
-    RoundParticipation,
     ScaScheduler,
     Scheduler,
 )
@@ -45,25 +44,21 @@ class _StuckScheduler(Scheduler):
     def params(self) -> PatternParams:
         return PatternParams(1.0, 1, 1.0 / self.n_clients)
 
-    def sample_round(self, r: int, seed: int) -> RoundParticipation:
-        weights = np.zeros(self.n_clients)
-        weights[0] = 1.0
-        return RoundParticipation(weights, (0,))
+    def sample_round(self, r: int, seed: int) -> np.ndarray:
+        return np.array([0])
 
 
 def test_window_stats_wants_a_two_dimensional_window():
-    parts = [RoundParticipation(np.array([1.0, 0.0]), (0,)),
-             RoundParticipation(np.array([0.0, 1.0]), (1,))]
-    q = np.stack([p.weights for p in parts])
-    np.testing.assert_array_equal(window_stats(q).qbar, [0.5, 0.5])
+    q = np.eye(2)
+    np.testing.assert_array_equal(window_stats(q, ParticipationHistory(2, 2)).qbar, [0.5, 0.5])
     for bad in (np.zeros(2), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match="two dimensional"):
-            window_stats(bad)
+            window_stats(bad, ParticipationHistory(2, 2))
 
 
 def test_uniform_window_is_perfectly_regular():
     q = np.full((2, 2), 0.5)
-    stats = window_stats(q)
+    stats = window_stats(q, ParticipationHistory(2, 2))
     np.testing.assert_array_equal(stats.qbar, [0.5, 0.5])
     np.testing.assert_allclose(stats.w, [0.5, 0.5])
     assert stats.v_sq_lambda == 0.0
@@ -108,9 +103,8 @@ def test_cyclic_windows_enumerated_exactly():
     history = ParticipationHistory(4, 2)
     history.observe(_one_hot_window(0, 1))
     history.observe(_one_hot_window(2, 3))
-    z, has = history.snapshot()
-    np.testing.assert_array_equal(z, np.eye(2)[np.arange(4) % 2])
-    assert has.all()
+    np.testing.assert_array_equal(history.z, np.eye(2)[np.arange(4) % 2])
+    assert history.has_history.all()
     for q in outcomes:
         stats = window_stats(q, history)
         # every outcome: two sampled clients at w = 1/4, so the client
@@ -132,7 +126,8 @@ def test_cyclic_windows_enumerated_exactly():
         windows = _cyclic_windows(sched)
         assert len(windows) == count
         for q in windows:
-            assert abs(float(window_stats(q).w.mean()) - expected) <= 1e-15
+            stats = window_stats(q, ParticipationHistory(sched.n_clients, sched.k_bar))
+            assert abs(float(stats.w.mean()) - expected) <= 1e-15
         assert abs(cyclic_w_mean(sched.n_clients, sched.k_bar, sched.s_clients)
                    - expected) <= 1e-15
         # the enumeration covers what the scheduler actually draws
@@ -158,18 +153,15 @@ def test_window_stats_rejects_a_history_of_another_shape():
 
 def test_history_tracker_keeps_the_latest_participated_window():
     history = ParticipationHistory(3, 2)
-    z, has = history.snapshot()
-    assert not has.any() and not z.any()
+    assert not history.has_history.any() and not history.z.any()
     history.observe(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]))
-    z, has = history.snapshot()
-    assert has.tolist() == [True, True, False]
-    np.testing.assert_array_equal(z[0], [0.5, 0.5])
+    assert history.has_history.tolist() == [True, True, False]
+    np.testing.assert_array_equal(history.z[0], [0.5, 0.5])
     history.observe(np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]))
-    z, has = history.snapshot()
-    assert has.all()
-    np.testing.assert_array_equal(z[0], [0.5, 0.5])
-    np.testing.assert_array_equal(z[1], [0.5, 0.0])
-    np.testing.assert_array_equal(z[2], [0.5, 1.0])
+    assert history.has_history.all()
+    np.testing.assert_array_equal(history.z[0], [0.5, 0.5])
+    np.testing.assert_array_equal(history.z[1], [0.5, 0.0])
+    np.testing.assert_array_equal(history.z[2], [0.5, 1.0])
     with pytest.raises(ValueError, match="window shape"):
         history.observe(np.zeros((3, 3)))
 
@@ -177,7 +169,10 @@ def test_history_tracker_keeps_the_latest_participated_window():
 def test_sample_window_is_aligned_and_deterministic():
     sched = CyclicScheduler(6, 3, 1)
     q = sample_window(sched, 2, seed=9, window_len=3)
-    manual = np.stack([sched.sample_round(r, 9).weights for r in (6, 7, 8)])
+    # one client per round, at weight 1
+    manual = np.zeros((3, 6))
+    for row, r in enumerate((6, 7, 8)):
+        manual[row, sched.sample_round(r, 9)] = 1.0
     np.testing.assert_array_equal(q, manual)
     np.testing.assert_array_equal(q, sample_window(sched, 2, 9, 3))
 
@@ -185,7 +180,7 @@ def test_sample_window_is_aligned_and_deterministic():
 def test_regularized_windows_are_exactly_uniform():
     sched = RegularizedScheduler(4, 2)
     q = sample_window(sched, 0, seed=0, window_len=2)
-    stats = window_stats(q)
+    stats = window_stats(q, ParticipationHistory(4, 2))
     np.testing.assert_array_equal(stats.qbar, np.full(4, 0.25))
     np.testing.assert_allclose(stats.w, np.full(4, 0.25))
     assert stats.v_sq_lambda == 0.0

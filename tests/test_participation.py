@@ -1,49 +1,47 @@
 import numpy as np
 import pytest
 
-from fedsim.core import RunConfig
+from fedsim.core import ConfigError, RunConfig
 from fedsim.participation import (
     CyclicScheduler,
     IidScheduler,
     RegularizedScheduler,
     ScaScheduler,
     Scheduler,
-    effective_window,
     make_scheduler,
 )
 
 
 def test_iid_samples_without_replacement():
     sch = IidScheduler(10, 4)
-    part = sch.sample_round(0, seed=1)
-    assert len(part.sampled) == 4
-    assert len(set(part.sampled)) == 4
-    assert all(part.weights[i] == 0.25 for i in part.sampled)
+    sampled = sch.sample_round(0, seed=1)
+    assert len(sampled) == 4
+    assert len(set(sampled.tolist())) == 4
 
 
 def test_cyclic_round_four_stays_in_its_group():
     sch = CyclicScheduler(6, 3, 1)
-    part = sch.sample_round(4, seed=0)
+    sampled = sch.sample_round(4, seed=0)
     # round 4 activates group 4 mod 3 = 1, clients {2, 3}
-    assert set(part.sampled) <= {2, 3}
-    assert part.weights[part.sampled[0]] == 1.0
+    assert len(sampled) == 1
+    assert set(sampled.tolist()) <= {2, 3}
 
 
 def test_grouped_cyclic_holds_each_group_for_g_rounds():
     sch = CyclicScheduler(6, 3, 2, avail_rounds_g=2)
     assert [sch.active_group(r) for r in range(8)] == [0, 0, 1, 1, 2, 2, 0, 0]
-    part = sch.sample_round(4, seed=0)
-    assert set(part.sampled) == {4, 5}
+    assert sch.sample_round(4, seed=0).tolist() == [4, 5]
 
 
 def test_regularized_is_deterministic_and_exact():
     sch = RegularizedScheduler(4, 2)
-    first = sch.sample_round(0, seed=0)
-    assert first.sampled == (0, 1)
-    assert first.weights[0] == 0.5
-    assert sch.sample_round(1, seed=99).sampled == (2, 3)
+    assert sch.sample_round(0, seed=0).tolist() == [0, 1]
+    assert sch.sample_round(1, seed=99).tolist() == [2, 3]
     # the window-averaged weight is 1/N for every client, any seed
-    qbar = (np.stack([sch.sample_round(r, 7).weights for r in range(2)])).mean(axis=0)
+    qbar = np.zeros(4)
+    for r in range(2):
+        sampled = sch.sample_round(r, 7)
+        qbar[sampled] += 1.0 / len(sampled) / 2
     np.testing.assert_array_equal(qbar, np.full(4, 0.25))
 
 
@@ -66,37 +64,47 @@ def test_pattern_constants(sch, expected):
     ScaScheduler(8, 2, 3, 5),
 ])
 def test_weights_sum_to_one_and_respect_concentration(sch):
+    # The contract of sample_round: sorted, unique int64 client indices in
+    # [0, n), each weighing 1/len, so the weights sum to one by construction.
     rho_sq = sch.params().rho_sq
+    size = sch.slot_size if isinstance(sch, RegularizedScheduler) else sch.s_clients
     is_sca = isinstance(sch, ScaScheduler)
     for r in range(25):
-        part = sch.sample_round(r, seed=3)
-        part.check()
-        assert abs(part.weights.sum() - 1.0) <= 1e-12
-        if not is_sca:
-            assert float((part.weights ** 2).sum()) <= rho_sq + 1e-12
+        sampled = sch.sample_round(r, seed=3)
+        assert sampled.dtype == np.int64 and sampled.ndim == 1
+        assert len(sampled) > 0
+        assert np.all(np.diff(sampled) > 0)
+        assert 0 <= sampled[0] and sampled[-1] < sch.n_clients
+        if is_sca:
+            assert len(sampled) <= size
+        else:
+            assert len(sampled) == size
+            assert 1.0 / len(sampled) <= rho_sq
 
 
 def test_sampling_is_seed_deterministic():
     sch = CyclicScheduler(20, 2, 4)
-    assert sch.sample_round(5, seed=8).sampled == sch.sample_round(5, seed=8).sampled
-    draws = {sch.sample_round(5, seed=s).sampled for s in range(20)}
+    first, again = (tuple(sch.sample_round(5, seed=8).tolist()) for _ in range(2))
+    assert first == again
+    draws = {tuple(sch.sample_round(5, seed=s).tolist()) for s in range(20)}
     assert len(draws) > 1
 
 
 def test_sca_full_availability_matches_group():
     sch = ScaScheduler(8, 2, 4, 1, p_active=1.0, p_inactive=0.0)
-    part = sch.sample_round(0, seed=0)
-    assert set(part.sampled) == {0, 1, 2, 3}
+    assert sch.sample_round(0, seed=0).tolist() == [0, 1, 2, 3]
 
 
 def test_sca_fallback_weights_when_few_available():
     sch = ScaScheduler(40, 2, 10, 1, p_active=0.05, p_inactive=0.0)
     saw_fallback = False
     for r in range(0, 200, 2):
-        part = sch.sample_round(r, seed=1)
-        if 0 < len(part.sampled) < 10:
+        sampled = sch.sample_round(r, seed=1)
+        if 0 < len(sampled) < 10:
             saw_fallback = True
-            assert part.weights[part.sampled[0]] == 1.0 / len(part.sampled)
+            # with p_inactive = 0 only the eligible group, clients 0..19 at
+            # even rounds, can show up
+            assert np.all(sampled < 20)
     assert saw_fallback
 
 
@@ -131,21 +139,20 @@ def _cfg(**kw) -> RunConfig:
 def test_factory_builds_the_right_scheduler():
     assert isinstance(make_scheduler(_cfg(pattern="iid", s_clients=3)), IidScheduler)
     assert isinstance(make_scheduler(_cfg(pattern="cyclic", k_bar=3, s_clients=2)), CyclicScheduler)
-    # cyclic ignores avail_rounds_g; grouped_cyclic holds each group that long
-    for pattern, window in (("cyclic", 3), ("grouped_cyclic", 12)):
-        sch = make_scheduler(_cfg(pattern=pattern, k_bar=3, s_clients=2, avail_rounds_g=4))
+    # cyclic holds each group one round, grouped_cyclic avail_rounds_g rounds
+    for pattern, g, window in (("cyclic", 1, 3), ("grouped_cyclic", 4, 12)):
+        sch = make_scheduler(_cfg(pattern=pattern, k_bar=3, s_clients=2, avail_rounds_g=g))
         assert type(sch) is CyclicScheduler
         assert sch.params().window == window
+    # cyclic does not read avail_rounds_g, nor regularized s_clients
+    with pytest.raises(ConfigError, match="pattern cyclic does not read avail_rounds_g"):
+        make_scheduler(_cfg(pattern="cyclic", k_bar=3, s_clients=2, avail_rounds_g=4))
     sca = make_scheduler(_cfg(pattern="sca", k_bar=3, s_clients=2, avail_rounds_g=2))
     assert isinstance(sca, ScaScheduler)
-    reg = make_scheduler(_cfg(pattern="regularized", window_p=4, s_clients=3))
+    reg = make_scheduler(_cfg(pattern="regularized", window_p=4))
     assert isinstance(reg, RegularizedScheduler)
-
-
-def test_effective_window_prefers_explicit_value():
-    sch = CyclicScheduler(12, 3, 2, avail_rounds_g=4)
-    assert effective_window(_cfg(), sch) == 12
-    assert effective_window(_cfg(window_p=6), sch) == 6
+    with pytest.raises(ConfigError, match="pattern regularized does not read s_clients"):
+        make_scheduler(_cfg(pattern="regularized", window_p=4, s_clients=3))
 
 
 def test_base_scheduler_is_abstract():
