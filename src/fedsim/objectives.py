@@ -148,6 +148,11 @@ class Logistic(Objective):
     optional l2 penalty applies to weights only, never the bias. Stochastic
     gradients average `minibatch` uniformly drawn local samples and include
     the full penalty term.
+
+    One helper, `_grad`, serves both gradient oracles: `grad_local` calls it
+    on the full shard, `stoch_grad_local` on the drawn rows. It subtracts a
+    one-hot label table that is built once, at construction, per client.
+    `eval_local` computes the loss alone, with no gradient.
     """
 
     def __init__(self, shards: list[tuple[np.ndarray, np.ndarray]], num_classes: int,
@@ -160,15 +165,23 @@ class Logistic(Objective):
         if minibatch < 1:
             raise ValueError("minibatch must be >= 1.")
         num_features = shards[0][0].shape[1]
+        eye = np.eye(num_classes)
         self._features = []
         self._labels = []
+        self._onehot = []
         for idx, (feats, labels) in enumerate(shards):
+            labels = np.asarray(labels, dtype=int)
             if len(labels) == 0:
                 raise ValueError(f"client {idx} has an empty dataset.")
             if feats.shape[1] != num_features:
                 raise ValueError(f"client {idx} has {feats.shape[1]} features, expected {num_features}.")
+            # Negative labels would wrap around when indexing, silently
+            # training on the last classes.
+            if labels.min() < 0 or labels.max() >= num_classes:
+                raise ValueError(f"client {idx} has labels outside [0, {num_classes}).")
             self._features.append(np.hstack([feats, np.ones((feats.shape[0], 1))]))
-            self._labels.append(np.asarray(labels, dtype=int))
+            self._labels.append(labels)
+            self._onehot.append(eye[labels])
         self.num_classes = num_classes
         self.num_features = num_features
         self.l2 = l2
@@ -187,8 +200,8 @@ class Logistic(Objective):
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+        return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
     def _penalty(self, w: np.ndarray) -> float:
         if self.l2 == 0:
@@ -197,38 +210,41 @@ class Logistic(Objective):
 
     def _penalty_grad(self, w: np.ndarray) -> np.ndarray:
         g = np.zeros_like(w)
-        if self.l2:
-            g[:, :-1] = self.l2 * w[:, :-1]
+        g[:, :-1] = self.l2 * w[:, :-1]
         return g
 
-    def _loss_and_grad(self, w: np.ndarray, feats: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        logp = self._log_softmax(feats @ w.T)
-        n = len(labels)
-        loss = -float(logp[np.arange(n), labels].mean())
-        delta = np.exp(logp)
-        delta[np.arange(n), labels] -= 1.0
-        grad = delta.T @ feats / n
-        return loss, grad
+    def _grad(self, w: np.ndarray, feats: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+        """Mean cross-entropy gradient over `feats` plus the penalty, raveled.
+
+        Subtracting the one-hot rows equals subtracting 1 at each label,
+        because p - 0.0 == p for every probability p, and `+= 0.0` turns
+        -0.0 into 0.0 exactly as adding a zero penalty would.
+        """
+        delta = np.exp(self._log_softmax(feats @ w.T))
+        delta -= onehot
+        grad = delta.T @ feats / len(feats)
+        if self.l2:
+            return (grad + self._penalty_grad(w)).ravel()
+        grad += 0.0
+        return grad.ravel()
 
     def eval_local(self, client: int, x: np.ndarray) -> float:
         self._check_client(client)
         w = self._weights(x)
-        loss, _ = self._loss_and_grad(w, self._features[client], self._labels[client])
-        return loss + self._penalty(w)
+        logp = self._log_softmax(self._features[client] @ w.T)
+        labels = self._labels[client]
+        return -float(logp[np.arange(len(labels)), labels].mean()) + self._penalty(w)
 
     def grad_local(self, client: int, x: np.ndarray) -> np.ndarray:
         self._check_client(client)
-        w = self._weights(x)
-        _, grad = self._loss_and_grad(w, self._features[client], self._labels[client])
-        return (grad + self._penalty_grad(w)).ravel()
+        return self._grad(self._weights(x), self._features[client], self._onehot[client])
 
     def stoch_grad_local(self, client: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         self._check_client(client)
         w = self._weights(x)
         n = len(self._labels[client])
         idx = np.minimum((rng.random(self.minibatch) * n).astype(np.int64), n - 1)
-        _, grad = self._loss_and_grad(w, self._features[client][idx], self._labels[client][idx])
-        return (grad + self._penalty_grad(w)).ravel()
+        return self._grad(w, self._features[client][idx], self._onehot[client][idx])
 
     def test_metric(self, x: np.ndarray) -> float:
         if self._test is None:

@@ -1,9 +1,12 @@
+import collections
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedsim.core import ConfigError, ExperimentSpec, RunConfig, build_run_config
+from fedsim import algorithms, harness
+from fedsim.core import ConfigError, ExperimentSpec, RunConfig, build_run_config, parse_config_text
 from fedsim.harness import (
     RUN_CSV_HEADER,
     GridCellResult,
@@ -194,3 +197,33 @@ def test_best_cell_prefers_numbers_over_nan():
     assert best_cell([nan_cell]).cell_id == 0
     with pytest.raises(ValueError, match="no grid cells"):
         best_cell([])
+
+
+def test_desk_run_calls_the_oracle_once_per_local_step(monkeypatch):
+    """The traced benchmark counts one `stoch_grad_local` call per local step
+    and one `client_local_update` per sampled client; batching either call
+    needs the benchmark's spans moved first."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    build = harness.build_objective
+
+    def build_counted(cfg):
+        objective = build(cfg)
+        objective.stoch_grad_local = counted("stoch_grad_local", objective.stoch_grad_local)
+        return objective
+
+    monkeypatch.setattr(harness, "build_objective", build_counted)
+    monkeypatch.setattr(algorithms, "client_local_update",
+                        counted("client_local_update", algorithms.client_local_update))
+    config = Path(__file__).resolve().parent.parent / "configs" / "desk_amp_scaffold.cfg"
+    values = parse_config_text(config.read_text(encoding="utf-8"))
+    values["rounds"] = "20"
+    run_once(build_run_config(values))
+    # 20 rounds x 10 sampled x 30 local steps, plus 50 clients x 30 warm-start draws.
+    assert counts == {"stoch_grad_local": 20 * 10 * 30 + 50 * 30, "client_local_update": 20 * 10}

@@ -137,6 +137,11 @@ def test_logistic_validation_errors():
         Logistic([(feats, labels), (np.zeros((2, 4)), labels)], num_classes=2)
     with pytest.raises(ValueError):
         Logistic([(feats, labels)], num_classes=2, minibatch=0)
+    # Indexing would wrap -1 to the last class; 2 would fail only at the
+    # first gradient.
+    for bad in ([0, -1], [0, 2]):
+        with pytest.raises(ValueError, match=r"client 1 has labels outside \[0, 2\)"):
+            Logistic([(feats, labels), (feats, np.array(bad))], num_classes=2)
 
 
 def test_logistic_test_metric():
@@ -169,3 +174,52 @@ def test_logistic_minibatch_indices_stay_in_range():
     for trial in range(50):
         g = obj.stoch_grad_local(0, x, rng_stream(trial, "gradient-noise"))
         assert np.all(np.isfinite(g))
+
+
+def _reference_loss_and_grad(w, feats, labels):
+    """The softmax loss and gradient as first written: full log-softmax,
+    fancy-indexed label pick and label subtraction."""
+    logits = feats @ w.T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    n = len(labels)
+    loss = -float(logp[np.arange(n), labels].mean())
+    delta = np.exp(logp)
+    delta[np.arange(n), labels] -= 1.0
+    return loss, delta.T @ feats / n
+
+
+def test_logistic_oracle_matches_reference_math():
+    """Every oracle output equals the reference math bit for bit, and each
+    stochastic gradient consumes exactly `minibatch` uniforms."""
+    features, labels = make_blobs(300, 4, 5, seed=4)
+    shards = [(features[:1], labels[:1]), (features[1:3], labels[1:3]),
+              (features[3:40], labels[3:40]), (features[40:], labels[40:])]
+    for l2 in (0.0, 0.5):
+        for minibatch in (1, 3, 64):
+            obj = Logistic(shards, num_classes=4, l2=l2, minibatch=minibatch)
+            x_rng = rng_stream(5, "init", minibatch)
+            for trial in range(24):
+                client = trial % len(shards)
+                x = x_rng.standard_normal(obj.dim) * (0.0, 1.0, 20.0)[trial % 3]
+                w = x.reshape(4, -1)
+                feats = np.hstack([shards[client][0], np.ones((len(shards[client][1]), 1))])
+                ys = shards[client][1]
+                penalty_grad = np.zeros_like(w)
+                penalty = 0.0
+                if l2:
+                    penalty_grad[:, :-1] = l2 * w[:, :-1]
+                    penalty = 0.5 * l2 * float(np.sum(w[:, :-1] ** 2))
+
+                loss, grad = _reference_loss_and_grad(w, feats, ys)
+                assert obj.eval_local(client, x) == loss + penalty
+                assert obj.grad_local(client, x).tobytes() == (grad + penalty_grad).ravel().tobytes()
+
+                rng = rng_stream(trial, "gradient-noise", minibatch)
+                twin = rng_stream(trial, "gradient-noise", minibatch)
+                got = obj.stoch_grad_local(client, x, rng)
+                n = len(ys)
+                idx = np.minimum((twin.random(minibatch) * n).astype(np.int64), n - 1)
+                _, grad = _reference_loss_and_grad(w, feats[idx], ys[idx])
+                assert got.tobytes() == (grad + penalty_grad).ravel().tobytes()
+                assert rng.random() == twin.random()
