@@ -66,7 +66,9 @@ def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
 
     history supplies each client's reference weights for the regularity
     ratio: the weight column of its most recent participated window. A
-    client without history is excluded from that term.
+    client without history, or whose history is all zero, is excluded from
+    that term. The regularity statistic v_sq_lambda adds the per-client
+    terms one at a time, in client order.
     """
     if q.ndim != 2:
         raise ValueError("window matrix must be two dimensional.")
@@ -85,13 +87,12 @@ def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
     if z.shape != (n_clients, window_len):
         raise ValueError("history shape does not match the window.")
     v = qbar - 1.0 / n_clients
-    v_sq_lambda = 0.0
-    for i in np.flatnonzero(has):
-        z_mean = z[i].mean()
-        if z_mean <= 0:
-            continue
-        ratio = (z[i] ** 2).mean() / z_mean ** 2
-        v_sq_lambda += v[i] ** 2 * ratio
+    z_mean = z.mean(axis=1)
+    use = has & (z_mean > 0)
+    terms = v[use] ** 2 * ((z[use] ** 2).mean(axis=1) / z_mean[use] ** 2)
+    # cumsum adds sequentially; np.sum would sum pairwise and round
+    # differently.
+    v_sq_lambda = np.cumsum(terms)[-1] if len(terms) else 0.0
 
     return WindowStats(
         qbar=qbar,

@@ -190,8 +190,13 @@ class Logistic(Objective):
         self.dim = num_classes * (num_features + 1)
         if test_set is not None:
             feats, labels = test_set
-            self._test = (np.hstack([feats, np.ones((feats.shape[0], 1))]),
-                          np.asarray(labels, dtype=int))
+            labels = np.asarray(labels, dtype=int)
+            if feats.shape[1] != num_features:
+                raise ValueError(f"the test set has {feats.shape[1]} features, expected {num_features}.")
+            # A label the model cannot predict would only ever count as a miss.
+            if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
+                raise ValueError(f"the test set has labels outside [0, {num_classes}).")
+            self._test = (np.hstack([feats, np.ones((feats.shape[0], 1))]), labels)
         else:
             self._test = None
 

@@ -126,11 +126,13 @@ class ScaScheduler(CyclicScheduler):
             raise ConfigError("availability probabilities must lie in [0, 1].")
         self.p_active = p_active
         self.p_inactive = p_inactive
+        # Row g holds every client's availability probability while group g
+        # is the eligible one.
+        groups = np.arange(n_clients) // self.group_size
+        self._probs = [np.where(groups == g, p_active, p_inactive) for g in range(k_bar)]
 
     def sample_round(self, r: int, seed: int) -> np.ndarray:
-        group = self.active_group(r)
-        in_group = (np.arange(self.n_clients) // self.group_size) == group
-        probs = np.where(in_group, self.p_active, self.p_inactive)
+        probs = self._probs[self.active_group(r)]
         for retry in range(SCA_MAX_RETRIES):
             rng = rng_stream(seed, "sampling", retry, r)
             available = np.flatnonzero(rng.random(self.n_clients) < probs)

@@ -1,8 +1,10 @@
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
+from fedsim import diagnostics
 from fedsim.data import make_blobs, partition_by_similarity
 from fedsim.diagnostics import (
     ParticipationHistory,
@@ -142,6 +144,62 @@ def test_previous_window_reference_counts_only_its_participants():
     stats = window_stats(_one_hot_window(1, 3), history)
     # clients 0 and 2 have history; both sit at v^2 = 1/16 with lambda = 2
     assert stats.v_sq_lambda == 0.25
+
+
+def _loop_v_sq_lambda(q, history):
+    """The regularity statistic as a per-client loop: the definition the
+    vectorized window_stats must match bit for bit."""
+    n_clients = q.shape[1]
+    v = q.mean(axis=0) - 1.0 / n_clients
+    total = 0.0
+    for i in np.flatnonzero(history.has_history):
+        z_mean = history.z[i].mean()
+        if z_mean <= 0:
+            continue
+        total += v[i] ** 2 * ((history.z[i] ** 2).mean() / z_mean ** 2)
+    return total
+
+
+def test_v_sq_lambda_matches_the_client_loop_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    # Window lengths on both sides of numpy's 8- and 128-element pairwise
+    # summation blocks.
+    for window_len in (1, 5, 8, 9, 15, 129, 480):
+        for n_clients in (1, 4, 250):
+            for _ in range(4):
+                q = rng.random((window_len, n_clients)) * (rng.random((window_len, n_clients)) < 0.3)
+                history = ParticipationHistory(n_clients, window_len)
+                history.z = rng.random((n_clients, window_len)) * (
+                    rng.random((n_clients, window_len)) < 0.5)
+                # all-zero rows, with and without history, and clients
+                # without history
+                history.z[rng.random(n_clients) < 0.2] = 0.0
+                history.has_history = rng.random(n_clients) < 0.7
+                got = window_stats(q, history).v_sq_lambda
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(_loop_v_sq_lambda(q, history)).tobytes()
+            # no client with history at all
+            got = window_stats(q, ParticipationHistory(n_clients, window_len)).v_sq_lambda
+            assert type(got) is float and got == 0.0
+
+
+def test_monte_carlo_makes_one_window_stats_call_per_window(monkeypatch):
+    """The benchmark counts one window_stats call per window and one
+    sample_round call per round; batching across trials moves both counts."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(diagnostics, "window_stats",
+                        counted("window_stats", diagnostics.window_stats))
+    monkeypatch.setattr(CyclicScheduler, "sample_round",
+                        counted("sample_round", CyclicScheduler.sample_round))
+    monte_carlo_stats(CyclicScheduler(250, 5, 10), trials=20, seed=0)
+    assert counts == {"window_stats": 20, "sample_round": 20 * 5}
 
 
 def test_window_stats_rejects_a_history_of_another_shape():

@@ -1,9 +1,10 @@
-"""Byte gate: sha256 digests of the CSVs that the shipped configs and the
-benchmark's two verify cases write.
+"""Byte gate: sha256 digests of the CSVs that the shipped configs and
+`fedsim verify` write.
 
 Every synthetic config runs at full length, every desk config for 40
 rounds (two 20-round windows), the grid for 960 rounds (two 480-round
-windows), and both verify cases at 200 trials: about 15 s on a 2-CPU
+windows), the two benchmark verify cases at 200 trials, and one small
+verify case per pattern (12 clients, 300 trials): about 15 s on a 2-CPU
 host. A refactor must keep every digest. A deliberate change to the
 numerics re-records the digests it moves, in the same change, with the
 reason.
@@ -33,9 +34,18 @@ CASES = {
                        "--trials", "200", "--seed", "0"], "verify.csv"),
     "verify_sca": (["verify", "--pattern", "sca", "--n", "100", "--k-bar", "5", "--s", "10",
                     "--g", "3", "--trials", "200", "--seed", "0"], "verify.csv"),
+    **{f"verify_{pattern}_small": (["verify", "--pattern", pattern, "--n", "12", *args,
+                                    "--trials", "300", "--seed", "4"], "verify.csv")
+       for pattern, args in (
+           ("iid", ["--s", "3"]),
+           ("cyclic", ["--k-bar", "3", "--s", "2"]),
+           ("grouped_cyclic", ["--k-bar", "3", "--s", "2", "--g", "2"]),
+           ("regularized", ["--window-p", "4"]),
+           ("sca", ["--k-bar", "3", "--s", "2", "--g", "2", "--p-active", "0.7",
+                    "--p-inactive", "0.1"]))},
 }
 
-# case -> (exit code, sha256 of the file written). verify_sca exits 1:
+# case -> (exit code, sha256 of the file written). Both sca cases exit 1:
 # qbar_variance_closed_form applies the cyclic closed form to sca, whose
 # availability draws make the window-weight variance larger.
 EXPECTED = {
@@ -52,6 +62,13 @@ EXPECTED = {
     "grid_synthetic_scaffold": (0, "dcbc8ae6b61e80c64aef67fd720144894a349e47b64172351e5a54244c0135df"),
     "verify_cyclic": (0, "7ad63c78030043398ed55e0119207157e2d32306e9b4c5ec110fa3bb769ff102"),
     "verify_sca": (1, "178aa9b3d3998966ac0158aab6bd19ae5c59c0829970b78b91709b1661a96f2b"),
+    "verify_iid_small": (0, "37a6fbd2d5b001da11a3fc2cb0353223e52099dd08718a23cf222f84102e1aac"),
+    "verify_cyclic_small": (0, "cf90d6ce5cee44db15e83e6ba566c94a5c01be8ff6110634c9960f0685c69b8d"),
+    "verify_grouped_cyclic_small": (
+        0, "90f24d81997027102eeaf156a67d649e75bf887067173e7df1a988775f6a293e"),
+    "verify_regularized_small": (
+        0, "87e60bb8311698cf119353b13a8e9df5c0a7672a8f07d9e85e74634e265f8418"),
+    "verify_sca_small": (1, "e196a51c0d1eb4d90e46c1eb328ab66b46b63fe2458d498688b118dfeb5ce9e8"),
 }
 
 

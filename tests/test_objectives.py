@@ -144,6 +144,22 @@ def test_logistic_validation_errors():
             Logistic([(feats, labels), (feats, np.array(bad))], num_classes=2)
 
 
+def test_logistic_rejects_a_test_set_out_of_range():
+    feats = np.zeros((2, 3))
+    labels = np.zeros(2, dtype=int)
+    # Such a held-out label would only ever count as a miss.
+    for bad in ([0, -1], [0, 7]):
+        with pytest.raises(ValueError, match=r"test set has labels outside \[0, 2\)"):
+            Logistic([(feats, labels)], num_classes=2, test_set=(feats, np.array(bad)))
+
+
+def test_logistic_rejects_a_test_set_with_other_features():
+    feats = np.zeros((2, 3))
+    labels = np.zeros(2, dtype=int)
+    with pytest.raises(ValueError, match="test set has 4 features, expected 3"):
+        Logistic([(feats, labels)], num_classes=2, test_set=(np.zeros((2, 4)), labels))
+
+
 def test_logistic_test_metric():
     feats = np.array([[1.0], [0.0]])
     labels = np.array([1, 0])
