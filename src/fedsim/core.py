@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 ALGORITHMS = ("fedavg", "fedprox", "scaffold", "amp_fedavg", "amp_scaffold")
@@ -42,11 +43,28 @@ class ConfigError(ValueError):
 # Random streams
 
 
+class _PhiloxKey(ISeedSequence):
+    """Seed sequence whose only state is the Philox key [seed, 0]. Philox
+    asks it for exactly two uint64 words, once, at construction."""
+
+    def __init__(self, seed: int):
+        self._seed = seed
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.array([self._seed, 0], dtype=np.uint64)
+
+
 def rng_stream(seed: int, purpose: str, client: int = 0, round_idx: int = 0) -> np.random.Generator:
     """Return the generator for one (seed, purpose, client, round) stream.
 
     The stream is an independent counter-based sequence; its k-th draw is the
     value addressed by step k. Streams never overlap across distinct keys.
+
+    The key reaches Philox through a seed sequence rather than `key=`:
+    `Philox(key=...)` first builds a `SeedSequence` from OS entropy and then
+    discards it, which costs about half of a stream's construction. The key
+    [seed, 0] is exactly the 128-bit key `Philox(key=seed)` stores, so the
+    state and every draw are unchanged.
     """
     if purpose not in PURPOSES:
         raise ValueError(f"unknown rng purpose: {purpose!r}")
@@ -57,7 +75,7 @@ def rng_stream(seed: int, purpose: str, client: int = 0, round_idx: int = 0) -> 
         if not 0 <= value < _U64:
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
     counter = (PURPOSES[purpose] << 192) | (client << 128) | (round_idx << 64)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed), counter=counter))
 
 
 def gaussians_from(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
@@ -69,6 +87,17 @@ def gaussians_from(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray
         return np.zeros(n)
     u = np.maximum(rng.random(n), _MIN_UNIFORM)
     return sigma * ndtri(u)
+
+
+def gaussian_from(rng: np.random.Generator, sigma: float) -> float:
+    """One draw from N(0, sigma^2), equal to `gaussians_from(rng, 1, sigma)[0]`;
+    sigma=0 gives 0.0 and still consumes the uniform."""
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0.")
+    u = rng.random()
+    if sigma == 0:
+        return 0.0
+    return sigma * float(ndtri(max(u, _MIN_UNIFORM)))
 
 
 # ---------------------------------------------------------------------------

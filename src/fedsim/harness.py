@@ -209,7 +209,13 @@ def write_grid_csv(results: list[GridCellResult], grid_keys: list[str], path: st
 
 
 def best_cell(results: list[GridCellResult]) -> GridCellResult:
-    """Cell with the lowest mean final loss; NaN means always lose."""
+    """Cell with the lowest mean final loss among cells with no diverged run.
+
+    A diverged run's final loss is its last finite evaluation, which can be
+    the round-0 loss, so any cell with a diverged run ranks after every cell
+    without one. NaN losses rank last within each group.
+    """
     if not results:
         raise ValueError("no grid cells to compare.")
-    return min(results, key=lambda c: (math.isnan(c.mean_final_loss), c.mean_final_loss))
+    return min(results, key=lambda c: (c.diverged_runs > 0, math.isnan(c.mean_final_loss),
+                                       c.mean_final_loss))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import gaussians_from
+from .core import gaussian_from, gaussians_from
 
 
 class Objective:
@@ -77,7 +77,7 @@ class SyntheticHard(Objective):
         self.sigma = sigma
         self.c = c
         self.mu_pl = mu_pl
-        self._x2_star = np.sqrt(mu_pl) * c / np.sqrt(h)
+        self._x2_star = float(np.sqrt(mu_pl) * c / np.sqrt(h))
 
     def eval_local(self, client: int, x: np.ndarray) -> float:
         self._check_client(client)
@@ -93,21 +93,20 @@ class SyntheticHard(Objective):
 
     def grad_local(self, client: int, x: np.ndarray) -> np.ndarray:
         self._check_client(client)
-        x = self._check_x(x)
-        g = np.empty(4)
-        g[0] = self.mu_pl * (x[0] - self.c)
-        g[1] = self.h * (x[1] - self._x2_star)
+        # Python floats are the same IEEE doubles as numpy scalars and much
+        # cheaper to operate on one at a time.
+        x0, x1, x2, _ = self._check_x(x).tolist()
         # The one-sided square is differentiable at 0 with derivative 0, so
         # the strict inequality handles the kink.
-        g[2] = 0.25 * self.h * x[2]
-        if x[2] > 0:
-            g[2] += 0.25 * self.h * x[2]
-        g[3] = self.kappa if client == 0 else -self.kappa
-        return g
+        g2 = 0.25 * self.h * x2
+        if x2 > 0:
+            g2 += 0.25 * self.h * x2
+        return np.array([self.mu_pl * (x0 - self.c), self.h * (x1 - self._x2_star), g2,
+                         self.kappa if client == 0 else -self.kappa])
 
     def stoch_grad_local(self, client: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         g = self.grad_local(client, x)
-        g[2] += gaussians_from(rng, 1, self.sigma)[0]
+        g[2] += gaussian_from(rng, self.sigma)
         return g
 
 

@@ -80,8 +80,12 @@ class CyclicScheduler(Scheduler):
         return (r // self.avail_rounds_g) % self.k_bar
 
     def sample_round(self, r: int, seed: int) -> np.ndarray:
-        rng = rng_stream(seed, "sampling", 0, r)
         base = self.active_group(r) * self.group_size
+        if self.s_clients == self.group_size:
+            # The sorted draw is the whole group whatever the permutation, and
+            # nothing else reads the sampling stream, so none is opened.
+            return np.arange(base, base + self.group_size, dtype=np.int64)
+        rng = rng_stream(seed, "sampling", 0, r)
         return np.sort(base + rng.permutation(self.group_size)[: self.s_clients])
 
     def params(self) -> PatternParams:

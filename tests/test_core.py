@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedsim.core import (
+    PURPOSES,
     ConfigError,
     ExperimentSpec,
     RunConfig,
@@ -45,6 +46,37 @@ def test_streams_do_not_collide_at_scale():
     values = np.concatenate(blocks)
     assert values.size == 1_000_000
     assert np.unique(values).size == values.size
+
+
+_EDGES = (0, 7, 2**64 - 1)
+
+
+@pytest.mark.parametrize("purpose", sorted(PURPOSES))
+def test_stream_state_equals_philox_keyed_by_seed(purpose):
+    """rng_stream builds exactly the Philox state `Philox(key=seed)` builds."""
+    for seed in (0, 1, 2**64 - 1):
+        for client in _EDGES:
+            for round_idx in _EDGES:
+                counter = (PURPOSES[purpose] << 192) | (client << 128) | (round_idx << 64)
+                got = rng_stream(seed, purpose, client, round_idx).bit_generator.state
+                want = np.random.Philox(key=seed, counter=counter).state
+                assert got["bit_generator"] == want["bit_generator"] == "Philox"
+                for field in ("counter", "key"):
+                    assert got["state"][field].dtype == want["state"][field].dtype
+                    assert np.array_equal(got["state"][field], want["state"][field])
+                assert np.array_equal(got["buffer"], want["buffer"])
+                for field in ("buffer_pos", "has_uint32", "uinteger"):
+                    assert got[field] == want[field]
+                draws = rng_stream(seed, purpose, client, round_idx).random(3)
+                reference = np.random.Generator(np.random.Philox(key=seed, counter=counter)).random(3)
+                assert draws.tobytes() == reference.tobytes()
+
+
+def test_live_streams_with_one_key_share_no_state():
+    first = rng_stream(3, "sampling", 2, 9)
+    second = rng_stream(3, "sampling", 2, 9)
+    first.random(5)
+    assert second.random() == rng_stream(3, "sampling", 2, 9).random()
 
 
 def test_uniforms_are_uniform():

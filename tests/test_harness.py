@@ -23,6 +23,7 @@ from fedsim.harness import (
     write_grid_csv,
     write_run_csv,
 )
+from fedsim.participation import CyclicScheduler
 
 
 def _quad(**kw) -> RunConfig:
@@ -199,10 +200,24 @@ def test_best_cell_prefers_numbers_over_nan():
         best_cell([])
 
 
-def test_desk_run_calls_the_oracle_once_per_local_step(monkeypatch):
-    """The traced benchmark counts one `stoch_grad_local` call per local step
-    and one `client_local_update` per sampled client; batching either call
-    needs the benchmark's spans moved first."""
+def test_best_cell_ranks_diverged_cells_last():
+    """A diverged run's final loss can be its round-0 loss, lower than any
+    finite run's; such a cell must not win."""
+    diverged = GridCellResult(0, {}, 2.0, 0.0, float("nan"), 1)
+    finite = GridCellResult(1, {}, 32.0, 0.0, float("nan"), 0)
+    diverged_nan = GridCellResult(2, {}, float("nan"), 0.0, float("nan"), 2)
+    assert best_cell([diverged, finite, diverged_nan]).cell_id == 1
+    assert best_cell([diverged_nan, diverged]).cell_id == 0
+    # Among cells without a diverged run, NaN still loses.
+    finite_nan = GridCellResult(3, {}, float("nan"), 0.0, float("nan"), 0)
+    assert best_cell([finite_nan, diverged, finite]).cell_id == 1
+    assert best_cell([diverged, finite_nan]).cell_id == 3
+
+
+def _counted_run(monkeypatch, config_name: str, rounds: int) -> collections.Counter:
+    """Run a shipped config for `rounds` rounds, counting the calls at the
+    boundaries the traced benchmark counts: `stoch_grad_local`,
+    `client_local_update` and `CyclicScheduler.sample_round`."""
     counts = collections.Counter()
 
     def counted(name, fn):
@@ -221,9 +236,28 @@ def test_desk_run_calls_the_oracle_once_per_local_step(monkeypatch):
     monkeypatch.setattr(harness, "build_objective", build_counted)
     monkeypatch.setattr(algorithms, "client_local_update",
                         counted("client_local_update", algorithms.client_local_update))
-    config = Path(__file__).resolve().parent.parent / "configs" / "desk_amp_scaffold.cfg"
+    monkeypatch.setattr(CyclicScheduler, "sample_round", counted("sample_round", CyclicScheduler.sample_round))
+    config = Path(__file__).resolve().parent.parent / "configs" / f"{config_name}.cfg"
     values = parse_config_text(config.read_text(encoding="utf-8"))
-    values["rounds"] = "20"
+    values["rounds"] = str(rounds)
     run_once(build_run_config(values))
+    return counts
+
+
+def test_desk_run_calls_the_oracle_once_per_local_step(monkeypatch):
+    """The traced benchmark counts one `stoch_grad_local` call per local step
+    and one `client_local_update` per sampled client; batching either call
+    needs the benchmark's spans moved first."""
+    counts = _counted_run(monkeypatch, "desk_amp_scaffold", 20)
     # 20 rounds x 10 sampled x 30 local steps, plus 50 clients x 30 warm-start draws.
-    assert counts == {"stoch_grad_local": 20 * 10 * 30 + 50 * 30, "client_local_update": 20 * 10}
+    assert counts == {"stoch_grad_local": 20 * 10 * 30 + 50 * 30, "client_local_update": 20 * 10,
+                      "sample_round": 20}
+
+
+def test_synthetic_run_calls_the_oracle_once_per_local_step(monkeypatch):
+    """The synthetic twin of the desk count: S = 1, so one client update and
+    one `sample_round` per round, even though the full group needs no draw."""
+    counts = _counted_run(monkeypatch, "synthetic_amp_scaffold", 480)
+    # 480 rounds x 1 sampled x 10 local steps, plus 2 clients x 10 warm-start draws.
+    assert counts == {"stoch_grad_local": 480 * 10 + 2 * 10, "client_local_update": 480,
+                      "sample_round": 480}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedsim.core import rng_stream
+from fedsim.core import gaussian_from, gaussians_from, rng_stream
 from fedsim.data import make_blobs, partition_by_similarity
 from fedsim.objectives import Logistic, Quadratic, SyntheticHard
 
@@ -76,6 +76,52 @@ def test_synthetic_stoch_grad_is_unbiased():
     rng = rng_stream(9, "gradient-noise")
     draws = np.stack([obj.stoch_grad_local(1, x, rng) for _ in range(4000)])
     np.testing.assert_allclose(draws.mean(axis=0), obj.grad_local(1, x), atol=4.0 / math.sqrt(4000))
+
+
+def _reference_synthetic_grad(obj, client, x):
+    """SyntheticHard's gradient computed element by element on numpy scalars."""
+    x = np.asarray(x, dtype=float)
+    g = np.empty(4)
+    g[0] = obj.mu_pl * (x[0] - obj.c)
+    g[1] = obj.h * (x[1] - np.sqrt(obj.mu_pl) * obj.c / np.sqrt(obj.h))
+    g[2] = 0.25 * obj.h * x[2]
+    if x[2] > 0:
+        g[2] += 0.25 * obj.h * x[2]
+    g[3] = obj.kappa if client == 0 else -obj.kappa
+    return g
+
+
+@pytest.mark.parametrize("params", [{}, dict(h=3.7, kappa=0.25, c=-1.3, mu_pl=0.6)])
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_synthetic_oracle_matches_reference_math(params, sigma):
+    obj = SyntheticHard(sigma=sigma, **params)
+    for client in (0, 1):
+        for x2 in (-1.5, -0.0, 0.0, 5e-324, 2.0):
+            for head in ((0.3, -0.2), (1.0, obj._x2_star)):
+                x = np.array([*head, x2, 1.1])
+                assert obj.grad_local(client, x).tobytes() == _reference_synthetic_grad(obj, client, x).tobytes()
+                rng = rng_stream(4, "gradient-noise", client, 11)
+                twin = rng_stream(4, "gradient-noise", client, 11)
+                by_hand = rng_stream(4, "gradient-noise", client, 11)
+                for _ in range(3):
+                    want = _reference_synthetic_grad(obj, client, x)
+                    want[2] += gaussians_from(twin, 1, obj.sigma)[0]
+                    assert obj.stoch_grad_local(client, x, rng).tobytes() == want.tobytes()
+                    by_hand.random()
+                # each draw consumed exactly one uniform
+                assert rng.random() == by_hand.random()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 3.0])
+def test_gaussian_from_equals_one_batched_draw(sigma):
+    one, batch = rng_stream(9, "gradient-noise", 1, 2), rng_stream(9, "gradient-noise", 1, 2)
+    for _ in range(50):
+        value = gaussian_from(one, sigma)
+        assert isinstance(value, float)
+        assert np.float64(value).tobytes() == gaussians_from(batch, 1, sigma)[0].tobytes()
+    assert one.random() == batch.random()
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_from(one, -0.5)
 
 
 def test_quadratic_closed_form():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedsim.core import ConfigError, RunConfig
+from fedsim import participation
+from fedsim.core import ConfigError, RunConfig, rng_stream
 from fedsim.participation import (
     CyclicScheduler,
     IidScheduler,
@@ -88,6 +89,33 @@ def test_sampling_is_seed_deterministic():
     assert first == again
     draws = {tuple(sch.sample_round(5, seed=s).tolist()) for s in range(20)}
     assert len(draws) > 1
+
+
+@pytest.mark.parametrize("sch", [
+    CyclicScheduler(2, 2, 1, avail_rounds_g=240),
+    CyclicScheduler(50, 5, 10, avail_rounds_g=4),
+    CyclicScheduler(6, 3, 2),
+    CyclicScheduler(12, 3, 2, avail_rounds_g=2),
+])
+def test_cyclic_sample_round_equals_the_permutation_draw(sch):
+    for seed in (0, 1):
+        for r in range(60):
+            base = sch.active_group(r) * sch.group_size
+            stream = rng_stream(seed, "sampling", 0, r)
+            expected = np.sort(base + stream.permutation(sch.group_size)[: sch.s_clients])
+            got = sch.sample_round(r, seed)
+            assert got.dtype == expected.dtype == np.int64
+            assert np.array_equal(got, expected)
+
+
+def test_full_group_opens_no_sampling_stream(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a full group needs no sampling stream")
+
+    monkeypatch.setattr(participation, "rng_stream", refuse)
+    assert CyclicScheduler(50, 5, 10, avail_rounds_g=4).sample_round(7, seed=0).tolist() == list(range(10, 20))
+    with pytest.raises(AssertionError, match="no sampling stream"):
+        CyclicScheduler(12, 3, 2).sample_round(0, seed=0)
 
 
 def test_sca_full_availability_matches_group():
