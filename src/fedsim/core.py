@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import ndtri
 
 ALGORITHMS = ("fedavg", "fedprox", "scaffold", "amp_fedavg", "amp_scaffold")
 # Algorithms that keep control variates, and those that commit once per
@@ -78,6 +77,20 @@ def rng_stream(seed: int, purpose: str, client: int = 0, round_idx: int = 0) -> 
     return np.random.Generator(np.random.Philox(_PhiloxKey(seed), counter=counter))
 
 
+# scipy.special.ndtri, the inverse normal CDF, bound on the first Gaussian
+# draw: importing scipy.special costs more than the rest of `import fedsim`,
+# and commands that draw no Gaussian (`fedsim verify` among them) never pay
+# it.
+_ndtri = None
+
+
+def _load_ndtri():
+    global _ndtri
+    from scipy.special import ndtri
+    _ndtri = ndtri
+    return ndtri
+
+
 def gaussians_from(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
     """n draws from N(0, sigma^2) using the given stream; sigma=0 gives exact zeros."""
     if sigma < 0:
@@ -86,7 +99,7 @@ def gaussians_from(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray
         rng.random(n)
         return np.zeros(n)
     u = np.maximum(rng.random(n), _MIN_UNIFORM)
-    return sigma * ndtri(u)
+    return sigma * (_ndtri or _load_ndtri())(u)
 
 
 def gaussian_from(rng: np.random.Generator, sigma: float) -> float:
@@ -97,7 +110,7 @@ def gaussian_from(rng: np.random.Generator, sigma: float) -> float:
     u = rng.random()
     if sigma == 0:
         return 0.0
-    return sigma * float(ndtri(max(u, _MIN_UNIFORM)))
+    return sigma * float((_ndtri or _load_ndtri())(max(u, _MIN_UNIFORM)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,12 @@ class WindowStats:
     qbar: np.ndarray
     w: np.ndarray
     v_sq_lambda: float
-    rho_sq_realized: float
+    # each round's concentration, the sum of its squared weights
+    rho_sq_rounds: np.ndarray
+
+    @property
+    def rho_sq_realized(self) -> float:
+        return float(self.rho_sq_rounds.max())
 
 
 @dataclass
@@ -98,7 +103,7 @@ def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
         qbar=qbar,
         w=w,
         v_sq_lambda=float(v_sq_lambda),
-        rho_sq_realized=float((q ** 2).sum(axis=1).max()),
+        rho_sq_rounds=(q ** 2).sum(axis=1),
     )
 
 
@@ -207,7 +212,7 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int,
         # A fallback round concentrates weight on fewer clients than the
         # nominal draw size, pushing the per-round concentration above the
         # pattern constant.
-        fallback += int(((q ** 2).sum(axis=1) > params.rho_sq + _EXACT_TOL).sum())
+        fallback += int((stats.rho_sq_rounds > params.rho_sq + _EXACT_TOL).sum())
 
     qbar_mean = qbar_sum / trials
     w_mean = w_sum / trials

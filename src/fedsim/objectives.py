@@ -247,8 +247,11 @@ class Logistic(Objective):
         self._check_client(client)
         w = self._weights(x)
         n = len(self._labels[client])
-        idx = np.minimum((rng.random(self.minibatch) * n).astype(np.int64), n - 1)
-        return self._grad(w, self._features[client][idx], self._onehot[client][idx])
+        # int() truncates like a cast to int64, as 0 <= u * n < 2**53; min()
+        # catches u * n rounding up to n. Plain lists skip small-array costs.
+        idx = [min(int(u * n), n - 1) for u in rng.random(self.minibatch).tolist()]
+        return self._grad(w, self._features[client].take(idx, axis=0),
+                          self._onehot[client].take(idx, axis=0))
 
     def test_metric(self, x: np.ndarray) -> float:
         if self._test is None:

@@ -1,4 +1,8 @@
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from fedsim.core import (
     rng_stream,
     validate_run_config,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_stream_is_reproducible():
@@ -107,6 +113,58 @@ def test_gaussian_sigma_zero_is_exact_and_consumes_the_stream():
 def test_gaussian_rejects_negative_sigma():
     with pytest.raises(ValueError):
         gaussians_from(rng_stream(0, "gradient-noise"), 1, -0.5)
+
+
+def _fresh_interpreter(code: str) -> dict:
+    """Run `code` in a new interpreter with src/ first on the path and
+    return the JSON object it prints last."""
+    script = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_fedsim_does_not_load_scipy():
+    got = _fresh_interpreter(
+        "import json, fedsim, fedsim.cli\n"
+        "print(json.dumps({'loaded': 'scipy.special' in sys.modules}))")
+    assert got == {"loaded": False}
+
+
+def test_verify_does_not_load_scipy(tmp_path):
+    argv = ["verify", "--pattern", "cyclic", "--n", "12", "--k-bar", "3", "--s", "2",
+            "--trials", "20", "--out", str(tmp_path)]
+    got = _fresh_interpreter(
+        "import json\nfrom fedsim import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'loaded': 'scipy.special' in sys.modules}))")
+    assert got == {"code": 0, "loaded": False}
+    assert (tmp_path / "verify.csv").exists()
+
+
+def test_first_gaussian_draw_loads_scipy_and_keeps_its_bits():
+    got = _fresh_interpreter("""
+import json
+import numpy as np
+from fedsim.core import _MIN_UNIFORM, gaussian_from, gaussians_from, rng_stream
+before = 'scipy.special' in sys.modules
+rng = rng_stream(0, "gradient-noise")
+value = gaussian_from(rng, 1.0)
+after = 'scipy.special' in sys.modules
+more = [gaussian_from(rng, 0.7) for _ in range(200)]
+batch = gaussians_from(rng_stream(3, "gradient-noise", 1, 2), 200, 2.5)
+import scipy.special
+twin = np.maximum(rng_stream(0, "gradient-noise").random(201), _MIN_UNIFORM)
+us = np.maximum(rng_stream(3, "gradient-noise", 1, 2).random(200), _MIN_UNIFORM)
+print(json.dumps({
+    "before": before, "after": after,
+    "first": np.float64(value).tobytes() == np.float64(1.0 * scipy.special.ndtri(twin[0])).tobytes(),
+    "more": np.array(more).tobytes() == (0.7 * scipy.special.ndtri(twin[1:])).tobytes(),
+    "batch": batch.tobytes() == (2.5 * scipy.special.ndtri(us)).tobytes(),
+}))
+""")
+    assert got == {"before": False, "after": True, "first": True, "more": True, "batch": True}
 
 
 def test_batched_draws_equal_sequential_draws():

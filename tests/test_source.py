@@ -6,20 +6,28 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "fedsim"
 
 
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def module_imports(tree: ast.Module) -> list[ast.Import | ast.ImportFrom]:
+    """The import statements that run when the module is imported."""
+    return [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def unused_imports(path: Path) -> list[str]:
     """Module-level imports of `path` whose bound name is never read.
 
     Names listed in `__all__` count as read, since re-exporting is the
     point of importing them.
     """
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = parse(path)
     imported = {}
-    for node in tree.body:
+    for node in module_imports(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -33,3 +41,25 @@ def test_package_has_no_unused_imports():
     assert modules
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert not unused, f"unused module-level imports: {unused}"
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """Module-level imports of scipy in `path`."""
+    found = []
+    for node in module_imports(parse(path)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = [alias.name for alias in node.names]
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_package_imports_scipy_only_inside_functions():
+    """Importing scipy.special costs more than the rest of `import fedsim`,
+    so it happens at the first Gaussian draw, never at import time."""
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = [entry for path in modules for entry in scipy_imports(path)]
+    assert not found, f"module-level scipy imports: {found}"
