@@ -25,10 +25,6 @@ from .objectives import Objective
 from .participation import Scheduler
 
 
-class DivergenceError(ArithmeticError):
-    """A model vector left the representable range (NaN or infinity)."""
-
-
 @dataclass
 class ControlVariates:
     """Per-client gradient estimates plus the window accumulators feeding
@@ -89,18 +85,15 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
         raise ValueError("local_steps must be >= 1.")
     x = np.array(start, dtype=float)
     grad_sum = np.zeros_like(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(local_steps):
-            g = objective.stoch_grad_local(client, x, rng)
-            grad_sum += g
-            step = g
-            if correction is not None:
-                step = step + correction
-            if mu:
-                step = step + mu * (x - start)
-            x = x - eta * step
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(f"client {client} produced a non-finite iterate.")
+    for _ in range(local_steps):
+        g = objective.stoch_grad_local(client, x, rng)
+        grad_sum += g
+        step = g
+        if correction is not None:
+            step = step + correction
+        if mu:
+            step = step + mu * (x - start)
+        x = x - eta * step
     return x, grad_sum
 
 
@@ -129,8 +122,7 @@ class Simulation:
         else:
             self.window_len = 1
             self.gamma = 1.0
-        self.x_global = np.zeros(objective.dim)
-        self.w_inner = self.x_global.copy()
+        self.x_global = self.w_inner = np.zeros(objective.dim)
         self.cv = None
         if self.uses_cv:
             self.cv = control_variate_init(cfg.cv_init, objective, self.x_global,
@@ -169,13 +161,11 @@ class Simulation:
             self._finalize_window()
 
     def _finalize_window(self) -> None:
-        if self.gamma == 1.0:
-            self.x_global = self.w_inner.copy()
-        else:
-            self.x_global = self.x_global + self.gamma * (self.w_inner - self.x_global)
-            self.w_inner = self.x_global.copy()
-        if not np.all(np.isfinite(self.x_global)):
-            raise DivergenceError("global model became non-finite at a window commit.")
+        # Both model arrays are only ever rebound, never written in place,
+        # so the inner and global models may share one array.
+        if self.gamma != 1.0:
+            self.w_inner = self.x_global + self.gamma * (self.w_inner - self.x_global)
+        self.x_global = self.w_inner
         if self.uses_cv:
             self._refresh_control_variates()
 

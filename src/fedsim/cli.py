@@ -27,9 +27,10 @@ from .core import (
     parse_config_text,
     parse_experiment_text,
 )
-from .data import _atomic_write, label_histogram, make_blobs, partition_by_similarity, save_idx
+from .data import _atomic_write, label_histogram, partition_by_similarity, save_idx
 from .diagnostics import assumption_suite, checks_to_csv_rows, format_report
-from .harness import best_cell, load_dataset, rounds_to_target, run_grid, run_once, write_grid_csv, write_run_csv
+from .harness import (best_cell, blob_datasets, load_dataset, rounds_to_target, run_grid, run_once,
+                      write_grid_csv, write_run_csv)
 from .participation import make_scheduler
 
 
@@ -134,14 +135,13 @@ def cmd_partition_report(args: argparse.Namespace) -> int:
 
 
 def cmd_datagen(args: argparse.Namespace) -> int:
-    features, labels = make_blobs(args.samples, args.classes, args.features, args.seed)
+    train, test = blob_datasets(args.samples, args.test_samples, args.classes,
+                                args.features, args.seed)
     written = [_out_path(args, "train-images.idx"), _out_path(args, "train-labels.idx")]
-    save_idx(written[0], written[1], features, labels)
-    if args.test_samples > 0:
-        test_features, test_labels = make_blobs(args.test_samples, args.classes,
-                                                args.features, args.seed, stream_index=2)
+    save_idx(written[0], written[1], *train)
+    if test is not None:
         written.extend([_out_path(args, "test-images.idx"), _out_path(args, "test-labels.idx")])
-        save_idx(written[2], written[3], test_features, test_labels)
+        save_idx(written[2], written[3], *test)
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -355,7 +355,9 @@ class RunRecord:
 
     Rows are (round, grad_norm, train_loss, test_metric, uplink_scalars),
     strictly increasing in round. test_metric is NaN when the objective has
-    no test set. A diverged run is truncated at its last finite evaluation.
+    no test set. `diverged` is set when the model, the train loss or the
+    gradient norm is non-finite at an evaluation mark; the rows then stop
+    at the mark before.
     """
 
     rounds: list[int]

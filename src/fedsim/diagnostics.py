@@ -1,11 +1,10 @@
-"""Empirical verification of the participation assumptions and gradients.
+"""Empirical verification of the participation assumptions.
 
 The statistics here summarize windows of participation weights: how close
 each client's window-averaged weight is to uniform, how concentrated the
 per-round weights are, and how regular each client's recent participation
-looks. Monte Carlo drivers compare the statistics against closed forms and
-confidence bounds, and a finite-difference checker validates the objective
-gradients.
+looks. A Monte Carlo driver compares the statistics against a closed form
+and confidence bounds.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import format_value, gaussians_from, rng_stream
-from .objectives import Objective
+from .core import format_value
 from .participation import CyclicScheduler, RegularizedScheduler, ScaScheduler, Scheduler
 
 _EXACT_TOL = 1e-12
@@ -108,30 +106,20 @@ def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms (cyclic family with aligned windows)
+# Closed form (cyclic family with aligned windows)
 
 
 def cyclic_qbar_variance(n_clients: int, k_bar: int, s_clients: int, window_len: int) -> float:
-    return (1.0 / (s_clients * n_clients * window_len)) * (1.0 - s_clients * k_bar / n_clients)
+    """Variance of a client's window-averaged weight.
 
-
-def cyclic_v_sq_lambda_mean(n_clients: int, k_bar: int, s_clients: int) -> float:
-    return (1.0 / s_clients) * (1.0 - s_clients * k_bar / n_clients)
-
-
-def cyclic_w_mean(n_clients: int, k_bar: int, s_clients: int) -> float:
-    """Expected non-uniformity statistic per client.
-
-    In an aligned window of the cyclic family each group is eligible in
-    exactly one round. There a sampled client i shares weight 1/s with the
-    s sampled clients j, each with P*qbar_j = 1/s, so
-    w_i = (1/n) * s * (1/s^2) * s = 1/n, and w_i = 0 for every other
-    client. Client i is sampled with probability s*k_bar/n (s of the n/k_bar
-    clients in its group), so E[w_i] = s*k_bar/n^2 exactly. Verified by
-    exact enumeration of every window of several cyclic patterns in the
-    tests.
+    In an aligned window of P = g * k_bar rounds, a client's group is
+    eligible in g of them, and each of those rounds draws s of its
+    n / k_bar members independently. So the client is sampled a
+    Binomial(g, p) number of times, p = s * k_bar / n, at weight 1/s each,
+    and qbar_i is that count over s * P. Its variance is
+    g * p * (1 - p) / (s * P)^2 = (1 - s * k_bar / n) / (s * n * P).
     """
-    return s_clients * k_bar / n_clients ** 2
+    return (1.0 / (s_clients * n_clients * window_len)) * (1.0 - s_clients * k_bar / n_clients)
 
 
 # ---------------------------------------------------------------------------
@@ -315,37 +303,6 @@ def assumption_suite(scheduler: Scheduler, trials: int, seed: int = 0) -> list[C
             check="qbar_variance_closed_form", statistic=rel, expected=expected,
             observed=observed, passed=rel <= 0.05))
     return checks
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-
-
-def grad_check(objective: Objective, n_points: int = 50, h: float = 1e-5,
-               tol: float = 1e-6, seed: int = 0) -> CheckResult:
-    """Max relative error of analytic gradients against central differences.
-
-    Points are standard normal draws; clients rotate across points so every
-    local gradient is exercised, not just the average.
-    """
-    if h <= 0:
-        raise ValueError("h must be > 0.")
-    rng = rng_stream(seed, "init", 0, 1)
-    worst = 0.0
-    for point in range(n_points):
-        x = gaussians_from(rng, objective.dim, 1.0)
-        client = point % objective.n_clients
-        analytic = objective.grad_local(client, x)
-        fd = np.empty_like(analytic)
-        for j in range(objective.dim):
-            bump = np.zeros(objective.dim)
-            bump[j] = h
-            fd[j] = (objective.eval_local(client, x + bump)
-                     - objective.eval_local(client, x - bump)) / (2 * h)
-        scale = max(float(np.linalg.norm(analytic)), 1e-8)
-        worst = max(worst, float(np.linalg.norm(fd - analytic)) / scale)
-    return CheckResult(check="grad_check", statistic=worst, expected=tol,
-                       observed=worst, passed=worst <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import DivergenceError, Simulation
+from .algorithms import Simulation
 from .core import ConfigError, ExperimentSpec, RunConfig, RunRecord, build_run_config, format_value, validate_run_config
 from .data import _atomic_write, load_idx, make_blobs, partition_by_similarity
 from .objectives import Logistic, Objective, Quadratic, SyntheticHard
@@ -61,11 +61,20 @@ def load_dataset(cfg: RunConfig):
         if cfg.test_images_path and cfg.test_labels_path:
             test = load_idx(cfg.test_images_path, cfg.test_labels_path)
         return train, test
-    train = make_blobs(cfg.blob_samples, cfg.blob_classes, cfg.blob_features, cfg.seed)
+    return blob_datasets(cfg.blob_samples, cfg.blob_test_samples, cfg.blob_classes,
+                         cfg.blob_features, cfg.seed)
+
+
+def blob_datasets(n_train: int, n_test: int, n_classes: int, n_features: int, seed: int):
+    """Synthetic training set and, when n_test > 0, its held-out set.
+
+    `fedsim run` and `fedsim datagen` both draw the pair here, so the two
+    agree on how the held-out set is made.
+    """
+    train = make_blobs(n_train, n_classes, n_features, seed)
     test = None
-    if cfg.blob_test_samples > 0:
-        test = make_blobs(cfg.blob_test_samples, cfg.blob_classes, cfg.blob_features,
-                          cfg.seed, stream_index=2)
+    if n_test > 0:
+        test = make_blobs(n_test, n_classes, n_features, seed, stream_index=2)
     return train, test
 
 
@@ -78,8 +87,9 @@ def _eval_rounds(rounds: int, eval_every: int) -> list[int]:
 def run_once(cfg: RunConfig) -> RunRecord:
     """Execute one seeded run and return its metric record.
 
-    A run whose loss or iterates leave the finite range is truncated at the
-    last finite evaluation and flagged, not raised.
+    The run diverges at the first evaluation mark where the model, the
+    train loss or the gradient norm is non-finite. Its rows then stop at
+    the mark before and `diverged` is set; nothing is raised.
     """
     cfg = validate_run_config(cfg)
     objective = build_objective(cfg)
@@ -95,9 +105,10 @@ def run_once(cfg: RunConfig) -> RunRecord:
 
     def record(round_idx: int) -> bool:
         x = sim.model
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss = objective.eval_global(x)
-            gnorm = float(np.linalg.norm(objective.grad_global(x)))
+        if not np.isfinite(x).all():
+            return False
+        loss = objective.eval_global(x)
+        gnorm = float(np.linalg.norm(objective.grad_global(x)))
         if not (math.isfinite(loss) and math.isfinite(gnorm)):
             return False
         rounds.append(round_idx)
@@ -107,17 +118,18 @@ def run_once(cfg: RunConfig) -> RunRecord:
         uplink.append(sim.uplink_scalars)
         return True
 
-    diverged = not record(0)
-    if not diverged:
-        for r in range(cfg.rounds):
-            try:
+    # A non-finite model never becomes finite again: every sampled client
+    # starts from the inner model, the server averages their endpoints, and
+    # a commit adds to the inner model. So checking only at the marks stops
+    # the rows where a check after every local step would.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diverged = not record(0)
+        if not diverged:
+            for r in range(cfg.rounds):
                 sim.run_round(r)
-            except DivergenceError:
-                diverged = True
-                break
-            if (r + 1) in marks and not record(r + 1):
-                diverged = True
-                break
+                if (r + 1) in marks and not record(r + 1):
+                    diverged = True
+                    break
     return RunRecord(rounds=rounds, grad_norms=grad_norms, train_losses=losses,
                      test_metrics=test_metrics, uplink_scalars=uplink, diverged=diverged)
 

@@ -12,7 +12,7 @@ import numpy as np
 from fedsim.algorithms import Simulation
 from fedsim.core import apply_overrides, build_run_config, parse_config_text
 from fedsim.data import make_blobs, partition_by_similarity
-from fedsim.diagnostics import assumption_suite, grad_check, monte_carlo_stats
+from fedsim.diagnostics import assumption_suite, monte_carlo_stats
 from fedsim.harness import build_objective, rounds_to_target, run_once, run_record_csv
 from fedsim.objectives import Logistic, Quadratic, SyntheticHard
 from fedsim.participation import (
@@ -21,6 +21,8 @@ from fedsim.participation import (
     RegularizedScheduler,
     make_scheduler,
 )
+
+from checks import grad_check
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 ALGORITHMS = ("fedavg", "fedprox", "scaffold", "amp_fedavg", "amp_scaffold")

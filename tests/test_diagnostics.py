@@ -11,10 +11,7 @@ from fedsim.diagnostics import (
     assumption_suite,
     checks_to_csv_rows,
     cyclic_qbar_variance,
-    cyclic_v_sq_lambda_mean,
-    cyclic_w_mean,
     format_report,
-    grad_check,
     monte_carlo_stats,
     sample_window,
     window_stats,
@@ -28,6 +25,8 @@ from fedsim.participation import (
     ScaScheduler,
     Scheduler,
 )
+
+from checks import cyclic_v_sq_lambda_mean, cyclic_w_mean, grad_check
 
 
 def _one_hot_window(first: int, second: int) -> np.ndarray:
@@ -132,6 +131,15 @@ def test_cyclic_windows_enumerated_exactly():
             assert abs(float(stats.w.mean()) - expected) <= 1e-15
         assert abs(cyclic_w_mean(sched.n_clients, sched.k_bar, sched.s_clients)
                    - expected) <= 1e-15
+        # once every client has history, the regularity statistic averages
+        # to its closed form over the equally likely windows
+        history = ParticipationHistory(sched.n_clients, sched.k_bar)
+        for q in windows:
+            history.observe(q)
+        assert history.has_history.all()
+        mean_v = np.mean([window_stats(q, history).v_sq_lambda for q in windows])
+        closed = cyclic_v_sq_lambda_mean(sched.n_clients, sched.k_bar, sched.s_clients)
+        assert abs(mean_v - closed) <= 1e-12
         # the enumeration covers what the scheduler actually draws
         for t in range(10):
             drawn = sample_window(sched, t, 0, sched.k_bar)

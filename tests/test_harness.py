@@ -23,6 +23,7 @@ from fedsim.harness import (
     write_grid_csv,
     write_run_csv,
 )
+from fedsim.objectives import Quadratic
 from fedsim.participation import CyclicScheduler
 
 
@@ -86,6 +87,43 @@ def test_diverged_run_is_truncated_not_raised():
     assert all(math.isfinite(v) for v in record.train_losses)
     csv = run_record_csv(record)
     assert csv.count("\n") == len(record.rounds) + 1
+
+
+@pytest.mark.parametrize("algorithm,extra", [
+    ("fedavg", {}),
+    ("amp_scaffold", dict(gamma=2, pattern="cyclic", k_bar=2, s_clients=1)),
+], ids=["fedavg", "amp_scaffold"])
+def test_sparse_evaluation_stops_a_diverged_run_at_the_dense_rows(algorithm, extra):
+    def run(eval_every):
+        return run_once(_quad(algorithm=algorithm, eta=10, local_steps=10, rounds=60,
+                              eval_every=eval_every, **extra))
+
+    dense = run(1)
+    assert dense.diverged
+    assert len(dense.rounds) > 6
+    dense_lines = run_record_csv(dense).splitlines()
+    # At every 3 the loss overflows first; by mark 35 the model itself is
+    # NaN, so both halves of the rule are exercised.
+    for every in (3, 35):
+        sparse = run(every)
+        assert sparse.diverged
+        kept = [line for line, r in zip(dense_lines[1:], dense.rounds) if r % every == 0]
+        assert run_record_csv(sparse).splitlines() == [dense_lines[0]] + kept
+
+
+def test_a_non_finite_model_diverges_even_when_its_metrics_are_finite(monkeypatch):
+    class Blind(Quadratic):
+        def eval_global(self, x):
+            return 0.0
+
+        def grad_global(self, x):
+            return np.zeros_like(x)
+
+    monkeypatch.setattr(harness, "build_objective", lambda cfg: Blind(parse_centers(cfg.centers)))
+    record = run_once(_quad(eta=10, local_steps=10, rounds=60, eval_every=1))
+    assert record.diverged
+    # the model is first non-finite at mark 33
+    assert record.rounds == list(range(33))
 
 
 def test_uplink_doubles_with_control_variates():
