@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CV_ALGORITHMS, WINDOW_ALGORITHMS, RunConfig, rng_stream
+from .core import CV_ALGORITHMS, WINDOW_ALGORITHMS, ConfigError, RunConfig, rng_stream
 from .objectives import Objective
 from .participation import Scheduler
 
@@ -107,7 +107,8 @@ class Simulation:
 
     def __init__(self, objective: Objective, scheduler: Scheduler, cfg: RunConfig):
         if cfg.n_clients != objective.n_clients:
-            raise ValueError("config n_clients does not match the objective.")
+            raise ConfigError(f"config n_clients = {cfg.n_clients}, but the {cfg.objective}"
+                              f" objective has {objective.n_clients} clients.")
         self.objective = objective
         self.scheduler = scheduler
         self.algorithm = cfg.algorithm

@@ -173,12 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser("verify", help="participation diagnostics; exit 1 on a failed check")
     verify.add_argument("--pattern", required=True, choices=PATTERNS)
     verify.add_argument("--n", type=int, required=True, help="number of clients")
-    verify.add_argument("--s", type=int, default=1, help="clients sampled per round")
-    verify.add_argument("--k-bar", type=int, default=1, help="number of cyclic groups")
-    verify.add_argument("--g", type=int, default=1, help="rounds each group stays eligible")
-    verify.add_argument("--window-p", type=int, default=0, help="round-robin window length")
-    verify.add_argument("--p-active", type=float, default=0.8)
-    verify.add_argument("--p-inactive", type=float, default=0.05)
+    # The defaults are RunConfig's, which the scheduler factory requires for
+    # every key the pattern does not read.
+    verify.add_argument("--s", type=int, default=RunConfig.s_clients, help="clients sampled per round")
+    verify.add_argument("--k-bar", type=int, default=RunConfig.k_bar, help="number of cyclic groups")
+    verify.add_argument("--g", type=int, default=RunConfig.avail_rounds_g,
+                        help="rounds each group stays eligible")
+    verify.add_argument("--window-p", type=int, default=RunConfig.window_p,
+                        help="round-robin window length")
+    verify.add_argument("--p-active", type=float, default=RunConfig.p_active)
+    verify.add_argument("--p-inactive", type=float, default=RunConfig.p_inactive)
     verify.add_argument("--trials", type=int, default=10000, help="windows to sample")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--out", default=".")

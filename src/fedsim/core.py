@@ -229,16 +229,17 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
 
 
 def validate_run_config(cfg: RunConfig) -> RunConfig:
-    """Check cross-field consistency and fill derived defaults.
+    """Check the algorithm and run-loop keys and fill derived defaults.
 
-    Returns a normalized copy; the input is not modified.
+    The participation keys are checked by building the scheduler. The
+    objective and data keys are checked by the code that reads them: the
+    objective constructors, `harness.parse_centers`, `harness.load_dataset`,
+    `data.partition_indices`, and `Simulation`, which matches `n_clients`
+    against the objective. Returns a normalized copy; the input is not
+    modified.
     """
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm: {cfg.algorithm!r}")
-    if cfg.pattern not in PATTERNS:
-        raise ConfigError(f"unknown pattern: {cfg.pattern!r}")
-    if cfg.objective not in OBJECTIVES:
-        raise ConfigError(f"unknown objective: {cfg.objective!r}")
     if cfg.cv_init not in CV_INIT_MODES:
         raise ConfigError(f"unknown cv_init mode: {cfg.cv_init!r}")
     if cfg.n_clients < 1:
@@ -262,35 +263,11 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
     if cfg.eval_every < 0:
         raise ConfigError("eval_every must be >= 0.")
 
-    out = dataclasses.replace(cfg)
-
     # imported here because participation imports this module
     from .participation import make_scheduler
     make_scheduler(cfg)
 
-    if cfg.objective == "synthetic_hard":
-        if cfg.n_clients != 2:
-            raise ConfigError("synthetic_hard is defined for exactly 2 clients; set n_clients = 2.")
-        if cfg.h <= 0 or cfg.mu_pl <= 0:
-            raise ConfigError("synthetic_hard requires h > 0 and mu_pl > 0.")
-        if cfg.kappa < 0:
-            raise ConfigError("kappa must be >= 0.")
-    if cfg.sigma < 0:
-        raise ConfigError("sigma must be >= 0.")
-    if cfg.objective == "quadratic" and not cfg.centers.strip():
-        raise ConfigError("quadratic objective requires centers.")
-    if cfg.objective == "logistic":
-        if cfg.dataset not in ("blob", "idx"):
-            raise ConfigError(f"unknown dataset kind: {cfg.dataset!r}")
-        if cfg.dataset == "idx" and (not cfg.images_path or not cfg.labels_path):
-            raise ConfigError("dataset = idx requires images_path and labels_path.")
-        if not 0 <= cfg.similarity <= 100:
-            raise ConfigError("similarity is a percentage in [0, 100].")
-        if cfg.minibatch < 1:
-            raise ConfigError("minibatch must be >= 1.")
-        if cfg.l2 < 0:
-            raise ConfigError("l2 must be >= 0.")
-
+    out = dataclasses.replace(cfg)
     if cfg.eval_every == 0:
         out.eval_every = 10 if cfg.objective == "logistic" else 20
     return out

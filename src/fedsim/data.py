@@ -10,6 +10,7 @@ client on few labels as s shrinks.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -26,37 +27,31 @@ _BLOB_HIGH = 195.0
 _BLOB_NOISE = 18.0
 
 
-def _read_exact(path: str, expected: int, payload: bytes) -> None:
-    if len(payload) != expected:
+def _read_idx(path: str, kind: str, magic: int, n_dims: int) -> tuple[list[int], np.ndarray]:
+    """One IDX file's dimensions and its uint8 payload, after checking the
+    header length, the magic number and that the size is exact."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    header = 4 * (1 + n_dims)
+    if len(blob) < header:
         raise ValueError(f"truncated or oversized IDX file: {path} "
-                         f"({len(payload)} bytes, expected {expected})")
+                         f"({len(blob)} bytes, expected at least {header})")
+    found, *dims = struct.unpack(f">{1 + n_dims}I", blob[:header])
+    if found != magic:
+        raise ValueError(f"bad magic in {kind} file {path}: 0x{found:08x}")
+    expected = header + math.prod(dims)
+    if len(blob) != expected:
+        raise ValueError(f"truncated or oversized IDX file: {path} "
+                         f"({len(blob)} bytes, expected {expected})")
+    return dims, np.frombuffer(blob, dtype=np.uint8, offset=header)
 
 
 def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load an IDX image/label pair; pixels are scaled to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise ValueError(f"truncated or oversized IDX file: {images_path} "
-                         f"({len(blob)} bytes, expected at least 16)")
-    magic, count, rows, cols = struct.unpack(">IIII", blob[:16])
-    if magic != IMAGE_MAGIC:
-        raise ValueError(f"bad magic in image file {images_path}: 0x{magic:08x}")
-    _read_exact(images_path, 16 + count * rows * cols, blob)
-    features = np.frombuffer(blob, dtype=np.uint8, offset=16).astype(float) / 255.0
-    features = features.reshape(count, rows * cols)
-
-    with open(labels_path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise ValueError(f"truncated or oversized IDX file: {labels_path} "
-                         f"({len(blob)} bytes, expected at least 8)")
-    magic, label_count = struct.unpack(">II", blob[:8])
-    if magic != LABEL_MAGIC:
-        raise ValueError(f"bad magic in label file {labels_path}: 0x{magic:08x}")
-    _read_exact(labels_path, 8 + label_count, blob)
-    labels = np.frombuffer(blob, dtype=np.uint8, offset=8).astype(np.int64)
-
+    (count, rows, cols), pixels = _read_idx(images_path, "image", IMAGE_MAGIC, 3)
+    features = (pixels.astype(float) / 255.0).reshape(count, rows * cols)
+    (label_count,), labels = _read_idx(labels_path, "label", LABEL_MAGIC, 1)
+    labels = labels.astype(np.int64)
     if count != label_count:
         raise ValueError(f"image/label count mismatch: {count} images, {label_count} labels")
     return features, labels

@@ -31,7 +31,9 @@ def parse_centers(text: str) -> np.ndarray:
                 for part in text.split(";") if part.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse centers: {text!r}") from None
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
+    if not rows:
+        raise ConfigError("quadratic objective requires centers.")
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError("centers must give every client the same number of coordinates.")
     return np.array(rows)
 
@@ -40,10 +42,7 @@ def build_objective(cfg: RunConfig) -> Objective:
     if cfg.objective == "synthetic_hard":
         return SyntheticHard(cfg.h, cfg.kappa, cfg.sigma, cfg.c, cfg.mu_pl)
     if cfg.objective == "quadratic":
-        centers = parse_centers(cfg.centers)
-        if centers.shape[0] != cfg.n_clients:
-            raise ConfigError(f"centers define {centers.shape[0]} clients, config says {cfg.n_clients}.")
-        return Quadratic(centers, cfg.sigma)
+        return Quadratic(parse_centers(cfg.centers), cfg.sigma)
     if cfg.objective == "logistic":
         train, test = load_dataset(cfg)
         shards = partition_by_similarity(train[0], train[1], cfg.n_clients,
@@ -55,14 +54,20 @@ def build_objective(cfg: RunConfig) -> Objective:
 
 def load_dataset(cfg: RunConfig):
     """Training set and optional test set for the logistic objective."""
-    if cfg.dataset == "idx":
-        train = load_idx(cfg.images_path, cfg.labels_path)
-        test = None
-        if cfg.test_images_path and cfg.test_labels_path:
-            test = load_idx(cfg.test_images_path, cfg.test_labels_path)
-        return train, test
-    return blob_datasets(cfg.blob_samples, cfg.blob_test_samples, cfg.blob_classes,
-                         cfg.blob_features, cfg.seed)
+    if cfg.dataset == "blob":
+        return blob_datasets(cfg.blob_samples, cfg.blob_test_samples, cfg.blob_classes,
+                             cfg.blob_features, cfg.seed)
+    if cfg.dataset != "idx":
+        raise ConfigError(f"unknown dataset kind: {cfg.dataset!r}")
+    if not cfg.images_path or not cfg.labels_path:
+        raise ConfigError("dataset = idx requires images_path and labels_path.")
+    if bool(cfg.test_images_path) != bool(cfg.test_labels_path):
+        raise ConfigError("a held-out set needs both test_images_path and test_labels_path.")
+    train = load_idx(cfg.images_path, cfg.labels_path)
+    test = None
+    if cfg.test_images_path:
+        test = load_idx(cfg.test_images_path, cfg.test_labels_path)
+    return train, test
 
 
 def blob_datasets(n_train: int, n_test: int, n_classes: int, n_features: int, seed: int):
@@ -78,12 +83,6 @@ def blob_datasets(n_train: int, n_test: int, n_classes: int, n_features: int, se
     return train, test
 
 
-def _eval_rounds(rounds: int, eval_every: int) -> list[int]:
-    marks = set(range(0, rounds + 1, eval_every))
-    marks.add(rounds)
-    return sorted(marks)
-
-
 def run_once(cfg: RunConfig) -> RunRecord:
     """Execute one seeded run and return its metric record.
 
@@ -96,7 +95,6 @@ def run_once(cfg: RunConfig) -> RunRecord:
     scheduler = make_scheduler(cfg)
     sim = Simulation(objective, scheduler, cfg)
 
-    marks = _eval_rounds(cfg.rounds, cfg.eval_every)
     rounds: list[int] = []
     grad_norms: list[float] = []
     losses: list[float] = []
@@ -127,7 +125,7 @@ def run_once(cfg: RunConfig) -> RunRecord:
         if not diverged:
             for r in range(cfg.rounds):
                 sim.run_round(r)
-                if (r + 1) in marks and not record(r + 1):
+                if ((r + 1) % cfg.eval_every == 0 or r + 1 == cfg.rounds) and not record(r + 1):
                     diverged = True
                     break
     return RunRecord(rounds=rounds, grad_norms=grad_norms, train_losses=losses,
@@ -174,7 +172,15 @@ class GridCellResult:
 
 
 def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
-    """Run every grid cell for every seed; cells expand in key order."""
+    """Run every grid cell for every seed; cells expand in key order.
+
+    Each run's seed comes from `spec.seeds`, so a `seed` key in the base
+    config (from the file or an override) or in the grid is rejected
+    rather than silently replaced.
+    """
+    for key, where in (("seed", spec.base), ("grid.seed", spec.grid)):
+        if "seed" in where:
+            raise ConfigError(f"a grid takes its seeds from 'seeds' or --seed, not from {key}.")
     results = []
     for cell_id, cell in enumerate(spec.cells()):
         finals = []

@@ -159,7 +159,7 @@ _PATTERNS = {
     "regularized": (RegularizedScheduler, ("window_p",)),
     "sca": (ScaScheduler, ("k_bar", "s_clients", "avail_rounds_g", "p_active", "p_inactive")),
 }
-_PARTICIPATION_KEYS = ("s_clients", "k_bar", "avail_rounds_g", "window_p", "p_active", "p_inactive")
+_PARTICIPATION_KEYS = tuple(dict.fromkeys(key for _, keys in _PATTERNS.values() for key in keys))
 _DEFAULTS = RunConfig()
 
 

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from fedsim import harness
 from fedsim.cli import build_parser, main
 from fedsim.core import ConfigError, build_run_config
 from fedsim.data import load_idx
@@ -37,6 +40,14 @@ blob_samples = 200
 blob_classes = 3
 blob_features = 4
 similarity = 50
+"""
+
+SYNTHETIC_CFG = """\
+n_clients = 2
+rounds = 2
+algorithm = fedavg
+eta = 0.1
+objective = synthetic_hard
 """
 
 GRID_CFG = QUAD_CFG + """\
@@ -120,6 +131,41 @@ def test_run_bad_inputs_exit_2(tmp_path, capsys):
     assert "missing required" in capsys.readouterr().err
 
 
+# One bad objective or data key per case and the key its error names (None:
+# the run is accepted). Each rule is checked by the code that reads the key.
+@pytest.mark.parametrize("base, override, key", [
+    (SYNTHETIC_CFG, "pattern=bogus", "pattern"),
+    (SYNTHETIC_CFG, "objective=bogus", "objective"),
+    (SYNTHETIC_CFG, "n_clients=4", "n_clients = 4, but the synthetic_hard objective has 2 clients"),
+    (SYNTHETIC_CFG, "h=0", "h"),
+    (SYNTHETIC_CFG, "mu_pl=0", "mu_pl"),
+    (SYNTHETIC_CFG, "kappa=-1", "kappa"),
+    (SYNTHETIC_CFG, "sigma=-1", "sigma"),
+    (QUAD_CFG, "sigma=-1", "sigma"),
+    (QUAD_CFG, "centers=", "centers"),
+    (QUAD_CFG, "centers=1; 2; 3", "n_clients = 2, but the quadratic objective has 3 clients"),
+    (LOGISTIC_CFG, "dataset=bogus", "dataset"),
+    (LOGISTIC_CFG, "dataset=idx", "images_path"),
+    (LOGISTIC_CFG, "similarity=101", "similarity"),
+    (LOGISTIC_CFG, "minibatch=0", "minibatch"),
+    (LOGISTIC_CFG, "l2=-1", "l2"),
+    # logistic never reads sigma
+    (LOGISTIC_CFG, "sigma=-1", None),
+], ids=["pattern", "objective", "synthetic-n_clients", "h", "mu_pl", "kappa", "synthetic-sigma",
+        "quadratic-sigma", "centers-empty", "centers-count", "dataset", "idx-paths", "similarity",
+        "minibatch", "l2", "logistic-sigma"])
+def test_run_rejects_a_bad_objective_key_by_name(tmp_path, capsys, base, override, key):
+    cfg = _write(tmp_path, "run.cfg", base)
+    rc = main(["run", "--config", cfg, "--override", override, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if key is None:
+        assert (rc, err) == (0, "")
+        return
+    assert rc == 2
+    assert err.startswith("error:")
+    assert re.search(rf"\b{re.escape(key)}\b", err)
+
+
 def test_grid_writes_csv_and_best_line(tmp_path, capsys):
     cfg = _write(tmp_path, "grid.cfg", GRID_CFG)
     out = tmp_path / "out"
@@ -145,6 +191,24 @@ def test_grid_without_grid_keys_exits_2(tmp_path, capsys):
     rc = main(["grid", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, override, key", [
+    ("seed = 7\n", [], "seed"),
+    ("grid.seed = 3, 4\n", [], "grid.seed"),
+    ("", ["--override", "seed=5"], "seed"),
+], ids=["file", "grid", "override"])
+def test_grid_rejects_a_seed_key_before_any_cell(tmp_path, capsys, monkeypatch, extra, override, key):
+    def never(cfg):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(harness, "run_once", never)
+    cfg = _write(tmp_path, "grid.cfg", GRID_CFG + extra)
+    rc = main(["grid", "--config", cfg, *override, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: a grid takes its seeds from 'seeds' or --seed, not from {key}.\n")
+    assert not (tmp_path / "o" / "grid.csv").exists()
 
 
 def test_verify_passes_on_iid(tmp_path, capsys):

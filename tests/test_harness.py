@@ -10,7 +10,6 @@ from fedsim.core import ConfigError, ExperimentSpec, RunConfig, build_run_config
 from fedsim.harness import (
     RUN_CSV_HEADER,
     GridCellResult,
-    _eval_rounds,
     best_cell,
     build_objective,
     grid_csv,
@@ -23,6 +22,7 @@ from fedsim.harness import (
     write_grid_csv,
     write_run_csv,
 )
+from fedsim.data import save_idx
 from fedsim.objectives import Quadratic
 from fedsim.participation import CyclicScheduler
 
@@ -36,10 +36,10 @@ def _quad(**kw) -> RunConfig:
 
 
 def test_eval_schedule_covers_start_marks_and_finish():
-    assert _eval_rounds(45, 20) == [0, 20, 40, 45]
-    assert _eval_rounds(40, 20) == [0, 20, 40]
-    assert _eval_rounds(5, 10) == [0, 5]
-    assert _eval_rounds(0, 10) == [0]
+    assert run_once(_quad(rounds=45, eval_every=20)).rounds == [0, 20, 40, 45]
+    assert run_once(_quad(rounds=40, eval_every=20)).rounds == [0, 20, 40]
+    assert run_once(_quad(rounds=5, eval_every=10)).rounds == [0, 5]
+    assert run_once(_quad(rounds=0, eval_every=10)).rounds == [0]
 
 
 def test_run_records_the_expected_rows():
@@ -156,11 +156,11 @@ def test_parse_centers():
         parse_centers("a,b")
     with pytest.raises(ConfigError, match="same number of coordinates"):
         parse_centers("1,2; 3")
+    with pytest.raises(ConfigError, match="requires centers"):
+        parse_centers(" ")
 
 
 def test_build_objective_errors():
-    with pytest.raises(ConfigError, match="centers define 3 clients"):
-        build_objective(_quad(centers="1; 2; 3"))
     with pytest.raises(ConfigError, match="unknown objective"):
         build_objective(RunConfig(objective="nope"))
 
@@ -181,6 +181,23 @@ def test_blob_dataset_split():
         "blob_classes": "3", "blob_features": "4",
     })
     assert load_dataset(cfg_no_test)[1] is None
+
+
+def test_idx_dataset_needs_both_held_out_paths(tmp_path):
+    paths = {name: str(tmp_path / f"{name}.idx") for name in ("images", "labels", "ti", "tl")}
+    train, test = harness.blob_datasets(40, 10, 2, 3, seed=0)
+    save_idx(paths["images"], paths["labels"], *train)
+    save_idx(paths["ti"], paths["tl"], *test)
+    values = {"n_clients": "2", "rounds": "1", "algorithm": "fedavg", "eta": "0.1",
+              "objective": "logistic", "dataset": "idx", "images_path": paths["images"],
+              "labels_path": paths["labels"]}
+    assert load_dataset(build_run_config(values))[1] is None
+    both = build_run_config(dict(values, test_images_path=paths["ti"], test_labels_path=paths["tl"]))
+    np.testing.assert_array_equal(load_dataset(both)[1][1], test[1])
+    for key in ("test_images_path", "test_labels_path"):
+        half = build_run_config(dict(values, **{key: paths["ti"]}))
+        with pytest.raises(ConfigError, match="both test_images_path and test_labels_path"):
+            load_dataset(half)
 
 
 def _grid_spec(**base_extra) -> ExperimentSpec:
