@@ -80,6 +80,11 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     correction and the optional proximal pull toward the start point.
     Returns the endpoint and the sum of raw (uncorrected) stochastic
     gradients, which feeds control-variate refreshes.
+
+    Each step is written into the oracle's fresh gradient and the private
+    copy of the start, in the order `x - eta * (g + correction + prox)`
+    evaluates, so the bits equal that formula's; `start` and `correction`
+    are only read.
     """
     if local_steps < 1:
         raise ValueError("local_steps must be >= 1.")
@@ -88,12 +93,12 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     for _ in range(local_steps):
         g = objective.stoch_grad_local(client, x, rng)
         grad_sum += g
-        step = g
         if correction is not None:
-            step = step + correction
+            g += correction
         if mu:
-            step = step + mu * (x - start)
-        x = x - eta * step
+            g += mu * (x - start)
+        g *= eta
+        x -= g
     return x, grad_sum
 
 

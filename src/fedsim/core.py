@@ -173,6 +173,17 @@ class RunConfig:
 _REQUIRED_KEYS = ("n_clients", "rounds", "algorithm", "eta", "objective")
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_DEFAULTS = RunConfig()
+
+
+def reject_unread(cfg: RunConfig, owner: str, reads: tuple[str, ...],
+                  keys: tuple[str, ...]) -> None:
+    """Reject the first of `keys` that `owner` (a pattern, an objective or a
+    dataset kind) does not read and that is not at its RunConfig default, so
+    a value set for another choice never passes silently."""
+    for key in keys:
+        if key not in reads and getattr(cfg, key) != getattr(_DEFAULTS, key):
+            raise ConfigError(f"{owner} does not read {key}; leave it unset.")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -235,8 +246,9 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
     objective and data keys are checked by the code that reads them: the
     objective constructors, `harness.parse_centers`, `harness.load_dataset`,
     `data.partition_indices`, and `Simulation`, which matches `n_clients`
-    against the objective. Returns a normalized copy; the input is not
-    modified.
+    against the objective. `harness.build_objective` and `load_dataset` also
+    reject any key the chosen objective or dataset kind never reads. Returns
+    a normalized copy; the input is not modified.
     """
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm: {cfg.algorithm!r}")

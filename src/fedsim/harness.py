@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import Simulation
-from .core import ConfigError, ExperimentSpec, RunConfig, RunRecord, build_run_config, format_value, validate_run_config
+from .core import (ConfigError, ExperimentSpec, RunConfig, RunRecord, build_run_config, format_value,
+                   reject_unread, validate_run_config)
 from .data import _atomic_write, load_idx, make_blobs, partition_by_similarity
 from .objectives import Logistic, Objective, Quadratic, SyntheticHard
 from .participation import make_scheduler
@@ -38,27 +39,44 @@ def parse_centers(text: str) -> np.ndarray:
     return np.array(rows)
 
 
+# The data keys each dataset kind reads and the objective and data keys each
+# objective reads. Like a participation key under `make_scheduler`, any
+# other such key must stay at its RunConfig default.
+_DATASETS = {
+    "blob": ("blob_samples", "blob_classes", "blob_features", "blob_test_samples"),
+    "idx": ("images_path", "labels_path", "test_images_path", "test_labels_path"),
+}
+_DATASET_KEYS = tuple(key for keys in _DATASETS.values() for key in keys)
+_OBJECTIVES = {
+    "synthetic_hard": ("h", "kappa", "sigma", "c", "mu_pl"),
+    "quadratic": ("centers", "sigma"),
+    "logistic": ("l2", "minibatch", "dataset", "similarity", *_DATASET_KEYS),
+}
+_OBJECTIVE_KEYS = tuple(dict.fromkeys(key for keys in _OBJECTIVES.values() for key in keys))
+
+
 def build_objective(cfg: RunConfig) -> Objective:
+    if cfg.objective not in _OBJECTIVES:
+        raise ConfigError(f"unknown objective: {cfg.objective!r}")
+    reject_unread(cfg, f"objective {cfg.objective}", _OBJECTIVES[cfg.objective], _OBJECTIVE_KEYS)
     if cfg.objective == "synthetic_hard":
         return SyntheticHard(cfg.h, cfg.kappa, cfg.sigma, cfg.c, cfg.mu_pl)
     if cfg.objective == "quadratic":
         return Quadratic(parse_centers(cfg.centers), cfg.sigma)
-    if cfg.objective == "logistic":
-        train, test = load_dataset(cfg)
-        shards = partition_by_similarity(train[0], train[1], cfg.n_clients,
-                                         cfg.similarity, cfg.seed)
-        num_classes = int(train[1].max()) + 1
-        return Logistic(shards, num_classes, cfg.l2, cfg.minibatch, test)
-    raise ConfigError(f"unknown objective: {cfg.objective!r}")
+    train, test = load_dataset(cfg)
+    shards = partition_by_similarity(train[0], train[1], cfg.n_clients, cfg.similarity, cfg.seed)
+    num_classes = int(train[1].max()) + 1
+    return Logistic(shards, num_classes, cfg.l2, cfg.minibatch, test)
 
 
 def load_dataset(cfg: RunConfig):
     """Training set and optional test set for the logistic objective."""
+    if cfg.dataset not in _DATASETS:
+        raise ConfigError(f"unknown dataset kind: {cfg.dataset!r}")
+    reject_unread(cfg, f"dataset {cfg.dataset}", _DATASETS[cfg.dataset], _DATASET_KEYS)
     if cfg.dataset == "blob":
         return blob_datasets(cfg.blob_samples, cfg.blob_test_samples, cfg.blob_classes,
                              cfg.blob_features, cfg.seed)
-    if cfg.dataset != "idx":
-        raise ConfigError(f"unknown dataset kind: {cfg.dataset!r}")
     if not cfg.images_path or not cfg.labels_path:
         raise ConfigError("dataset = idx requires images_path and labels_path.")
     if bool(cfg.test_images_path) != bool(cfg.test_labels_path):

@@ -26,7 +26,11 @@ class Objective:
         raise NotImplementedError
 
     def stoch_grad_local(self, client: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One stochastic gradient draw; consumes a fixed amount of the stream."""
+        """One stochastic gradient draw; consumes a fixed amount of the stream.
+
+        Returns a new array that shares memory with nothing else, so the
+        caller may overwrite it (the local step does, in place).
+        """
         raise NotImplementedError
 
     def eval_global(self, x: np.ndarray) -> float:
@@ -148,10 +152,21 @@ class Logistic(Objective):
     gradients average `minibatch` uniformly drawn local samples and include
     the full penalty term.
 
-    One helper, `_grad`, serves both gradient oracles: `grad_local` calls it
-    on the full shard, `stoch_grad_local` on the drawn rows. It subtracts a
-    one-hot label table that is built once, at construction, per client.
+    One helper, `_grad`, serves `grad_local` on the full shard and
+    `stoch_grad_local` on the drawn rows when `minibatch > 1`. It subtracts
+    a one-hot label table that is built once, at construction, per client.
     `eval_local` computes the loss alone, with no gradient.
+
+    With `minibatch == 1`, `stoch_grad_local` works on the drawn row as 1-D
+    arrays, which skips most of the small-array overhead, and returns the
+    same bits as `_grad` on that row:
+    - the logits `w @ f` go through the same matrix-vector kernel as `f @ w.T`;
+    - each entry of `np.multiply.outer(delta, f)` is the one exact multiply
+      of the k = 1 matrix product, and `+= 0.0` turns its -0.0 into the
+      product's 0.0 before any penalty is added;
+    - the mean over one row skips the divide, since `x / 1 == x`;
+    - subtracting 1 at the label alone equals subtracting the one-hot row,
+      since `p - 0.0 == p`.
     """
 
     def __init__(self, shards: list[tuple[np.ndarray, np.ndarray]], num_classes: int,
@@ -246,12 +261,25 @@ class Logistic(Objective):
     def stoch_grad_local(self, client: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         self._check_client(client)
         w = self._weights(x)
-        n = len(self._labels[client])
+        labels = self._labels[client]
+        n = len(labels)
         # int() truncates like a cast to int64, as 0 <= u * n < 2**53; min()
         # catches u * n rounding up to n. Plain lists skip small-array costs.
-        idx = [min(int(u * n), n - 1) for u in rng.random(self.minibatch).tolist()]
-        return self._grad(w, self._features[client].take(idx, axis=0),
-                          self._onehot[client].take(idx, axis=0))
+        if self.minibatch > 1:
+            idx = [min(int(u * n), n - 1) for u in rng.random(self.minibatch).tolist()]
+            return self._grad(w, self._features[client].take(idx, axis=0),
+                              self._onehot[client].take(idx, axis=0))
+        i = min(int(rng.random() * n), n - 1)
+        f = self._features[client][i]
+        logits = w @ f
+        shifted = logits - np.maximum.reduce(logits)
+        delta = np.exp(shifted - np.log(np.add.reduce(np.exp(shifted))))
+        delta[labels[i]] -= 1.0
+        grad = np.multiply.outer(delta, f)
+        grad += 0.0
+        if self.l2:
+            grad += self._penalty_grad(w)
+        return grad.ravel()
 
     def test_metric(self, x: np.ndarray) -> float:
         if self._test is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, RunConfig, rng_stream
+from .core import ConfigError, RunConfig, reject_unread, rng_stream
 
 SCA_MAX_RETRIES = 100
 
@@ -160,14 +160,11 @@ _PATTERNS = {
     "sca": (ScaScheduler, ("k_bar", "s_clients", "avail_rounds_g", "p_active", "p_inactive")),
 }
 _PARTICIPATION_KEYS = tuple(dict.fromkeys(key for _, keys in _PATTERNS.values() for key in keys))
-_DEFAULTS = RunConfig()
 
 
 def make_scheduler(cfg: RunConfig) -> Scheduler:
     if cfg.pattern not in _PATTERNS:
         raise ConfigError(f"unknown pattern: {cfg.pattern!r}")
     cls, keys = _PATTERNS[cfg.pattern]
-    for key in _PARTICIPATION_KEYS:
-        if key not in keys and getattr(cfg, key) != getattr(_DEFAULTS, key):
-            raise ConfigError(f"pattern {cfg.pattern} does not read {key}; leave it unset.")
+    reject_unread(cfg, f"pattern {cfg.pattern}", keys, _PARTICIPATION_KEYS)
     return cls(cfg.n_clients, *(getattr(cfg, key) for key in keys))

@@ -51,6 +51,37 @@ def test_proximal_pull_shrinks_the_step():
     assert 0 < prox[0] < plain[0]
 
 
+@pytest.mark.parametrize("with_correction, mu", [(True, 0.0), (False, 5.0)],
+                         ids=["correction", "mu"])
+def test_local_update_equals_the_out_of_place_formula(with_correction, mu):
+    # The steps write into the oracle's gradient and a private model; the
+    # inputs stay as they were and every bit equals the written formula.
+    objective = Quadratic(rng_stream(1, "init").random((2, 3)), sigma=1.0)
+    start = rng_stream(1, "init", 1).standard_normal(3)
+    correction = rng_stream(1, "init", 2).standard_normal(3) if with_correction else None
+    before = start.copy(), None if correction is None else correction.copy()
+    end, grad_sum = client_local_update(objective, 1, start, 7, 0.3,
+                                        rng_stream(1, "gradient-noise", 1, 2), correction, mu)
+    assert start.tobytes() == before[0].tobytes()
+    if correction is not None:
+        assert correction.tobytes() == before[1].tobytes()
+
+    rng = rng_stream(1, "gradient-noise", 1, 2)
+    x = start
+    expected_sum = np.zeros(3)
+    for _ in range(7):
+        g = objective.stoch_grad_local(1, x, rng)
+        expected_sum = expected_sum + g
+        step = g
+        if correction is not None:
+            step = step + correction
+        if mu:
+            step = step + mu * (x - start)
+        x = x - 0.3 * step
+    assert end.tobytes() == x.tobytes()
+    assert grad_sum.tobytes() == expected_sum.tobytes()
+
+
 def test_round_aggregates_by_participation_weight():
     cfg = _cfg()
     sim = _sim(cfg, [[1.0], [-1.0]])

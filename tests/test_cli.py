@@ -42,6 +42,9 @@ blob_features = 4
 similarity = 50
 """
 
+# The logistic run without its data keys, for configs that pick the data.
+LOGISTIC_RUN_CFG = LOGISTIC_CFG.split("dataset = blob")[0]
+
 SYNTHETIC_CFG = """\
 n_clients = 2
 rounds = 2
@@ -145,12 +148,12 @@ def test_run_bad_inputs_exit_2(tmp_path, capsys):
     (QUAD_CFG, "centers=", "centers"),
     (QUAD_CFG, "centers=1; 2; 3", "n_clients = 2, but the quadratic objective has 3 clients"),
     (LOGISTIC_CFG, "dataset=bogus", "dataset"),
-    (LOGISTIC_CFG, "dataset=idx", "images_path"),
+    (LOGISTIC_RUN_CFG, "dataset=idx", "images_path"),
     (LOGISTIC_CFG, "similarity=101", "similarity"),
     (LOGISTIC_CFG, "minibatch=0", "minibatch"),
     (LOGISTIC_CFG, "l2=-1", "l2"),
     # logistic never reads sigma
-    (LOGISTIC_CFG, "sigma=-1", None),
+    (LOGISTIC_CFG, "sigma=-1", "objective logistic does not read sigma"),
 ], ids=["pattern", "objective", "synthetic-n_clients", "h", "mu_pl", "kappa", "synthetic-sigma",
         "quadratic-sigma", "centers-empty", "centers-count", "dataset", "idx-paths", "similarity",
         "minibatch", "l2", "logistic-sigma"])
@@ -164,6 +167,56 @@ def test_run_rejects_a_bad_objective_key_by_name(tmp_path, capsys, base, overrid
     assert rc == 2
     assert err.startswith("error:")
     assert re.search(rf"\b{re.escape(key)}\b", err)
+
+
+# A value other than the RunConfig default for every objective and data key,
+# and the keys each objective, and each dataset kind of logistic, reads.
+OBJECTIVE_KEY_VALUES = {
+    "h": "2", "kappa": "2", "sigma": "0.5", "c": "2", "mu_pl": "3", "centers": "0; 1",
+    "l2": "0.1", "minibatch": "2", "dataset": "idx", "similarity": "50", "blob_samples": "300",
+    "blob_classes": "3", "blob_features": "5", "blob_test_samples": "10", "images_path": "x",
+    "labels_path": "x", "test_images_path": "x", "test_labels_path": "x",
+}
+DATASET_READS = {"blob": ("blob_samples", "blob_classes", "blob_features", "blob_test_samples"),
+                 "idx": ("images_path", "labels_path", "test_images_path", "test_labels_path")}
+OBJECTIVE_READS = {
+    "synthetic_hard": ("h", "kappa", "sigma", "c", "mu_pl"),
+    "quadratic": ("centers", "sigma"),
+    "logistic": ("l2", "minibatch", "dataset", "similarity", *DATASET_READS["blob"],
+                 *DATASET_READS["idx"]),
+}
+
+
+@pytest.mark.parametrize("objective, dataset", [
+    ("synthetic_hard", None), ("quadratic", None), ("logistic", "blob"), ("logistic", "idx"),
+], ids=["synthetic_hard", "quadratic", "logistic-blob", "logistic-idx"])
+def test_run_rejects_a_key_its_objective_never_reads(tmp_path, capsys, objective, dataset):
+    # Each key the objective, or its dataset kind, never reads exits 2 and is
+    # named; a key it reads may fail on its value, but never as unread.
+    base = {"synthetic_hard": SYNTHETIC_CFG, "quadratic": QUAD_CFG,
+            "logistic": LOGISTIC_CFG}[objective]
+    if dataset == "idx":
+        data = tmp_path / "d"
+        assert main(["datagen", "--out", str(data), "--samples", "200", "--classes", "3",
+                     "--features", "4"]) == 0
+        base = (LOGISTIC_RUN_CFG + "dataset = idx\n"
+                f"images_path = {data / 'train-images.idx'}\n"
+                f"labels_path = {data / 'train-labels.idx'}\n")
+    cfg = _write(tmp_path, "run.cfg", base)
+    unread = {key: f"objective {objective}" for key in OBJECTIVE_KEY_VALUES
+              if key not in OBJECTIVE_READS[objective]}
+    for kind, keys in DATASET_READS.items():
+        if dataset not in (None, kind):
+            unread.update((key, f"dataset {dataset}") for key in keys)
+    capsys.readouterr()
+    for key, value in OBJECTIVE_KEY_VALUES.items():
+        rc = main(["run", "--config", cfg, "--override", f"{key}={value}",
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if key in unread:
+            assert (rc, err) == (2, f"error: {unread[key]} does not read {key}; leave it unset.\n")
+        else:
+            assert f"does not read {key};" not in err
 
 
 def test_grid_writes_csv_and_best_line(tmp_path, capsys):

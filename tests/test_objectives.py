@@ -240,30 +240,41 @@ def test_logistic_minibatch_indices_stay_in_range():
 
 def _reference_loss_and_grad(w, feats, labels):
     """The softmax loss and gradient as first written: full log-softmax,
-    fancy-indexed label pick and label subtraction."""
+    fancy-indexed label pick and label subtraction. Also returns the
+    probabilities and the label-subtracted rows the gradient is built from."""
     logits = feats @ w.T
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     n = len(labels)
     loss = -float(logp[np.arange(n), labels].mean())
-    delta = np.exp(logp)
+    probs = np.exp(logp)
+    delta = probs.copy()
     delta[np.arange(n), labels] -= 1.0
-    return loss, delta.T @ feats / n
+    return loss, delta.T @ feats / n, probs, delta
 
 
 def test_logistic_oracle_matches_reference_math():
     """Every oracle output equals the reference math bit for bit, and each
-    stochastic gradient consumes exactly `minibatch` uniforms."""
+    stochastic gradient consumes exactly `minibatch` uniforms.
+
+    Saturating scales drive probabilities to exactly 0.0, and all-zero
+    feature rows make -0.0 products in the one-sample outer product, where
+    the matrix product gives 0.0; some of them meet a -0.0 penalty entry
+    from a zero-scaled model. The test asserts that the one-sample draws
+    reach all three cases."""
     features, labels = make_blobs(300, 4, 5, seed=4)
+    features[::4] = 0.0
     shards = [(features[:1], labels[:1]), (features[1:3], labels[1:3]),
               (features[3:40], labels[3:40]), (features[40:], labels[40:])]
+    scales = (0.0, 1.0, 20.0, 1e3, 1e6)
     for l2 in (0.0, 0.5):
         for minibatch in (1, 3, 64):
             obj = Logistic(shards, num_classes=4, l2=l2, minibatch=minibatch)
             x_rng = rng_stream(5, "init", minibatch)
-            for trial in range(24):
+            reached = set()
+            for trial in range(3 * len(shards) * len(scales)):
                 client = trial % len(shards)
-                x = x_rng.standard_normal(obj.dim) * (0.0, 1.0, 20.0)[trial % 3]
+                x = x_rng.standard_normal(obj.dim) * scales[trial % len(scales)]
                 w = x.reshape(4, -1)
                 feats = np.hstack([shards[client][0], np.ones((len(shards[client][1]), 1))])
                 ys = shards[client][1]
@@ -273,7 +284,7 @@ def test_logistic_oracle_matches_reference_math():
                     penalty_grad[:, :-1] = l2 * w[:, :-1]
                     penalty = 0.5 * l2 * float(np.sum(w[:, :-1] ** 2))
 
-                loss, grad = _reference_loss_and_grad(w, feats, ys)
+                loss, grad, _, _ = _reference_loss_and_grad(w, feats, ys)
                 assert obj.eval_local(client, x) == loss + penalty
                 assert obj.grad_local(client, x).tobytes() == (grad + penalty_grad).ravel().tobytes()
 
@@ -282,6 +293,21 @@ def test_logistic_oracle_matches_reference_math():
                 got = obj.stoch_grad_local(client, x, rng)
                 n = len(ys)
                 idx = np.minimum((twin.random(minibatch) * n).astype(np.int64), n - 1)
-                _, grad = _reference_loss_and_grad(w, feats[idx], ys[idx])
+                _, grad, probs, delta = _reference_loss_and_grad(w, feats[idx], ys[idx])
                 assert got.tobytes() == (grad + penalty_grad).ravel().tobytes()
                 assert rng.random() == twin.random()
+
+                if minibatch == 1:
+                    product = np.multiply.outer(delta[0], feats[idx[0]])
+                    negative_zero = (product == 0.0) & np.signbit(product)
+                    if (probs == 0.0).any():
+                        reached.add("p == 0.0")
+                    if negative_zero.any():
+                        reached.add("-0.0 product")
+                    if (negative_zero & np.signbit(penalty_grad)).any():
+                        reached.add("-0.0 product and -0.0 penalty")
+            if minibatch == 1:
+                expected = {"p == 0.0", "-0.0 product"}
+                if l2:
+                    expected.add("-0.0 product and -0.0 penalty")
+                assert expected <= reached
