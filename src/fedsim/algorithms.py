@@ -20,9 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CV_ALGORITHMS, WINDOW_ALGORITHMS, ConfigError, RunConfig, rng_stream
+from .core import (CV_ALGORITHMS, WINDOW_ALGORITHMS, ConfigError, RunConfig, UniformCursor,
+                   rng_stream, stream_uniforms)
 from .objectives import Objective
 from .participation import Scheduler
+
+# Doubles of gradient noise computed at once (128 KB): the uniforms of every
+# client over as many rounds as fit, and at least one round.
+NOISE_CHUNK = 1 << 14
 
 
 @dataclass
@@ -108,6 +113,13 @@ class Simulation:
     The caller owns the loop: call run_round(r) for r = 0..R-1 and read
     `model` whenever a metric evaluation is wanted. Reading the model never
     touches any training randomness.
+
+    Client i's local steps in round r read the "gradient-noise" stream
+    (seed, i, r). When r falls outside the rounds held, one
+    `stream_uniforms` call computes the `local_steps * draws` uniforms of
+    every client for the next chunk of rounds, so a round costs no stream
+    construction; each sampled client reads its row through a
+    `UniformCursor`.
     """
 
     def __init__(self, objective: Objective, scheduler: Scheduler, cfg: RunConfig):
@@ -121,6 +133,7 @@ class Simulation:
         self.mu = cfg.mu if cfg.algorithm == "fedprox" else 0.0
         self.local_steps = cfg.local_steps
         self.seed = cfg.seed
+        self.rounds = cfg.rounds
         self.uses_cv = cfg.algorithm in CV_ALGORITHMS
         if cfg.algorithm in WINDOW_ALGORITHMS:
             self.window_len = scheduler.params().window
@@ -134,14 +147,31 @@ class Simulation:
             self.cv = control_variate_init(cfg.cv_init, objective, self.x_global,
                                            cfg.seed, cfg.local_steps)
         self.uplink_scalars = 0
+        # Uniforms of rounds [noise_start, noise_start + len(noise)), shaped
+        # (rounds, clients, local_steps * draws); filled on first use.
+        self._noise = np.empty((0, objective.n_clients, cfg.local_steps * objective.draws))
+        self._noise_start = 0
 
     @property
     def model(self) -> np.ndarray:
         """The live server model (re-based to the global model at commits)."""
         return self.w_inner
 
+    def _fill_noise(self, r: int) -> None:
+        n_clients, per_client = self._noise.shape[1:]
+        chunk = max(1, NOISE_CHUNK // (n_clients * per_client))
+        stop = max(r + 1, min(r + chunk, self.rounds))
+        rounds = np.arange(r, stop, dtype=np.uint64)
+        clients = np.tile(np.arange(n_clients, dtype=np.uint64), len(rounds))
+        uniforms = stream_uniforms(self.seed, "gradient-noise", clients,
+                                   np.repeat(rounds, n_clients), per_client)
+        self._noise = uniforms.reshape(len(rounds), n_clients, per_client)
+        self._noise_start = r
+
     def _client_work(self, client: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = rng_stream(self.seed, "gradient-noise", client, r)
+        if not 0 <= r - self._noise_start < len(self._noise):
+            self._fill_noise(r)
+        rng = UniformCursor(self._noise[r - self._noise_start, client])
         correction = None
         if self.uses_cv:
             correction = self.cv.global_cv - self.cv.per_client[client]

@@ -29,8 +29,8 @@ from .core import (
 )
 from .data import _atomic_write, label_histogram, partition_by_similarity, save_idx
 from .diagnostics import assumption_suite, checks_to_csv_rows, format_report
-from .harness import (best_cell, blob_datasets, load_dataset, rounds_to_target, run_grid, run_once,
-                      write_grid_csv, write_run_csv)
+from .harness import (best_cell, blob_datasets, check_objective_keys, load_dataset, rounds_to_target,
+                      run_grid, run_once, write_grid_csv, write_run_csv)
 from .participation import make_scheduler
 
 
@@ -119,6 +119,7 @@ def cmd_partition_report(args: argparse.Namespace) -> int:
     cfg = build_run_config(values)
     if cfg.objective != "logistic":
         raise ConfigError("partition-report needs a config with objective = logistic.")
+    check_objective_keys(cfg)
     train, _ = load_dataset(cfg)
     shards = partition_by_similarity(train[0], train[1], cfg.n_clients, cfg.similarity, cfg.seed)
     rows = label_histogram(shards)

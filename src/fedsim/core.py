@@ -3,8 +3,15 @@
 Randomness is counter-based. Every random value consumed anywhere in the
 simulator is addressed by (seed, purpose, client, round, step), so any
 execution order over clients and rounds reproduces the same numerics bit
-for bit. Configuration is a flat key = value text format with one key per
-line and # comments.
+for bit. `rng_stream` opens one (seed, purpose, client, round) stream as a
+numpy Generator. `stream_uniforms` computes the first n uniforms of many
+such streams in one vectorized Philox pass, bit for bit equal to the
+Generators', and `UniformCursor` hands one of those rows out as its
+Generator would. The run loop reads its gradient noise that way, one
+chunk of rounds for every client at a time.
+
+Configuration is a flat key = value text format with one key per line and
+# comments.
 """
 
 from __future__ import annotations
@@ -75,6 +82,87 @@ def rng_stream(seed: int, purpose: str, client: int = 0, round_idx: int = 0) -> 
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
     counter = (PURPOSES[purpose] << 192) | (client << 128) | (round_idx << 64)
     return np.random.Generator(np.random.Philox(_PhiloxKey(seed), counter=counter))
+
+
+# Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+# 3", SC'11), numpy's `Philox`: the multipliers of counter words 0 and 2,
+# and the Weyl increments that bump the two key words between rounds.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
+
+
+def stream_uniforms(seed: int, purpose: str, clients, rounds, n: int) -> np.ndarray:
+    """The first n uniforms of many streams, as a (len(clients), n) array.
+
+    Row j equals `rng_stream(seed, purpose, clients[j], rounds[j]).random(n)`
+    bit for bit. The Generator's k-th double is `(word >> 11) * 2**-53` of
+    word k % 4 of the Philox block whose counter words, low first, are
+    (1 + k // 4, round, client, purpose) under the key (seed, 0); here all
+    blocks of all rows go through the ten rounds together. The high half of
+    each 64x64-bit product is built from 32-bit limbs, since numpy has no
+    wide multiply.
+    """
+    if purpose not in PURPOSES:
+        raise ValueError(f"unknown rng purpose: {purpose!r}")
+    seed = operator.index(seed)
+    if not 0 <= seed < _U64:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    clients = np.asarray(clients, dtype=np.uint64)
+    rounds = np.asarray(rounds, dtype=np.uint64)
+    if clients.shape != rounds.shape or clients.ndim != 1:
+        raise ValueError("clients and rounds must be 1-D and of equal length.")
+    shape = (len(clients), -(-n // 4))
+    # x holds counter words 0 and 2, the multiplied ones; y words 1 and 3.
+    x = np.stack([np.broadcast_to(np.arange(1, shape[1] + 1, dtype=np.uint64), shape),
+                  np.broadcast_to(clients[:, None], shape)])
+    y = np.stack([np.broadcast_to(rounds[:, None], shape),
+                  np.full(shape, PURPOSES[purpose], dtype=np.uint64)])
+    key = [seed, 0]
+    for _ in range(10):
+        x_lo, x_hi = x & _LO32, x >> _S32
+        low_cross = _M_HI * x_lo + ((_M_LO * x_lo) >> _S32)
+        mid = (low_cross & _LO32) + _M_LO * x_hi
+        hi = _M_HI * x_hi + (low_cross >> _S32) + (mid >> _S32)
+        # out = (hi1 ^ y0 ^ key0, lo1, hi0 ^ y1 ^ key1, lo0)
+        x, y = hi[::-1] ^ y ^ np.array(key, dtype=np.uint64).reshape(2, 1, 1), (_PHILOX_M * x)[::-1]
+        key = [(k + w) % _U64 for k, w in zip(key, _PHILOX_W)]
+    words = np.stack((x[0], y[0], x[1], y[1]), axis=-1).reshape(shape[0], 4 * shape[1])[:, :n]
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+class UniformCursor:
+    """One row of `stream_uniforms`, handed out as its Generator would.
+
+    `random()` returns the next uniform as a float and `random(n)` the next
+    n as a new array: the values `rng_stream(...).random` returns for the
+    same calls. Reading past the row raises, so an objective that draws
+    more than its declared `draws` fails instead of reading the uniforms of
+    the next stream in the chunk.
+    """
+
+    __slots__ = ("_row", "_values", "_pos")
+
+    def __init__(self, row: np.ndarray):
+        self._row = row
+        # Python floats are the same doubles and much cheaper to hand out
+        # one at a time.
+        self._values = row.tolist()
+        self._pos = 0
+
+    def random(self, size: int | None = None):
+        pos = self._pos
+        end = pos + (1 if size is None else size)
+        if end > len(self._values):
+            raise RuntimeError(f"a stream of {len(self._values)} uniforms was asked for"
+                               f" uniforms {pos} to {end - 1}; the objective draws more"
+                               " than its declared `draws` per call.")
+        self._pos = end
+        if size is None:
+            return self._values[pos]
+        return self._row[pos:end].copy()
 
 
 # scipy.special.ndtri, the inverse normal CDF, bound on the first Gaussian

@@ -55,10 +55,17 @@ _OBJECTIVES = {
 _OBJECTIVE_KEYS = tuple(dict.fromkeys(key for keys in _OBJECTIVES.values() for key in keys))
 
 
-def build_objective(cfg: RunConfig) -> Objective:
+def check_objective_keys(cfg: RunConfig) -> None:
+    """Reject an unknown objective, and any objective or data key that the
+    objective never reads. `build_objective` and `fedsim partition-report`
+    both check this way."""
     if cfg.objective not in _OBJECTIVES:
         raise ConfigError(f"unknown objective: {cfg.objective!r}")
     reject_unread(cfg, f"objective {cfg.objective}", _OBJECTIVES[cfg.objective], _OBJECTIVE_KEYS)
+
+
+def build_objective(cfg: RunConfig) -> Objective:
+    check_objective_keys(cfg)
     if cfg.objective == "synthetic_hard":
         return SyntheticHard(cfg.h, cfg.kappa, cfg.sigma, cfg.c, cfg.mu_pl)
     if cfg.objective == "quadratic":

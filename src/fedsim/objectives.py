@@ -14,10 +14,14 @@ from .core import gaussian_from, gaussians_from
 
 
 class Objective:
-    """Oracle interface for the per-client losses f_i and their average f."""
+    """Oracle interface for the per-client losses f_i and their average f.
+
+    `draws` is the number of uniforms one `stoch_grad_local` call consumes.
+    """
 
     dim: int
     n_clients: int
+    draws: int
 
     def eval_local(self, client: int, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -26,7 +30,13 @@ class Objective:
         raise NotImplementedError
 
     def stoch_grad_local(self, client: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One stochastic gradient draw; consumes a fixed amount of the stream.
+        """One stochastic gradient draw; consumes exactly `draws` uniforms.
+
+        `rng` is read only through `rng.random(size=None)`: no size gives one
+        float and an int size that many as an array, as from a numpy
+        Generator. The run loop passes a `core.UniformCursor` over the
+        call's stream, which holds exactly `local_steps * draws` uniforms
+        and raises when asked for more.
 
         Returns a new array that shares memory with nothing else, so the
         caller may overwrite it (the local step does, in place).
@@ -69,6 +79,7 @@ class SyntheticHard(Objective):
 
     dim = 4
     n_clients = 2
+    draws = 1
 
     def __init__(self, h: float = 16.0, kappa: float = 16.0, sigma: float = 1.0,
                  c: float = 1.0, mu_pl: float = 2.0):
@@ -126,7 +137,7 @@ class Quadratic(Objective):
         self.centers = centers
         self.sigma = sigma
         self.n_clients = centers.shape[0]
-        self.dim = centers.shape[1]
+        self.dim = self.draws = centers.shape[1]
 
     def eval_local(self, client: int, x: np.ndarray) -> float:
         self._check_client(client)
@@ -199,7 +210,7 @@ class Logistic(Objective):
         self.num_classes = num_classes
         self.num_features = num_features
         self.l2 = l2
-        self.minibatch = minibatch
+        self.minibatch = self.draws = minibatch
         self.n_clients = len(shards)
         self.dim = num_classes * (num_features + 1)
         if test_set is not None:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from fedsim import algorithms
 from fedsim.algorithms import (
+    NOISE_CHUNK,
     ControlVariates,
     Simulation,
     client_local_update,
     control_variate_init,
 )
-from fedsim.core import RunConfig, rng_stream
-from fedsim.objectives import Quadratic
+from fedsim.core import RunConfig, rng_stream, stream_uniforms
+from fedsim.objectives import Logistic, Quadratic
 from fedsim.participation import make_scheduler
 
 
@@ -270,3 +272,54 @@ def test_control_variates_zeros_shape():
     assert cv.global_cv.shape == (3,)
     assert cv.accum.shape == (5, 3)
     assert cv.qbar.shape == (5,)
+
+
+def _chunked_objective(kind: str):
+    if kind == "quadratic":
+        # draws = dim: one Gaussian vector per step
+        return Quadratic(rng_stream(2, "init").standard_normal((12, 40)), sigma=0.5)
+    # minibatch > 1: one array of uniforms per step, on the matrix path
+    shards = [(rng_stream(2, "init", i).standard_normal((15, 3)),
+               rng_stream(2, "init", i, 1).integers(0, 4, 15)) for i in range(12)]
+    return Logistic(shards, 4, l2=0.01, minibatch=3)
+
+
+@pytest.mark.parametrize("pattern", ["iid", "grouped_cyclic"])
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_chunked_noise_equals_a_stream_per_client_round(monkeypatch, kind, pattern):
+    # The golden bytes cover only one uniform per step (synthetic, and
+    # logistic with minibatch = 1); this pins draws > 1 across refills.
+    objective = _chunked_objective(kind)
+    cfg = _cfg(n_clients=12, s_clients=3, local_steps=4, eta=0.05, seed=9, pattern=pattern,
+               objective=kind, **({"k_bar": 3, "avail_rounds_g": 2} if pattern != "iid" else {}))
+    chunk_rounds = NOISE_CHUNK // (12 * 4 * objective.draws)
+    cfg.rounds = 2 * chunk_rounds + 3
+    fills = []
+    monkeypatch.setattr(algorithms, "stream_uniforms",
+                        lambda *args: fills.append(args[3][0]) or stream_uniforms(*args))
+    sim = Simulation(objective, make_scheduler(cfg), cfg)
+    scheduler = make_scheduler(cfg)
+    x = np.zeros(objective.dim)
+    for r in range(cfg.rounds):
+        sim.run_round(r)
+        sampled = scheduler.sample_round(r, cfg.seed)
+        new = np.zeros(objective.dim)
+        for i in sampled.tolist():
+            end, _ = client_local_update(objective, i, x, cfg.local_steps, cfg.eta,
+                                         rng_stream(cfg.seed, "gradient-noise", i, r))
+            new += (1.0 / len(sampled)) * end
+        x = new
+        assert sim.model.tobytes() == x.tobytes()
+    assert fills == [0, chunk_rounds, 2 * chunk_rounds]
+
+
+def test_an_objective_that_overdraws_raises_instead_of_reading_the_next_stream():
+    class Overdrawing(Quadratic):
+        def stoch_grad_local(self, client, x, rng):
+            rng.random()
+            return super().stoch_grad_local(client, x, rng)
+
+    cfg = _cfg(sigma=1.0)
+    sim = Simulation(Overdrawing(np.array([[1.0], [-1.0]]), sigma=1.0), make_scheduler(cfg), cfg)
+    with pytest.raises(RuntimeError, match="declared `draws`"):
+        sim.run_round(0)

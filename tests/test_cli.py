@@ -380,6 +380,19 @@ def test_partition_report_needs_logistic(tmp_path, capsys):
     assert "logistic" in capsys.readouterr().err
 
 
+def test_partition_report_rejects_an_objective_key_as_run_does(tmp_path, capsys):
+    # Both commands share one objective-key check: a logistic config that
+    # sets keys only synthetic_hard reads exits 2 with the same message.
+    cfg = _write(tmp_path, "log.cfg", LOGISTIC_CFG)
+    results = []
+    for command in ("run", "partition-report"):
+        rc = main([command, "--config", cfg, "--override", "sigma=-1", "--override", "h=0",
+                   "--out", str(tmp_path / command)])
+        results.append((rc, capsys.readouterr().err))
+    assert results[0] == results[1] == (2, "error: objective logistic does not read h; leave it unset.\n")
+    assert not (tmp_path / "partition-report" / "partition.csv").exists()
+
+
 def test_datagen_round_trips_through_idx(tmp_path, capsys):
     out = tmp_path / "d"
     rc = main(["datagen", "--out", str(out), "--samples", "50", "--classes", "3",

@@ -13,6 +13,7 @@ from fedsim.core import (
     ExperimentSpec,
     RunConfig,
     RunRecord,
+    UniformCursor,
     apply_overrides,
     build_run_config,
     format_value,
@@ -20,6 +21,7 @@ from fedsim.core import (
     parse_config_text,
     parse_experiment_text,
     rng_stream,
+    stream_uniforms,
     validate_run_config,
 )
 
@@ -174,6 +176,61 @@ def test_batched_draws_equal_sequential_draws():
     rng = rng_stream(11, "sampling", client=2, round_idx=9)
     sequential = np.array([rng.random() for _ in range(7)])
     assert np.array_equal(batch, sequential)
+
+
+_U64_MAX = 2**64 - 1
+
+
+@pytest.mark.parametrize("purpose", sorted(PURPOSES))
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 5, _U64_MAX])
+def test_stream_uniforms_equal_each_streams_first_draws(seed, purpose):
+    # An n that is not a multiple of 4 leaves unused words at the end of the
+    # last Philox block of every row.
+    clients = [0, 1, 7, 2**32, 2**63, _U64_MAX, 5]
+    rounds = [0, _U64_MAX, 3, 2**32 + 1, 9, _U64_MAX, 2**63]
+    for n in (1, 3, 4, 5, 10, 30):
+        got = stream_uniforms(seed, purpose, clients, rounds, n)
+        want = np.stack([rng_stream(seed, purpose, c, r).random(n) for c, r in zip(clients, rounds)])
+        assert got.shape == want.shape == (len(clients), n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_stream_uniforms_of_an_empty_batch():
+    got = stream_uniforms(3, "gradient-noise", [], [], 5)
+    assert got.shape == (0, 5) and got.dtype == np.float64
+
+
+def test_stream_uniforms_key_checks():
+    with pytest.raises(ValueError):
+        stream_uniforms(0, "no-such-purpose", [0], [0], 1)
+    with pytest.raises(ValueError):
+        stream_uniforms(1 << 64, "sampling", [0], [0], 1)
+    with pytest.raises(ValueError):
+        stream_uniforms(0, "sampling", [0, 1], [0], 1)
+
+
+def test_cursor_hands_out_a_row_as_its_generator_would():
+    row = stream_uniforms(4, "gradient-noise", [2], [6], 9)[0]
+    cursor, rng = UniformCursor(row), rng_stream(4, "gradient-noise", 2, 6)
+    for size in (None, 3, None, 0, 4):
+        got, want = cursor.random(size), rng.random(size)
+        assert type(got) is type(want)
+        assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+    # an array handed out is the caller's, not a view of the row
+    cursor = UniformCursor(row)
+    cursor.random(2)[:] = 0.0
+    assert np.array_equal(UniformCursor(row).random(2), row[:2])
+
+
+def test_cursor_raises_instead_of_reading_past_its_row():
+    row = stream_uniforms(0, "gradient-noise", [0, 1], [0, 0], 3)[0]
+    cursor = UniformCursor(row)
+    cursor.random(2)
+    with pytest.raises(RuntimeError, match="draws more than its declared `draws`"):
+        cursor.random(2)
+    cursor.random()
+    with pytest.raises(RuntimeError):
+        cursor.random()
 
 
 def test_stream_key_range_checks():

@@ -311,3 +311,21 @@ def test_logistic_oracle_matches_reference_math():
                 if l2:
                     expected.add("-0.0 product and -0.0 penalty")
                 assert expected <= reached
+
+
+@pytest.mark.parametrize("build, draws", [
+    (lambda: SyntheticHard(sigma=0.0), 1),
+    (lambda: SyntheticHard(sigma=1.0), 1),
+    (lambda: Quadratic(np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 4.0]]), sigma=0.0), 3),
+    (lambda: Quadratic(np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 4.0]]), sigma=0.5), 3),
+    (lambda: _tiny_logistic(minibatch=1), 1),
+    (lambda: _tiny_logistic(l2=0.1, minibatch=3), 3),
+], ids=["synthetic-sigma0", "synthetic", "quadratic-sigma0", "quadratic", "logistic", "logistic-minibatch3"])
+def test_each_call_consumes_exactly_its_declared_draws(build, draws):
+    # The run loop hands each client-round exactly local_steps * draws
+    # uniforms, so an oracle must take exactly `draws` per call.
+    obj = build()
+    assert obj.draws == draws
+    rng = rng_stream(6, "gradient-noise", 1, 4)
+    obj.stoch_grad_local(1, np.full(obj.dim, 0.3), rng)
+    assert rng.random() == rng_stream(6, "gradient-noise", 1, 4).random(draws + 1)[-1]

@@ -63,3 +63,37 @@ def test_package_imports_scipy_only_inside_functions():
     assert modules
     found = [entry for path in modules for entry in scipy_imports(path)]
     assert not found, f"module-level scipy imports: {found}"
+
+
+def numpy_random_calls(path: Path) -> list[str]:
+    """Calls in `path` to anything reached through `numpy.random`, such as
+    `np.random.Philox(...)` or `np.random.Generator(...)`, and imports from it."""
+    tree = parse(path)
+    numpy_names = {alias.asname or alias.name for node in module_imports(tree)
+                   if isinstance(node, ast.Import) for alias in node.names if alias.name == "numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            if any(name.startswith("numpy.random") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            while isinstance(func, ast.Attribute) and func.attr != "random":
+                func = func.value
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id in numpy_names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_core_constructs_bit_generators():
+    """Every random value is addressed by (seed, purpose, client, round,
+    step): streams come from `core.rng_stream` and `core.stream_uniforms`,
+    so no other module builds a numpy Philox or Generator, or reaches the
+    global numpy.random state."""
+    modules = sorted(SRC.glob("*.py"))
+    assert "core.py" in {path.name for path in modules}
+    assert numpy_random_calls(SRC / "core.py"), "the check no longer sees core's own streams"
+    found = [entry for path in modules if path.name != "core.py" for entry in numpy_random_calls(path)]
+    assert not found, f"numpy.random used outside core.py: {found}"
