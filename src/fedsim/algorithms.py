@@ -16,12 +16,12 @@ average a single round's gradient mean.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CV_ALGORITHMS, WINDOW_ALGORITHMS, ConfigError, RunConfig, UniformCursor,
-                   rng_stream, stream_uniforms)
+from .core import CV_ALGORITHMS, WINDOW_ALGORITHMS, ConfigError, RunConfig, rng_stream, stream_uniforms
 from .objectives import Objective
 from .participation import Scheduler
 
@@ -58,25 +58,27 @@ def control_variate_init(mode: str, objective: Objective, x0: np.ndarray, seed: 
 
     warm_start draws local_steps stochastic gradients per client at x0 and
     averages them, so with zero noise each client starts at its exact local
-    gradient. zero leaves everything at 0.
+    gradient. Draw k of client i reads uniforms k*draws to (k+1)*draws - 1
+    of the "init" stream (seed, i, 0). zero leaves everything at 0.
     """
     cv = ControlVariates.zeros(objective.n_clients, objective.dim)
     if mode == "zero":
         return cv
     if mode != "warm_start":
         raise ValueError(f"unknown cv_init mode: {mode!r}")
+    d = objective.draws
     for i in range(objective.n_clients):
-        rng = rng_stream(seed, "init", i, 0)
+        uniforms = rng_stream(seed, "init", i, 0).random(local_steps * d).tolist()
         total = np.zeros(objective.dim)
-        for _ in range(local_steps):
-            total += objective.stoch_grad_local(i, x0, rng)
+        for k in range(local_steps):
+            total += objective.stoch_grad_local(i, x0, uniforms[k * d:(k + 1) * d])
         cv.per_client[i] = total / local_steps
     cv.global_cv = cv.per_client.mean(axis=0)
     return cv
 
 
 def client_local_update(objective: Objective, client: int, start: np.ndarray,
-                        local_steps: int, eta: float, rng: np.random.Generator,
+                        local_steps: int, eta: float, uniforms: Sequence[float],
                         correction: np.ndarray | None = None,
                         mu: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Run one client's local steps from `start`.
@@ -86,6 +88,11 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     Returns the endpoint and the sum of raw (uncorrected) stochastic
     gradients, which feeds control-variate refreshes.
 
+    `uniforms` holds the client-round's `local_steps * draws` uniforms, and
+    step k's oracle call gets `uniforms[k*draws:(k+1)*draws]`, so each
+    step's noise is fixed by its position whatever the other steps read.
+    A sequence of any other length raises ValueError.
+
     Each step is written into the oracle's fresh gradient and the private
     copy of the start, in the order `x - eta * (g + correction + prox)`
     evaluates, so the bits equal that formula's; `start` and `correction`
@@ -93,10 +100,14 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     """
     if local_steps < 1:
         raise ValueError("local_steps must be >= 1.")
+    d = objective.draws
+    if len(uniforms) != local_steps * d:
+        raise ValueError(f"{local_steps} local steps of {d} draws need {local_steps * d}"
+                         f" uniforms, got {len(uniforms)}.")
     x = np.array(start, dtype=float)
     grad_sum = np.zeros_like(x)
-    for _ in range(local_steps):
-        g = objective.stoch_grad_local(client, x, rng)
+    for k in range(local_steps):
+        g = objective.stoch_grad_local(client, x, uniforms[k * d:(k + 1) * d])
         grad_sum += g
         if correction is not None:
             g += correction
@@ -114,12 +125,12 @@ class Simulation:
     `model` whenever a metric evaluation is wanted. Reading the model never
     touches any training randomness.
 
-    Client i's local steps in round r read the "gradient-noise" stream
-    (seed, i, r). When r falls outside the rounds held, one
-    `stream_uniforms` call computes the `local_steps * draws` uniforms of
-    every client for the next chunk of rounds, so a round costs no stream
-    construction; each sampled client reads its row through a
-    `UniformCursor`.
+    Client i's local steps in round r read the first `local_steps * draws`
+    uniforms of the "gradient-noise" stream (seed, i, r). When r falls
+    outside the rounds held, one `stream_uniforms` call computes them for
+    every client over the next chunk of rounds, so a round costs no stream
+    construction; each sampled client's row goes to `client_local_update`
+    as a list.
     """
 
     def __init__(self, objective: Objective, scheduler: Scheduler, cfg: RunConfig):
@@ -171,12 +182,14 @@ class Simulation:
     def _client_work(self, client: int, r: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= r - self._noise_start < len(self._noise):
             self._fill_noise(r)
-        rng = UniformCursor(self._noise[r - self._noise_start, client])
+        # Python floats are the same doubles and much cheaper to hand out
+        # one at a time; one row at a time keeps the chunk's lists small.
+        uniforms = self._noise[r - self._noise_start, client].tolist()
         correction = None
         if self.uses_cv:
             correction = self.cv.global_cv - self.cv.per_client[client]
         return client_local_update(self.objective, client, self.w_inner,
-                                   self.local_steps, self.eta, rng, correction, self.mu)
+                                   self.local_steps, self.eta, uniforms, correction, self.mu)
 
     def run_round(self, r: int) -> None:
         sampled = self.scheduler.sample_round(r, self.seed)

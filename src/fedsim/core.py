@@ -6,9 +6,10 @@ execution order over clients and rounds reproduces the same numerics bit
 for bit. `rng_stream` opens one (seed, purpose, client, round) stream as a
 numpy Generator. `stream_uniforms` computes the first n uniforms of many
 such streams in one vectorized Philox pass, bit for bit equal to the
-Generators', and `UniformCursor` hands one of those rows out as its
-Generator would. The run loop reads its gradient noise that way, one
-chunk of rounds for every client at a time.
+Generators'. The run loop computes its gradient noise that way, one chunk
+of rounds for every client at a time. A stochastic gradient oracle never
+opens a stream: it is handed its uniforms by position, and
+`gaussian_from` and `gaussians_from` map given uniforms to normal draws.
 
 Configuration is a flat key = value text format with one key per line and
 # comments.
@@ -17,7 +18,9 @@ Configuration is a flat key = value text format with one key per line and
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,38 +136,6 @@ def stream_uniforms(seed: int, purpose: str, clients, rounds, n: int) -> np.ndar
     return (words >> np.uint64(11)) * 2.0 ** -53
 
 
-class UniformCursor:
-    """One row of `stream_uniforms`, handed out as its Generator would.
-
-    `random()` returns the next uniform as a float and `random(n)` the next
-    n as a new array: the values `rng_stream(...).random` returns for the
-    same calls. Reading past the row raises, so an objective that draws
-    more than its declared `draws` fails instead of reading the uniforms of
-    the next stream in the chunk.
-    """
-
-    __slots__ = ("_row", "_values", "_pos")
-
-    def __init__(self, row: np.ndarray):
-        self._row = row
-        # Python floats are the same doubles and much cheaper to hand out
-        # one at a time.
-        self._values = row.tolist()
-        self._pos = 0
-
-    def random(self, size: int | None = None):
-        pos = self._pos
-        end = pos + (1 if size is None else size)
-        if end > len(self._values):
-            raise RuntimeError(f"a stream of {len(self._values)} uniforms was asked for"
-                               f" uniforms {pos} to {end - 1}; the objective draws more"
-                               " than its declared `draws` per call.")
-        self._pos = end
-        if size is None:
-            return self._values[pos]
-        return self._row[pos:end].copy()
-
-
 # scipy.special.ndtri, the inverse normal CDF, bound on the first Gaussian
 # draw: importing scipy.special costs more than the rest of `import fedsim`,
 # and commands that draw no Gaussian (`fedsim verify` among them) never pay
@@ -179,23 +150,21 @@ def _load_ndtri():
     return ndtri
 
 
-def gaussians_from(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
-    """n draws from N(0, sigma^2) using the given stream; sigma=0 gives exact zeros."""
+def gaussians_from(u: Sequence[float], sigma: float) -> np.ndarray:
+    """Map the uniforms `u` to draws from N(0, sigma^2), one each; sigma=0
+    gives exact zeros."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0.")
     if sigma == 0:
-        rng.random(n)
-        return np.zeros(n)
-    u = np.maximum(rng.random(n), _MIN_UNIFORM)
-    return sigma * (_ndtri or _load_ndtri())(u)
+        return np.zeros(len(u))
+    return sigma * (_ndtri or _load_ndtri())(np.maximum(u, _MIN_UNIFORM))
 
 
-def gaussian_from(rng: np.random.Generator, sigma: float) -> float:
-    """One draw from N(0, sigma^2), equal to `gaussians_from(rng, 1, sigma)[0]`;
-    sigma=0 gives 0.0 and still consumes the uniform."""
+def gaussian_from(u: float, sigma: float) -> float:
+    """Map one uniform to a draw from N(0, sigma^2), equal to
+    `gaussians_from([u], sigma)[0]`; sigma=0 gives 0.0."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0.")
-    u = rng.random()
     if sigma == 0:
         return 0.0
     return sigma * float((_ndtri or _load_ndtri())(max(u, _MIN_UNIFORM)))
@@ -305,14 +274,17 @@ def apply_overrides(values: dict[str, str], overrides: list[str]) -> dict[str, s
 
 def _coerce(key: str, value: str):
     kind = _FIELD_TYPES[key]
+    if kind == "str":
+        return value
     try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
+        number = int(value) if kind == "int" else float(value)
     except ValueError:
         raise ConfigError(f"config key {key!r}: cannot parse {value!r} as {kind}") from None
-    return value
+    # NaN passes every range check, so only target_value, whose NaN default
+    # means "no target", may be non-finite.
+    if kind == "float" and key != "target_value" and not math.isfinite(number):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+    return number
 
 
 def build_run_config(values: dict[str, str]) -> RunConfig:

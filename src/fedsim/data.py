@@ -121,7 +121,7 @@ def make_blobs(n_samples: int, n_classes: int, n_features: int, seed: int,
         corners.append(bits)
     centers = _BLOB_LOW + (_BLOB_HIGH - _BLOB_LOW) * np.array(corners, dtype=float)
     labels = np.arange(n_samples, dtype=np.int64) % n_classes
-    noise = gaussians_from(rng, n_samples * n_features, _BLOB_NOISE).reshape(n_samples, n_features)
+    noise = gaussians_from(rng.random(n_samples * n_features), _BLOB_NOISE).reshape(n_samples, n_features)
     pixels = np.clip(np.rint(centers[labels] + noise), 0, 255)
     return pixels / 255.0, labels
 

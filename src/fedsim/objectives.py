@@ -8,6 +8,8 @@ regression over per-client datasets.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .core import gaussian_from, gaussians_from
@@ -16,7 +18,7 @@ from .core import gaussian_from, gaussians_from
 class Objective:
     """Oracle interface for the per-client losses f_i and their average f.
 
-    `draws` is the number of uniforms one `stoch_grad_local` call consumes.
+    `draws` is the number of uniforms one `stoch_grad_local` call reads.
     """
 
     dim: int
@@ -29,14 +31,12 @@ class Objective:
     def grad_local(self, client: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def stoch_grad_local(self, client: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One stochastic gradient draw; consumes exactly `draws` uniforms.
+    def stoch_grad_local(self, client: int, x: np.ndarray, u: Sequence[float]) -> np.ndarray:
+        """One stochastic gradient draw from the uniforms `u`.
 
-        `rng` is read only through `rng.random(size=None)`: no size gives one
-        float and an int size that many as an array, as from a numpy
-        Generator. The run loop passes a `core.UniformCursor` over the
-        call's stream, which holds exactly `local_steps * draws` uniforms
-        and raises when asked for more.
+        `u` is a sequence of exactly `draws` floats in [0, 1), the uniforms
+        the caller addressed to this call; the oracle reads them by position
+        and never opens a stream, so reading `u[draws]` raises IndexError.
 
         Returns a new array that shares memory with nothing else, so the
         caller may overwrite it (the local step does, in place).
@@ -119,9 +119,9 @@ class SyntheticHard(Objective):
         return np.array([self.mu_pl * (x0 - self.c), self.h * (x1 - self._x2_star), g2,
                          self.kappa if client == 0 else -self.kappa])
 
-    def stoch_grad_local(self, client: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def stoch_grad_local(self, client: int, x: np.ndarray, u: Sequence[float]) -> np.ndarray:
         g = self.grad_local(client, x)
-        g[2] += gaussian_from(rng, self.sigma)
+        g[2] += gaussian_from(u[0], self.sigma)
         return g
 
 
@@ -150,8 +150,8 @@ class Quadratic(Objective):
         x = self._check_x(x)
         return x - self.centers[client]
 
-    def stoch_grad_local(self, client: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.grad_local(client, x) + gaussians_from(rng, self.dim, self.sigma)
+    def stoch_grad_local(self, client: int, x: np.ndarray, u: Sequence[float]) -> np.ndarray:
+        return self.grad_local(client, x) + gaussians_from(u, self.sigma)
 
 
 class Logistic(Objective):
@@ -269,7 +269,7 @@ class Logistic(Objective):
         self._check_client(client)
         return self._grad(self._weights(x), self._features[client], self._onehot[client])
 
-    def stoch_grad_local(self, client: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def stoch_grad_local(self, client: int, x: np.ndarray, u: Sequence[float]) -> np.ndarray:
         self._check_client(client)
         w = self._weights(x)
         labels = self._labels[client]
@@ -277,10 +277,10 @@ class Logistic(Objective):
         # int() truncates like a cast to int64, as 0 <= u * n < 2**53; min()
         # catches u * n rounding up to n. Plain lists skip small-array costs.
         if self.minibatch > 1:
-            idx = [min(int(u * n), n - 1) for u in rng.random(self.minibatch).tolist()]
+            idx = [min(int(v * n), n - 1) for v in u]
             return self._grad(w, self._features[client].take(idx, axis=0),
                               self._onehot[client].take(idx, axis=0))
-        i = min(int(rng.random() * n), n - 1)
+        i = min(int(u[0] * n), n - 1)
         f = self._features[client][i]
         logits = w @ f
         shifted = logits - np.maximum.reduce(logits)

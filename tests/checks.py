@@ -54,7 +54,7 @@ def grad_check(objective: Objective, n_points: int = 50, h: float = 1e-5,
     rng = rng_stream(seed, "init", 0, 1)
     worst = 0.0
     for point in range(n_points):
-        x = gaussians_from(rng, objective.dim, 1.0)
+        x = gaussians_from(rng.random(objective.dim), 1.0)
         client = point % objective.n_clients
         analytic = objective.grad_local(client, x)
         fd = np.empty_like(analytic)

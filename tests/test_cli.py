@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from fedsim.participation import (
     RegularizedScheduler,
     ScaScheduler,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 QUAD_CFG = """\
 # small deterministic run
@@ -132,6 +135,24 @@ def test_run_bad_inputs_exit_2(tmp_path, capsys):
     rc = main(["run", "--config", incomplete, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "missing required" in capsys.readouterr().err
+
+
+# NaN passes every range check, so each of these ran to exit 0 (eta and h
+# diverging silently) until non-finite values were rejected at parsing.
+@pytest.mark.parametrize("key, value", [("mu", "nan"), ("eta", "nan"), ("h", "nan"), ("gamma", "inf")])
+def test_run_rejects_a_non_finite_value_by_name(tmp_path, capsys, key, value):
+    rc = main(["run", "--config", str(CONFIGS / "synthetic_amp_scaffold.cfg"), "--override", "rounds=40",
+               "--override", f"{key}={value}", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: config key {key!r} must be finite, got {value!r}\n"
+
+
+def test_run_accepts_a_nan_target_value(tmp_path, capsys):
+    # target_value's NaN default means "no target".
+    cfg = _write(tmp_path, "run.cfg", QUAD_CFG)
+    assert main(["run", "--config", cfg, "--override", "target_value=nan",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert "rounds_to_target" not in capsys.readouterr().out
 
 
 # One bad objective or data key per case and the key its error names (None:

@@ -1,4 +1,5 @@
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -8,6 +9,28 @@ from fedsim.data import make_blobs, partition_by_similarity
 from fedsim.objectives import Logistic, Quadratic, SyntheticHard
 
 X2_STAR = math.sqrt(2.0) / 4.0
+
+
+class Recording(Sequence):
+    """Uniforms handed to an oracle that remember which positions it read;
+    reading past the end raises IndexError, as a list does."""
+
+    def __init__(self, values):
+        self._values = list(values)
+        self.read = set()
+
+    def __len__(self):
+        return len(self._values)
+
+    def __getitem__(self, k):
+        value = self._values[k]
+        positions = range(len(self._values))
+        self.read.update(positions[k] if isinstance(k, slice) else [positions[k]])
+        return value
+
+    def __iter__(self):
+        self.read.update(range(len(self._values)))
+        return iter(self._values)
 
 
 def test_synthetic_values_at_origin():
@@ -53,12 +76,12 @@ def test_synthetic_opposite_linear_slopes():
 def test_synthetic_noise_only_on_third_coordinate():
     obj = SyntheticHard(sigma=1.0)
     x = np.array([0.3, -0.2, 0.7, 0.1])
-    g = obj.stoch_grad_local(0, x, rng_stream(1, "gradient-noise"))
+    g = obj.stoch_grad_local(0, x, rng_stream(1, "gradient-noise").random(1))
     exact = obj.grad_local(0, x)
     assert np.array_equal(g[[0, 1, 3]], exact[[0, 1, 3]])
     assert g[2] != exact[2]
     quiet = SyntheticHard(sigma=0.0)
-    g0 = quiet.stoch_grad_local(0, x, rng_stream(1, "gradient-noise"))
+    g0 = quiet.stoch_grad_local(0, x, rng_stream(1, "gradient-noise").random(1))
     assert np.array_equal(g0, quiet.grad_local(0, x))
 
 
@@ -74,7 +97,7 @@ def test_synthetic_stoch_grad_is_unbiased():
     obj = SyntheticHard(sigma=1.0)
     x = np.array([0.5, 0.5, -0.5, 0.0])
     rng = rng_stream(9, "gradient-noise")
-    draws = np.stack([obj.stoch_grad_local(1, x, rng) for _ in range(4000)])
+    draws = np.stack([obj.stoch_grad_local(1, x, rng.random(1)) for _ in range(4000)])
     np.testing.assert_allclose(draws.mean(axis=0), obj.grad_local(1, x), atol=4.0 / math.sqrt(4000))
 
 
@@ -101,27 +124,25 @@ def test_synthetic_oracle_matches_reference_math(params, sigma):
                 x = np.array([*head, x2, 1.1])
                 assert obj.grad_local(client, x).tobytes() == _reference_synthetic_grad(obj, client, x).tobytes()
                 rng = rng_stream(4, "gradient-noise", client, 11)
-                twin = rng_stream(4, "gradient-noise", client, 11)
-                by_hand = rng_stream(4, "gradient-noise", client, 11)
                 for _ in range(3):
+                    u = rng.random(1)
                     want = _reference_synthetic_grad(obj, client, x)
-                    want[2] += gaussians_from(twin, 1, obj.sigma)[0]
-                    assert obj.stoch_grad_local(client, x, rng).tobytes() == want.tobytes()
-                    by_hand.random()
-                # each draw consumed exactly one uniform
-                assert rng.random() == by_hand.random()
+                    want[2] += gaussians_from(u, obj.sigma)[0]
+                    recorded = Recording(u)
+                    assert obj.stoch_grad_local(client, x, recorded).tobytes() == want.tobytes()
+                    # each draw read exactly its one uniform
+                    assert recorded.read == {0}
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 3.0])
 def test_gaussian_from_equals_one_batched_draw(sigma):
-    one, batch = rng_stream(9, "gradient-noise", 1, 2), rng_stream(9, "gradient-noise", 1, 2)
-    for _ in range(50):
-        value = gaussian_from(one, sigma)
+    u = rng_stream(9, "gradient-noise", 1, 2).random(50)
+    for k, v in enumerate(u.tolist()):
+        value = gaussian_from(v, sigma)
         assert isinstance(value, float)
-        assert np.float64(value).tobytes() == gaussians_from(batch, 1, sigma)[0].tobytes()
-    assert one.random() == batch.random()
+        assert np.float64(value).tobytes() == gaussians_from(u[k:k + 1], sigma)[0].tobytes()
     with pytest.raises(ValueError, match="sigma"):
-        gaussian_from(one, -0.5)
+        gaussian_from(u[0], -0.5)
 
 
 def test_quadratic_closed_form():
@@ -160,7 +181,7 @@ def test_logistic_single_sample_stoch_grad_equals_full_grad():
     labels = np.array([1])
     obj = Logistic([(feats, labels)], num_classes=3)
     x = rng_stream(2, "init").random(obj.dim)
-    g = obj.stoch_grad_local(0, x, rng_stream(3, "gradient-noise"))
+    g = obj.stoch_grad_local(0, x, rng_stream(3, "gradient-noise").random(1))
     np.testing.assert_allclose(g, obj.grad_local(0, x), atol=1e-15)
 
 
@@ -234,7 +255,7 @@ def test_logistic_minibatch_indices_stay_in_range():
     obj = _tiny_logistic(minibatch=64)
     x = np.zeros(obj.dim)
     for trial in range(50):
-        g = obj.stoch_grad_local(0, x, rng_stream(trial, "gradient-noise"))
+        g = obj.stoch_grad_local(0, x, rng_stream(trial, "gradient-noise").random(64))
         assert np.all(np.isfinite(g))
 
 
@@ -255,7 +276,7 @@ def _reference_loss_and_grad(w, feats, labels):
 
 def test_logistic_oracle_matches_reference_math():
     """Every oracle output equals the reference math bit for bit, and each
-    stochastic gradient consumes exactly `minibatch` uniforms.
+    stochastic gradient reads exactly its `minibatch` uniforms.
 
     Saturating scales drive probabilities to exactly 0.0, and all-zero
     feature rows make -0.0 products in the one-sample outer product, where
@@ -288,14 +309,14 @@ def test_logistic_oracle_matches_reference_math():
                 assert obj.eval_local(client, x) == loss + penalty
                 assert obj.grad_local(client, x).tobytes() == (grad + penalty_grad).ravel().tobytes()
 
-                rng = rng_stream(trial, "gradient-noise", minibatch)
-                twin = rng_stream(trial, "gradient-noise", minibatch)
-                got = obj.stoch_grad_local(client, x, rng)
+                u = rng_stream(trial, "gradient-noise", minibatch).random(minibatch)
+                recorded = Recording(u)
+                got = obj.stoch_grad_local(client, x, recorded)
                 n = len(ys)
-                idx = np.minimum((twin.random(minibatch) * n).astype(np.int64), n - 1)
+                idx = np.minimum((u * n).astype(np.int64), n - 1)
                 _, grad, probs, delta = _reference_loss_and_grad(w, feats[idx], ys[idx])
                 assert got.tobytes() == (grad + penalty_grad).ravel().tobytes()
-                assert rng.random() == twin.random()
+                assert recorded.read == set(range(minibatch))
 
                 if minibatch == 1:
                     product = np.multiply.outer(delta[0], feats[idx[0]])
@@ -322,10 +343,13 @@ def test_logistic_oracle_matches_reference_math():
     (lambda: _tiny_logistic(l2=0.1, minibatch=3), 3),
 ], ids=["synthetic-sigma0", "synthetic", "quadratic-sigma0", "quadratic", "logistic", "logistic-minibatch3"])
 def test_each_call_consumes_exactly_its_declared_draws(build, draws):
-    # The run loop hands each client-round exactly local_steps * draws
-    # uniforms, so an oracle must take exactly `draws` per call.
+    # The run loop hands each step exactly `draws` uniforms by position, so
+    # an oracle reads only u[:draws]: past the end the sequence raises. An
+    # oracle with noise reads all of them; a noiseless quadratic needs none.
     obj = build()
     assert obj.draws == draws
-    rng = rng_stream(6, "gradient-noise", 1, 4)
-    obj.stoch_grad_local(1, np.full(obj.dim, 0.3), rng)
-    assert rng.random() == rng_stream(6, "gradient-noise", 1, 4).random(draws + 1)[-1]
+    u = Recording(rng_stream(6, "gradient-noise", 1, 4).random(draws))
+    obj.stoch_grad_local(1, np.full(obj.dim, 0.3), u)
+    assert u.read <= set(range(draws))
+    if getattr(obj, "sigma", 1.0) > 0:
+        assert u.read == set(range(draws))

@@ -97,3 +97,33 @@ def test_only_core_constructs_bit_generators():
     assert numpy_random_calls(SRC / "core.py"), "the check no longer sees core's own streams"
     found = [entry for path in modules if path.name != "core.py" for entry in numpy_random_calls(path)]
     assert not found, f"numpy.random used outside core.py: {found}"
+
+
+STREAM_CONSTRUCTORS = {"rng_stream", "stream_uniforms"}
+
+
+def stream_constructor_uses(path: Path) -> list[str]:
+    """Imports of a stream constructor in `path`, at any level, and any
+    other reference to one by name or attribute, such as `core.rng_stream`."""
+    found = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.Name):
+            names = {node.id}
+        else:
+            continue
+        if names & STREAM_CONSTRUCTORS:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_oracles_read_only_the_uniforms_they_are_handed():
+    """A stochastic gradient oracle gets its step's uniforms by position;
+    one that opened a stream of its own would draw noise no (seed, purpose,
+    client, round, step) address accounts for."""
+    assert stream_constructor_uses(SRC / "algorithms.py"), "the check no longer sees the run loop's streams"
+    found = stream_constructor_uses(SRC / "objectives.py")
+    assert not found, f"objectives.py reaches a stream constructor: {found}"
