@@ -139,7 +139,6 @@ class Simulation:
                               f" objective has {objective.n_clients} clients.")
         self.objective = objective
         self.scheduler = scheduler
-        self.algorithm = cfg.algorithm
         self.eta = cfg.eta
         self.mu = cfg.mu if cfg.algorithm == "fedprox" else 0.0
         self.local_steps = cfg.local_steps

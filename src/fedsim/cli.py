@@ -19,7 +19,6 @@ from dataclasses import replace
 
 from .core import (
     ConfigError,
-    PATTERNS,
     RunConfig,
     apply_overrides,
     build_run_config,
@@ -27,11 +26,11 @@ from .core import (
     parse_config_text,
     parse_experiment_text,
 )
-from .data import _atomic_write, label_histogram, partition_by_similarity, save_idx
+from .data import _atomic_write, label_histogram, save_idx
 from .diagnostics import assumption_suite, checks_to_csv_rows, format_report
-from .harness import (best_cell, blob_datasets, check_objective_keys, load_dataset, rounds_to_target,
-                      run_grid, run_once, write_grid_csv, write_run_csv)
-from .participation import make_scheduler
+from .harness import (best_cell, blob_datasets, build_objective, rounds_to_target, run_grid, run_once,
+                      write_grid_csv, write_run_csv)
+from .participation import PATTERNS, make_scheduler
 
 
 def _load_values(args: argparse.Namespace) -> dict[str, str]:
@@ -100,8 +99,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ConfigError("trials must be >= 1.")
     scheduler = make_scheduler(RunConfig(
         n_clients=args.n, pattern=args.pattern, s_clients=args.s, k_bar=args.k_bar,
         avail_rounds_g=args.g, window_p=args.window_p, p_active=args.p_active,
@@ -119,16 +116,14 @@ def cmd_partition_report(args: argparse.Namespace) -> int:
     cfg = build_run_config(values)
     if cfg.objective != "logistic":
         raise ConfigError("partition-report needs a config with objective = logistic.")
-    check_objective_keys(cfg)
-    train, _ = load_dataset(cfg)
-    shards = partition_by_similarity(train[0], train[1], cfg.n_clients, cfg.similarity, cfg.seed)
-    rows = label_histogram(shards)
+    labels = build_objective(cfg).labels
+    rows = label_histogram(labels)
     path = _out_path(args, "partition.csv")
     lines = ["client,label,count"] + [f"{c},{label},{n}" for c, label, n in rows]
     _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
-    sizes = [len(labels) for _, labels in shards]
-    print(f"partition: {cfg.n_clients} clients, {len(train[1])} samples,"
+    sizes = [len(shard) for shard in labels]
+    print(f"partition: {cfg.n_clients} clients, {sum(sizes)} samples,"
           f" similarity={format_value(cfg.similarity)}")
     print(f"shard sizes: min={min(sizes)} max={max(sizes)}")
     print(f"wrote {path}")

@@ -31,8 +31,6 @@ ALGORITHMS = ("fedavg", "fedprox", "scaffold", "amp_fedavg", "amp_scaffold")
 # participation window.
 CV_ALGORITHMS = ("scaffold", "amp_scaffold")
 WINDOW_ALGORITHMS = ("amp_fedavg", "amp_scaffold")
-PATTERNS = ("iid", "cyclic", "grouped_cyclic", "regularized", "sca")
-OBJECTIVES = ("synthetic_hard", "quadratic", "logistic")
 CV_INIT_MODES = ("warm_start", "zero")
 
 PURPOSES = {"gradient-noise": 0, "sampling": 1, "partition": 2, "init": 3}

@@ -173,10 +173,11 @@ def partition_by_similarity(features: np.ndarray, labels: np.ndarray, n_clients:
     return [(features[idx], labels[idx]) for idx in shards]
 
 
-def label_histogram(shards: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[int, int, int]]:
-    """(client, label, count) rows for every label present in each shard."""
+def label_histogram(labels: list[np.ndarray]) -> list[tuple[int, int, int]]:
+    """(client, label, count) rows for every label present in each client's
+    label array `labels[client]`."""
     rows = []
-    for client, (_, labels) in enumerate(shards):
-        values, counts = np.unique(labels, return_counts=True)
+    for client, shard in enumerate(labels):
+        values, counts = np.unique(shard, return_counts=True)
         rows.extend((client, int(v), int(c)) for v, c in zip(values, counts))
     return rows

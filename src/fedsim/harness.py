@@ -53,19 +53,15 @@ _OBJECTIVES = {
     "logistic": ("l2", "minibatch", "dataset", "similarity", *_DATASET_KEYS),
 }
 _OBJECTIVE_KEYS = tuple(dict.fromkeys(key for keys in _OBJECTIVES.values() for key in keys))
-
-
-def check_objective_keys(cfg: RunConfig) -> None:
-    """Reject an unknown objective, and any objective or data key that the
-    objective never reads. `build_objective` and `fedsim partition-report`
-    both check this way."""
-    if cfg.objective not in _OBJECTIVES:
-        raise ConfigError(f"unknown objective: {cfg.objective!r}")
-    reject_unread(cfg, f"objective {cfg.objective}", _OBJECTIVES[cfg.objective], _OBJECTIVE_KEYS)
+OBJECTIVES = tuple(_OBJECTIVES)
 
 
 def build_objective(cfg: RunConfig) -> Objective:
-    check_objective_keys(cfg)
+    """The objective `cfg` names, after rejecting an unknown objective and
+    any objective or data key that the objective never reads."""
+    if cfg.objective not in _OBJECTIVES:
+        raise ConfigError(f"unknown objective: {cfg.objective!r}")
+    reject_unread(cfg, f"objective {cfg.objective}", _OBJECTIVES[cfg.objective], _OBJECTIVE_KEYS)
     if cfg.objective == "synthetic_hard":
         return SyntheticHard(cfg.h, cfg.kappa, cfg.sigma, cfg.c, cfg.mu_pl)
     if cfg.objective == "quadratic":
@@ -202,20 +198,24 @@ def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
     Each run's seed comes from `spec.seeds`, so a `seed` key in the base
     config (from the file or an override) or in the grid is rejected
     rather than silently replaced.
+
+    Every (cell, seed) config is built, and so checked, before the first
+    run starts, so a bad cell fails before any run's time is spent. An
+    objective or data key is checked only when `run_once` builds that
+    cell's objective.
     """
     for key, where in (("seed", spec.base), ("grid.seed", spec.grid)):
         if "seed" in where:
             raise ConfigError(f"a grid takes its seeds from 'seeds' or --seed, not from {key}.")
+    cells = spec.cells()
+    configs = [[build_run_config({**spec.base, **cell, "seed": str(seed)}) for seed in spec.seeds]
+               for cell in cells]
     results = []
-    for cell_id, cell in enumerate(spec.cells()):
+    for cell_id, (cell, cell_configs) in enumerate(zip(cells, configs)):
         finals = []
         reached = []
         diverged = 0
-        for seed in spec.seeds:
-            values = dict(spec.base)
-            values.update(cell)
-            values["seed"] = str(seed)
-            cfg = build_run_config(values)
+        for cfg in cell_configs:
             record = run_once(cfg)
             finals.append(record.final_loss)
             diverged += int(record.diverged)

@@ -161,7 +161,8 @@ class Logistic(Objective):
     flat; the trailing column is a bias fed by a constant 1 feature. The
     optional l2 penalty applies to weights only, never the bias. Stochastic
     gradients average `minibatch` uniformly drawn local samples and include
-    the full penalty term.
+    the full penalty term. `labels[i]` holds client i's labels, which
+    `fedsim partition-report` counts.
 
     One helper, `_grad`, serves `grad_local` on the full shard and
     `stoch_grad_local` on the drawn rows when `minibatch > 1`. It subtracts
@@ -192,7 +193,7 @@ class Logistic(Objective):
         num_features = shards[0][0].shape[1]
         eye = np.eye(num_classes)
         self._features = []
-        self._labels = []
+        self.labels = []
         self._onehot = []
         for idx, (feats, labels) in enumerate(shards):
             labels = np.asarray(labels, dtype=int)
@@ -205,7 +206,7 @@ class Logistic(Objective):
             if labels.min() < 0 or labels.max() >= num_classes:
                 raise ValueError(f"client {idx} has labels outside [0, {num_classes}).")
             self._features.append(np.hstack([feats, np.ones((feats.shape[0], 1))]))
-            self._labels.append(labels)
+            self.labels.append(labels)
             self._onehot.append(eye[labels])
         self.num_classes = num_classes
         self.num_features = num_features
@@ -262,7 +263,7 @@ class Logistic(Objective):
         self._check_client(client)
         w = self._weights(x)
         logp = self._log_softmax(self._features[client] @ w.T)
-        labels = self._labels[client]
+        labels = self.labels[client]
         return -float(logp[np.arange(len(labels)), labels].mean()) + self._penalty(w)
 
     def grad_local(self, client: int, x: np.ndarray) -> np.ndarray:
@@ -272,12 +273,12 @@ class Logistic(Objective):
     def stoch_grad_local(self, client: int, x: np.ndarray, u: Sequence[float]) -> np.ndarray:
         self._check_client(client)
         w = self._weights(x)
-        labels = self._labels[client]
+        labels = self.labels[client]
         n = len(labels)
         # int() truncates like a cast to int64, as 0 <= u * n < 2**53; min()
         # catches u * n rounding up to n. Plain lists skip small-array costs.
         if self.minibatch > 1:
-            idx = [min(int(v * n), n - 1) for v in u]
+            idx = [min(int(u[k] * n), n - 1) for k in range(self.minibatch)]
             return self._grad(w, self._features[client].take(idx, axis=0),
                               self._onehot[client].take(idx, axis=0))
         i = min(int(u[0] * n), n - 1)

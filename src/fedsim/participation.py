@@ -160,6 +160,7 @@ _PATTERNS = {
     "sca": (ScaScheduler, ("k_bar", "s_clients", "avail_rounds_g", "p_active", "p_inactive")),
 }
 _PARTICIPATION_KEYS = tuple(dict.fromkeys(key for _, keys in _PATTERNS.values() for key in keys))
+PATTERNS = tuple(_PATTERNS)
 
 
 def make_scheduler(cfg: RunConfig) -> Scheduler:

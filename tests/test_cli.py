@@ -401,16 +401,22 @@ def test_partition_report_needs_logistic(tmp_path, capsys):
     assert "logistic" in capsys.readouterr().err
 
 
-def test_partition_report_rejects_an_objective_key_as_run_does(tmp_path, capsys):
-    # Both commands share one objective-key check: a logistic config that
-    # sets keys only synthetic_hard reads exits 2 with the same message.
+@pytest.mark.parametrize("overrides, message", [
+    (["sigma=-1", "h=0"], "objective logistic does not read h; leave it unset."),
+    (["l2=-1"], "l2 must be >= 0."),
+    (["minibatch=0"], "minibatch must be >= 1."),
+], ids=["unread_key", "l2", "minibatch"])
+def test_partition_report_rejects_an_objective_key_as_run_does(tmp_path, capsys, overrides, message):
+    # Both commands build the objective the same way: a logistic config that
+    # sets keys only synthetic_hard reads, or an objective key out of range,
+    # exits 2 with the same message.
     cfg = _write(tmp_path, "log.cfg", LOGISTIC_CFG)
+    flags = [arg for item in overrides for arg in ("--override", item)]
     results = []
     for command in ("run", "partition-report"):
-        rc = main([command, "--config", cfg, "--override", "sigma=-1", "--override", "h=0",
-                   "--out", str(tmp_path / command)])
+        rc = main([command, "--config", cfg, *flags, "--out", str(tmp_path / command)])
         results.append((rc, capsys.readouterr().err))
-    assert results[0] == results[1] == (2, "error: objective logistic does not read h; leave it unset.\n")
+    assert results[0] == results[1] == (2, f"error: {message}\n")
     assert not (tmp_path / "partition-report" / "partition.csv").exists()
 
 

@@ -126,6 +126,5 @@ def test_partition_by_similarity_groups_features_with_labels():
 
 
 def test_label_histogram_counts():
-    shards = [(np.zeros((3, 1)), np.array([0, 0, 2])), (np.zeros((1, 1)), np.array([1]))]
-    rows = label_histogram(shards)
+    rows = label_histogram([np.array([0, 0, 2]), np.array([1])])
     assert rows == [(0, 0, 2), (0, 2, 1), (1, 1, 1)]

@@ -3,9 +3,9 @@
 
 Every synthetic config runs at full length, every desk config for 40
 rounds (two 20-round windows), the grid for 960 rounds (two 480-round
-windows), the two benchmark verify cases at 200 trials, and one small
-verify case per pattern (12 clients, 300 trials): about 15 s on a 2-CPU
-host. A refactor must keep every digest. A deliberate change to the
+windows), the desk_fedavg client shards go through `partition-report`,
+the two benchmark verify cases run at 200 trials, and one small verify
+case per pattern (12 clients, 300 trials): about 15 s on a 2-CPU host. A refactor must keep every digest. A deliberate change to the
 numerics re-records the digests it moves, in the same change, with the
 reason.
 """
@@ -30,6 +30,8 @@ CASES = {
               "run.csv") for name in DESK},
     "grid_synthetic_scaffold": (["grid", "--config", str(CONFIGS / "grid_synthetic_scaffold.cfg"),
                                  "--override", "rounds=960"], "grid.csv"),
+    "partition_desk_fedavg": (["partition-report", "--config", str(CONFIGS / "desk_fedavg.cfg")],
+                              "partition.csv"),
     "verify_cyclic": (["verify", "--pattern", "cyclic", "--n", "250", "--k-bar", "5", "--s", "10",
                        "--trials", "200", "--seed", "0"], "verify.csv"),
     "verify_sca": (["verify", "--pattern", "sca", "--n", "100", "--k-bar", "5", "--s", "10",
@@ -60,6 +62,8 @@ EXPECTED = {
     "desk_fedprox": (0, "86be72137e61827a2c632648046bedb05d420d8d6774c40ec3a343be33253120"),
     "desk_scaffold": (0, "5b60215daeac06ac9c91deb5d211f58baa6968f721b0bb80819ae314afdaadb4"),
     "grid_synthetic_scaffold": (0, "dcbc8ae6b61e80c64aef67fd720144894a349e47b64172351e5a54244c0135df"),
+    "partition_desk_fedavg": (
+        0, "2eb3c9678aee0bc63d6d6970874e1c899de4fd2adbcb2e30ab9b10df08abeab4"),
     "verify_cyclic": (0, "7ad63c78030043398ed55e0119207157e2d32306e9b4c5ec110fa3bb769ff102"),
     "verify_sca": (1, "178aa9b3d3998966ac0158aab6bd19ae5c59c0829970b78b91709b1661a96f2b"),
     "verify_iid_small": (0, "37a6fbd2d5b001da11a3fc2cb0353223e52099dd08718a23cf222f84102e1aac"),

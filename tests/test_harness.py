@@ -229,6 +229,15 @@ def test_grid_expands_in_key_order_and_aggregates():
     assert best_cell(results).overrides == {"eta": "0.2", "local_steps": "2"}
 
 
+def test_grid_checks_every_config_before_the_first_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_once", lambda cfg: calls.append(cfg))
+    spec = ExperimentSpec(base=_grid_spec().base, grid={"eta": ["0.1", "-1"]}, seeds=[0, 1])
+    with pytest.raises(ConfigError, match="eta must be > 0"):
+        run_grid(spec)
+    assert calls == []
+
+
 def test_grid_records_rounds_to_target(tmp_path):
     spec = _grid_spec(target_value=2.0, eval_every=1)
     results = run_grid(spec)

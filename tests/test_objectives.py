@@ -259,6 +259,18 @@ def test_logistic_minibatch_indices_stay_in_range():
         assert np.all(np.isfinite(g))
 
 
+def test_logistic_minibatch_reads_exactly_its_uniforms_by_position():
+    # A minibatch of 3 reads u[0], u[1], u[2]: extra uniforms are ignored,
+    # and too few raise as reading past the end of a list does.
+    obj = _tiny_logistic(minibatch=3)
+    x = np.full(obj.dim, 0.3)
+    u = [0.9, 0.1, 0.6, 0.2, 0.4]
+    first = obj.stoch_grad_local(1, x, u[:3])
+    assert obj.stoch_grad_local(1, x, u).tobytes() == first.tobytes()
+    with pytest.raises(IndexError):
+        obj.stoch_grad_local(1, x, u[:2])
+
+
 def _reference_loss_and_grad(w, feats, labels):
     """The softmax loss and gradient as first written: full log-softmax,
     fancy-indexed label pick and label subtraction. Also returns the

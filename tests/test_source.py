@@ -127,3 +127,30 @@ def test_oracles_read_only_the_uniforms_they_are_handed():
     assert stream_constructor_uses(SRC / "algorithms.py"), "the check no longer sees the run loop's streams"
     found = stream_constructor_uses(SRC / "objectives.py")
     assert not found, f"objectives.py reaches a stream constructor: {found}"
+
+
+NAME_LISTS = ("ALGORITHMS", "PATTERNS", "OBJECTIVES")
+
+
+def module_assignments(path: Path) -> set[str]:
+    """Names bound by an assignment statement at the top level of `path`."""
+    names = set()
+    for node in parse(path).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_each_name_list_is_assigned_in_one_module():
+    """A name list lives with the table it names, so a copy elsewhere
+    cannot drift from it; other modules import it from there."""
+    modules = sorted(SRC.glob("*.py"))
+    homes = {name: [path.name for path in modules if name in module_assignments(path)]
+             for name in NAME_LISTS}
+    assert all(len(found) == 1 for found in homes.values()), f"modules assigning each list: {homes}"
