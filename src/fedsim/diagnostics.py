@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import format_value
-from .participation import CyclicScheduler, RegularizedScheduler, ScaScheduler, Scheduler
+from .participation import CyclicScheduler, ScaScheduler, Scheduler
 
 _EXACT_TOL = 1e-12
 
@@ -288,20 +288,26 @@ def assumption_suite(scheduler: Scheduler, trials: int, seed: int = 0) -> list[C
             check="v_sq_lambda_bound", statistic=float(stat), expected=4.0,
             observed=mc.v_sq_lambda_mean, passed=stat <= 4.0))
 
-    if isinstance(scheduler, RegularizedScheduler):
-        dev = float(np.abs(mc.qbar_mean - 1.0 / n).max())
-        exact = dev <= _EXACT_TOL and float(mc.qbar_var.max()) <= _EXACT_TOL
-        checks.append(CheckResult(
-            check="regularized_qbar_exact", statistic=dev, expected=_EXACT_TOL,
-            observed=dev, passed=exact))
-
     if isinstance(scheduler, CyclicScheduler):
-        expected = cyclic_qbar_variance(n, scheduler.k_bar, scheduler.s_clients, params.window)
-        observed = float(mc.qbar_var.mean())
-        rel = abs(observed - expected) / expected if expected else abs(observed)
-        checks.append(CheckResult(
-            check="qbar_variance_closed_form", statistic=rel, expected=expected,
-            observed=observed, passed=rel <= 0.05))
+        if scheduler.s_clients == scheduler.group_size and not is_sca:
+            # Every eligible client takes part, so each window weighs every
+            # client exactly 1/N.
+            dev = float(np.abs(mc.qbar_mean - 1.0 / n).max())
+            exact = dev <= _EXACT_TOL and float(mc.qbar_var.max()) <= _EXACT_TOL
+            checks.append(CheckResult(
+                check="regularized_qbar_exact", statistic=dev, expected=_EXACT_TOL,
+                observed=dev, passed=exact))
+        elif is_sca or params.window > 1:
+            # At a one-round window qbar_i is 0 or 1/S, so its variance
+            # m/S - m^2 follows from its mean m, which window_unbiasedness
+            # already tests.
+            expected = cyclic_qbar_variance(n, scheduler.k_bar, scheduler.s_clients,
+                                            params.window)
+            observed = float(mc.qbar_var.mean())
+            rel = abs(observed - expected) / expected if expected else abs(observed)
+            checks.append(CheckResult(
+                check="qbar_variance_closed_form", statistic=rel, expected=expected,
+                observed=observed, passed=rel <= 0.05))
     return checks
 
 

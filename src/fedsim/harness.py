@@ -97,6 +97,9 @@ def blob_datasets(n_train: int, n_test: int, n_classes: int, n_features: int, se
     `fedsim run` and `fedsim datagen` both draw the pair here, so the two
     agree on how the held-out set is made.
     """
+    if n_test < 0:
+        raise ConfigError("the held-out sample count (blob_test_samples, datagen --test-samples)"
+                          " must be >= 0.")
     train = make_blobs(n_train, n_classes, n_features, seed)
     test = None
     if n_test > 0:

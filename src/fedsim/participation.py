@@ -5,7 +5,8 @@ of the clients sampled that round. Each of the S sampled clients weighs
 1/S, so a round's weights sum to one by construction, and the pattern alone
 sets the window. Schedulers are stateless; all randomness comes from the
 round-addressed sampling stream, which keeps rounds independent and
-reproducible under any execution order.
+reproducible under any execution order. Four of the five patterns are one
+cyclic process with different parameters; `sca` adds availability draws.
 """
 
 from __future__ import annotations
@@ -40,28 +41,14 @@ class Scheduler:
         raise NotImplementedError
 
 
-class IidScheduler(Scheduler):
-    """S of N clients uniformly without replacement, fresh every round."""
-
-    def __init__(self, n_clients: int, s_clients: int):
-        if not 1 <= s_clients <= n_clients:
-            raise ConfigError("s_clients must be in [1, n_clients].")
-        self.n_clients = n_clients
-        self.s_clients = s_clients
-
-    def sample_round(self, r: int, seed: int) -> np.ndarray:
-        rng = rng_stream(seed, "sampling", 0, r)
-        return np.sort(rng.permutation(self.n_clients)[: self.s_clients])
-
-    def params(self) -> PatternParams:
-        return PatternParams(1.0 / self.s_clients, 1, self.s_clients / self.n_clients)
-
-
 class CyclicScheduler(Scheduler):
     """Clients split into k_bar contiguous groups; each group stays the only
     eligible group for avail_rounds_g consecutive rounds, in turn, and S
     clients are drawn inside it. The window is avail_rounds_g * k_bar rounds;
-    avail_rounds_g = 1 is plain cyclic participation."""
+    avail_rounds_g = 1 is plain cyclic participation. With k_bar = 1 it is iid
+    sampling, S of N fresh every round; with S = N / k_bar every eligible
+    client takes part, the deterministic round-robin of regularized
+    participation, whose window-averaged weight is exactly 1/N."""
 
     def __init__(self, n_clients: int, k_bar: int, s_clients: int, avail_rounds_g: int = 1):
         if k_bar < 1 or n_clients % k_bar != 0:
@@ -91,26 +78,6 @@ class CyclicScheduler(Scheduler):
     def params(self) -> PatternParams:
         return PatternParams(1.0 / self.s_clients, self.avail_rounds_g * self.k_bar,
                              self.s_clients * self.k_bar / self.n_clients)
-
-
-class RegularizedScheduler(Scheduler):
-    """Deterministic round-robin: the client list is cut into window_p slots
-    of N / window_p clients and slot (r mod window_p) participates at round r.
-    Every client's window-averaged weight is exactly 1/N."""
-
-    def __init__(self, n_clients: int, window_p: int):
-        if window_p < 1 or n_clients % window_p != 0:
-            raise ConfigError("n_clients must be a multiple of window_p.")
-        self.n_clients = n_clients
-        self.window_p = window_p
-        self.slot_size = n_clients // window_p
-
-    def sample_round(self, r: int, seed: int) -> np.ndarray:
-        base = (r % self.window_p) * self.slot_size
-        return np.arange(base, base + self.slot_size, dtype=np.int64)
-
-    def params(self) -> PatternParams:
-        return PatternParams(self.window_p / self.n_clients, self.window_p, 1.0)
 
 
 class ScaScheduler(CyclicScheduler):
@@ -149,14 +116,23 @@ class ScaScheduler(CyclicScheduler):
             f"no clients available at round {r} after {SCA_MAX_RETRIES} availability draws.")
 
 
-# The participation keys each pattern reads, in its scheduler's argument
+def _regularized(n_clients: int, window_p: int) -> CyclicScheduler:
+    """Round-robin over window_p slots: every client of the eligible slot
+    takes part, so slot r mod window_p participates at round r."""
+    if window_p < 1 or n_clients % window_p != 0:
+        raise ConfigError("n_clients must be a multiple of window_p.")
+    return CyclicScheduler(n_clients, window_p, n_clients // window_p)
+
+
+# The participation keys each pattern reads, in its builder's argument
 # order after n_clients. A pattern rejects any other key that is not at its
 # RunConfig default, so a value set for another pattern never passes silently.
 _PATTERNS = {
-    "iid": (IidScheduler, ("s_clients",)),
+    "iid": (lambda n_clients, s_clients: CyclicScheduler(n_clients, 1, s_clients),
+            ("s_clients",)),
     "cyclic": (CyclicScheduler, ("k_bar", "s_clients")),
     "grouped_cyclic": (CyclicScheduler, ("k_bar", "s_clients", "avail_rounds_g")),
-    "regularized": (RegularizedScheduler, ("window_p",)),
+    "regularized": (_regularized, ("window_p",)),
     "sca": (ScaScheduler, ("k_bar", "s_clients", "avail_rounds_g", "p_active", "p_inactive")),
 }
 _PARTICIPATION_KEYS = tuple(dict.fromkeys(key for _, keys in _PATTERNS.values() for key in keys))
@@ -166,6 +142,6 @@ PATTERNS = tuple(_PATTERNS)
 def make_scheduler(cfg: RunConfig) -> Scheduler:
     if cfg.pattern not in _PATTERNS:
         raise ConfigError(f"unknown pattern: {cfg.pattern!r}")
-    cls, keys = _PATTERNS[cfg.pattern]
+    build, keys = _PATTERNS[cfg.pattern]
     reject_unread(cfg, f"pattern {cfg.pattern}", keys, _PARTICIPATION_KEYS)
-    return cls(cfg.n_clients, *(getattr(cfg, key) for key in keys))
+    return build(cfg.n_clients, *(getattr(cfg, key) for key in keys))

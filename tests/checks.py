@@ -1,12 +1,20 @@
 """Reference checks used only by the tests: a finite-difference gradient
-checker and the cyclic pattern's closed forms for the window statistics
-that `fedsim verify` does not check against a closed form."""
+checker, the cyclic pattern's closed forms for the window statistics
+that `fedsim verify` does not check against a closed form, and a shorthand
+for the scheduler a pattern name builds."""
 
 import numpy as np
 
-from fedsim.core import gaussians_from, rng_stream
+from fedsim.core import RunConfig, gaussians_from, rng_stream
 from fedsim.diagnostics import CheckResult
 from fedsim.objectives import Objective
+from fedsim.participation import Scheduler, make_scheduler
+
+
+def pattern_scheduler(pattern: str, n_clients: int, **keys) -> Scheduler:
+    """The scheduler `make_scheduler` builds for `pattern` on n_clients, with
+    the given participation keys set."""
+    return make_scheduler(RunConfig(n_clients=n_clients, pattern=pattern, **keys))
 
 
 def cyclic_v_sq_lambda_mean(n_clients: int, k_bar: int, s_clients: int) -> float:

@@ -15,14 +15,9 @@ from fedsim.data import make_blobs, partition_by_similarity
 from fedsim.diagnostics import assumption_suite, monte_carlo_stats
 from fedsim.harness import build_objective, rounds_to_target, run_once, run_record_csv
 from fedsim.objectives import Logistic, Quadratic, SyntheticHard
-from fedsim.participation import (
-    CyclicScheduler,
-    IidScheduler,
-    RegularizedScheduler,
-    make_scheduler,
-)
+from fedsim.participation import CyclicScheduler, make_scheduler
 
-from checks import grad_check
+from checks import grad_check, pattern_scheduler
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 ALGORITHMS = ("fedavg", "fedprox", "scaffold", "amp_fedavg", "amp_scaffold")
@@ -144,15 +139,17 @@ def test_criterion_4():
 def test_criterion_5():
     # participation assumptions hold on every pattern at 1e4 trials, and the
     # round-robin pattern is exactly uniform
-    for sched in (IidScheduler(20, 5), CyclicScheduler(20, 5, 2),
-                  CyclicScheduler(20, 5, 2, avail_rounds_g=3), RegularizedScheduler(20, 5)):
+    for pattern, sched in (("iid", pattern_scheduler("iid", 20, s_clients=5)),
+                           ("cyclic", CyclicScheduler(20, 5, 2)),
+                           ("grouped_cyclic", CyclicScheduler(20, 5, 2, avail_rounds_g=3)),
+                           ("regularized", pattern_scheduler("regularized", 20, window_p=5))):
         checks = assumption_suite(sched, trials=10_000, seed=0)
         by_name = {c.check: c for c in checks}
         failed = [c.check for c in checks if not c.passed]
-        assert not failed, f"{type(sched).__name__}: {failed}"
+        assert not failed, f"{pattern}: {failed}"
         for required in ("sum_q_exact", "window_unbiasedness", "p_sample_floor"):
             assert required in by_name
-        if isinstance(sched, RegularizedScheduler):
+        if pattern == "regularized":
             assert by_name["regularized_qbar_exact"].passed
 
 

@@ -9,12 +9,9 @@ from fedsim.cli import build_parser, main
 from fedsim.core import ConfigError, build_run_config
 from fedsim.data import load_idx
 from fedsim.diagnostics import assumption_suite, checks_to_csv_rows
-from fedsim.participation import (
-    CyclicScheduler,
-    IidScheduler,
-    RegularizedScheduler,
-    ScaScheduler,
-)
+from fedsim.participation import CyclicScheduler, ScaScheduler
+
+from checks import pattern_scheduler
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -298,12 +295,13 @@ def test_verify_passes_on_iid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, scheduler", [
-    (["--pattern", "iid", "--n", "10", "--s", "3"], IidScheduler(10, 3)),
+    (["--pattern", "iid", "--n", "10", "--s", "3"], pattern_scheduler("iid", 10, s_clients=3)),
     (["--pattern", "cyclic", "--n", "12", "--k-bar", "3", "--s", "2"],
      CyclicScheduler(12, 3, 2)),
     (["--pattern", "grouped_cyclic", "--n", "12", "--k-bar", "3", "--s", "2", "--g", "2"],
      CyclicScheduler(12, 3, 2, avail_rounds_g=2)),
-    (["--pattern", "regularized", "--n", "12", "--window-p", "4"], RegularizedScheduler(12, 4)),
+    (["--pattern", "regularized", "--n", "12", "--window-p", "4"],
+     pattern_scheduler("regularized", 12, window_p=4)),
     (["--pattern", "sca", "--n", "12", "--k-bar", "3", "--s", "2", "--g", "2",
       "--p-active", "0.7", "--p-inactive", "0.1"], ScaScheduler(12, 3, 2, 2, 0.7, 0.1)),
 ], ids=["iid", "cyclic", "grouped_cyclic", "regularized", "sca"])
@@ -313,6 +311,26 @@ def test_verify_flags_build_the_named_scheduler(tmp_path, capsys, flags, schedul
     assert rc in (0, 1)
     expected = checks_to_csv_rows(assumption_suite(scheduler, 60, seed=5))
     assert (tmp_path / "verify.csv").read_text() == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("flags, same_process", [
+    (["--pattern", "regularized", "--n", "12", "--window-p", "4"],
+     ["--pattern", "cyclic", "--n", "12", "--k-bar", "4", "--s", "3"]),
+    (["--pattern", "iid", "--n", "8", "--s", "2"],
+     ["--pattern", "cyclic", "--n", "8", "--k-bar", "1", "--s", "2"]),
+], ids=["regularized", "iid"])
+def test_verify_reports_one_process_alike_under_either_name(tmp_path, capsys, flags,
+                                                            same_process):
+    # regularized is cyclic participation in which every eligible client
+    # takes part, and iid is cyclic participation with one group: each pair
+    # samples the same windows, so it gets the same checks and the same report.
+    reports = []
+    for name, args in (("named", flags), ("cyclic", same_process)):
+        rc = main(["verify", *args, "--trials", "60", "--seed", "2", "--out", str(tmp_path / name)])
+        assert rc == 0
+        reports.append((tmp_path / name / "verify.csv").read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
 
 
 def test_verify_reports_regularized_exactness(tmp_path, capsys):
@@ -441,3 +459,18 @@ def test_datagen_without_test_split(tmp_path):
                "--features", "3"])
     assert rc == 0
     assert not (out / "test-images.idx").exists()
+
+
+def test_run_rejects_a_negative_held_out_count(tmp_path, capsys):
+    rc = main(["run", "--config", str(CONFIGS / "desk_fedavg.cfg"), "--override", "rounds=2",
+               "--override", "blob_test_samples=-5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "held-out sample count" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_datagen_rejects_a_negative_held_out_count(tmp_path, capsys):
+    rc = main(["datagen", "--out", str(tmp_path), "--samples", "50", "--test-samples", "-3"])
+    assert rc == 2
+    assert "held-out sample count" in capsys.readouterr().err
+    assert not (tmp_path / "train-images.idx").exists()

@@ -19,14 +19,12 @@ from fedsim.diagnostics import (
 from fedsim.objectives import Logistic, Quadratic, SyntheticHard
 from fedsim.participation import (
     CyclicScheduler,
-    IidScheduler,
     PatternParams,
-    RegularizedScheduler,
     ScaScheduler,
     Scheduler,
 )
 
-from checks import cyclic_v_sq_lambda_mean, cyclic_w_mean, grad_check
+from checks import cyclic_v_sq_lambda_mean, cyclic_w_mean, grad_check, pattern_scheduler
 
 
 def _one_hot_window(first: int, second: int) -> np.ndarray:
@@ -244,7 +242,7 @@ def test_sample_window_is_aligned_and_deterministic():
 
 
 def test_regularized_windows_are_exactly_uniform():
-    sched = RegularizedScheduler(4, 2)
+    sched = pattern_scheduler("regularized", 4, window_p=2)
     q = sample_window(sched, 0, seed=0, window_len=2)
     stats = window_stats(q, ParticipationHistory(4, 2))
     np.testing.assert_array_equal(stats.qbar, np.full(4, 0.25))
@@ -273,28 +271,32 @@ def test_monte_carlo_matches_the_cyclic_closed_forms():
 
 def test_monte_carlo_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials"):
-        monte_carlo_stats(IidScheduler(4, 2), trials=0, seed=0)
+        monte_carlo_stats(pattern_scheduler("iid", 4, s_clients=2), trials=0, seed=0)
 
 
 def _by_name(checks):
     return {c.check: c for c in checks}
 
 
+_COMMON_CHECKS = ["sum_q_exact", "rho_sq_bound", "window_unbiasedness", "p_sample_floor",
+                  "w_mean_bound", "v_sq_lambda_bound"]
+
+
+# Each case is a scheduler and the pattern checks its process gets: the exact
+# check when every eligible client takes part, the closed form for a sampled
+# group over a window longer than one round, and neither for iid.
 @pytest.mark.parametrize("sched", [
-    IidScheduler(12, 3),
-    CyclicScheduler(12, 3, 2),
-    CyclicScheduler(12, 3, 2, avail_rounds_g=2),
-    RegularizedScheduler(12, 4),
+    (pattern_scheduler("iid", 12, s_clients=3), []),
+    (CyclicScheduler(12, 3, 2), ["qbar_variance_closed_form"]),
+    (CyclicScheduler(12, 3, 2, avail_rounds_g=2), ["qbar_variance_closed_form"]),
+    (pattern_scheduler("regularized", 12, window_p=4), ["regularized_qbar_exact"]),
 ])
 def test_assumption_suite_passes_on_every_pattern(sched):
-    checks = _by_name(assumption_suite(sched, trials=400, seed=1))
-    for name in ("sum_q_exact", "rho_sq_bound", "window_unbiasedness",
-                 "p_sample_floor", "w_mean_bound"):
-        assert checks[name].passed, name
-    if isinstance(sched, RegularizedScheduler):
-        assert checks["regularized_qbar_exact"].passed
-    if isinstance(sched, CyclicScheduler):
-        assert checks["qbar_variance_closed_form"].passed
+    scheduler, pattern_checks = sched
+    checks = assumption_suite(scheduler, trials=400, seed=1)
+    assert [c.check for c in checks] == _COMMON_CHECKS + pattern_checks
+    for c in checks:
+        assert c.passed, c.check
 
 
 def test_assumption_suite_flags_availability_fallbacks():
@@ -311,10 +313,12 @@ def test_assumption_suite_rejects_a_stuck_scheduler():
     assert not checks["p_sample_floor"].passed
 
 
-def test_variance_check_wants_a_cyclic_scheduler():
+def test_variance_check_skips_a_one_round_window():
+    # At a one-round window qbar_i is 0 or 1/S, so its variance follows from
+    # its mean and the closed form would repeat window_unbiasedness.
     checks = _by_name(assumption_suite(CyclicScheduler(8, 2, 2), trials=800, seed=3))
     assert checks["qbar_variance_closed_form"].passed
-    checks = _by_name(assumption_suite(IidScheduler(8, 2), trials=10))
+    checks = _by_name(assumption_suite(pattern_scheduler("iid", 8, s_clients=2), trials=10))
     assert "qbar_variance_closed_form" not in checks
 
 
@@ -344,7 +348,7 @@ def test_grad_check_catches_a_wrong_gradient():
 
 
 def test_report_and_csv_formats():
-    checks = assumption_suite(IidScheduler(6, 2), trials=50, seed=0)
+    checks = assumption_suite(pattern_scheduler("iid", 6, s_clients=2), trials=50, seed=0)
     report = format_report(checks)
     assert "PASS" in report
     assert report.strip().endswith("checks passed.")

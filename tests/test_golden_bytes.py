@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from fedsim.cli import main
+from fedsim.participation import PATTERNS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SYNTHETIC = ("synthetic_amp_fedavg", "synthetic_amp_scaffold", "synthetic_fedavg",
@@ -89,3 +90,11 @@ def test_output_bytes_are_unchanged(case, tmp_path, capsys):
     rc, digest = produce(case, tmp_path)
     capsys.readouterr()
     assert (rc, digest) == EXPECTED[case]
+
+
+def test_every_pattern_has_a_small_verify_digest():
+    # A pattern added without its own report digest fails here.
+    small = {case.removeprefix("verify_").removesuffix("_small")
+             for case in CASES if case.startswith("verify_") and case.endswith("_small")}
+    assert sorted(small) == sorted(PATTERNS)
+    assert set(EXPECTED) == set(CASES)

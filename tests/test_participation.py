@@ -5,16 +5,16 @@ from fedsim import participation
 from fedsim.core import ConfigError, RunConfig, rng_stream
 from fedsim.participation import (
     CyclicScheduler,
-    IidScheduler,
-    RegularizedScheduler,
     ScaScheduler,
     Scheduler,
     make_scheduler,
 )
 
+from checks import pattern_scheduler
+
 
 def test_iid_samples_without_replacement():
-    sch = IidScheduler(10, 4)
+    sch = pattern_scheduler("iid", 10, s_clients=4)
     sampled = sch.sample_round(0, seed=1)
     assert len(sampled) == 4
     assert len(set(sampled.tolist())) == 4
@@ -35,7 +35,7 @@ def test_grouped_cyclic_holds_each_group_for_g_rounds():
 
 
 def test_regularized_is_deterministic_and_exact():
-    sch = RegularizedScheduler(4, 2)
+    sch = pattern_scheduler("regularized", 4, window_p=2)
     assert sch.sample_round(0, seed=0).tolist() == [0, 1]
     assert sch.sample_round(1, seed=99).tolist() == [2, 3]
     # the window-averaged weight is 1/N for every client, any seed
@@ -47,10 +47,10 @@ def test_regularized_is_deterministic_and_exact():
 
 
 @pytest.mark.parametrize("sch,expected", [
-    (IidScheduler(12, 3), (1 / 3, 1, 0.25)),
+    (pattern_scheduler("iid", 12, s_clients=3), (1 / 3, 1, 0.25)),
     (CyclicScheduler(12, 3, 2), (0.5, 3, 0.5)),
     (CyclicScheduler(12, 3, 2, avail_rounds_g=4), (0.5, 12, 0.5)),
-    (RegularizedScheduler(12, 4), (1 / 3, 4, 1.0)),
+    (pattern_scheduler("regularized", 12, window_p=4), (1 / 3, 4, 1.0)),
 ])
 def test_pattern_constants(sch, expected):
     params = sch.params()
@@ -58,17 +58,16 @@ def test_pattern_constants(sch, expected):
 
 
 @pytest.mark.parametrize("sch", [
-    IidScheduler(9, 3),
+    pattern_scheduler("iid", 9, s_clients=3),
     CyclicScheduler(8, 2, 3),
     CyclicScheduler(8, 2, 3, avail_rounds_g=5),
-    RegularizedScheduler(9, 3),
+    pattern_scheduler("regularized", 9, window_p=3),
     ScaScheduler(8, 2, 3, 5),
 ])
 def test_weights_sum_to_one_and_respect_concentration(sch):
     # The contract of sample_round: sorted, unique int64 client indices in
     # [0, n), each weighing 1/len, so the weights sum to one by construction.
     rho_sq = sch.params().rho_sq
-    size = sch.slot_size if isinstance(sch, RegularizedScheduler) else sch.s_clients
     is_sca = isinstance(sch, ScaScheduler)
     for r in range(25):
         sampled = sch.sample_round(r, seed=3)
@@ -77,10 +76,38 @@ def test_weights_sum_to_one_and_respect_concentration(sch):
         assert np.all(np.diff(sampled) > 0)
         assert 0 <= sampled[0] and sampled[-1] < sch.n_clients
         if is_sca:
-            assert len(sampled) <= size
+            assert len(sampled) <= sch.s_clients
         else:
-            assert len(sampled) == size
+            assert len(sampled) == sch.s_clients
             assert 1.0 / len(sampled) <= rho_sq
+
+
+@pytest.mark.parametrize("n, s", [(1, 1), (4, 1), (9, 3), (10, 4), (12, 12), (50, 10)])
+def test_iid_round_is_the_first_s_of_a_permutation(n, s):
+    # The definition of iid sampling: round r takes the first S entries of
+    # a permutation of all N clients drawn from its own sampling stream.
+    sch = make_scheduler(_cfg(n_clients=n, pattern="iid", s_clients=s))
+    for seed in (0, 1, 7):
+        for r in range(40):
+            expected = np.sort(rng_stream(seed, "sampling", 0, r).permutation(n)[:s])
+            got = sch.sample_round(r, seed)
+            assert got.dtype == expected.dtype == np.int64
+            assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n, window_p", [(1, 1), (4, 2), (9, 3), (12, 4), (6, 6), (8, 1)])
+def test_regularized_round_is_its_slot(n, window_p):
+    # The definition of regularized participation: the clients are cut into
+    # window_p slots of N / window_p, and slot r mod window_p takes part in
+    # round r, whatever the seed.
+    sch = make_scheduler(_cfg(n_clients=n, pattern="regularized", window_p=window_p))
+    size = n // window_p
+    for seed in (0, 5):
+        for r in range(40):
+            slot = r % window_p
+            got = sch.sample_round(r, seed)
+            assert got.dtype == np.int64
+            assert got.tolist() == list(range(slot * size, (slot + 1) * size))
 
 
 def test_sampling_is_seed_deterministic():
@@ -144,7 +171,7 @@ def test_sca_gives_up_when_nobody_can_show_up():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        IidScheduler(4, 5)
+        pattern_scheduler("iid", 4, s_clients=5)
     with pytest.raises(ValueError, match="multiple of k_bar"):
         CyclicScheduler(5, 2, 1)
     with pytest.raises(ValueError, match="s_clients must be in"):
@@ -152,7 +179,7 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         CyclicScheduler(6, 3, 1, avail_rounds_g=0)
     with pytest.raises(ValueError, match="window_p"):
-        RegularizedScheduler(5, 2)
+        pattern_scheduler("regularized", 5, window_p=2)
     with pytest.raises(ValueError):
         ScaScheduler(6, 3, 1, 1, p_active=1.5)
 
@@ -165,7 +192,11 @@ def _cfg(**kw) -> RunConfig:
 
 
 def test_factory_builds_the_right_scheduler():
-    assert isinstance(make_scheduler(_cfg(pattern="iid", s_clients=3)), IidScheduler)
+    # iid is one group of all N clients; regularized takes every client of
+    # each of its window_p groups
+    iid = make_scheduler(_cfg(pattern="iid", s_clients=3))
+    assert type(iid) is CyclicScheduler
+    assert (iid.k_bar, iid.s_clients, iid.avail_rounds_g) == (1, 3, 1)
     assert isinstance(make_scheduler(_cfg(pattern="cyclic", k_bar=3, s_clients=2)), CyclicScheduler)
     # cyclic holds each group one round, grouped_cyclic avail_rounds_g rounds
     for pattern, g, window in (("cyclic", 1, 3), ("grouped_cyclic", 4, 12)):
@@ -178,7 +209,8 @@ def test_factory_builds_the_right_scheduler():
     sca = make_scheduler(_cfg(pattern="sca", k_bar=3, s_clients=2, avail_rounds_g=2))
     assert isinstance(sca, ScaScheduler)
     reg = make_scheduler(_cfg(pattern="regularized", window_p=4))
-    assert isinstance(reg, RegularizedScheduler)
+    assert type(reg) is CyclicScheduler
+    assert (reg.k_bar, reg.s_clients, reg.avail_rounds_g) == (4, 3, 1)
     with pytest.raises(ConfigError, match="pattern regularized does not read s_clients"):
         make_scheduler(_cfg(pattern="regularized", window_p=4, s_clients=3))
 
