@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CV_ALGORITHMS, WINDOW_ALGORITHMS, ConfigError, RunConfig, rng_stream, stream_uniforms
+from .core import ALGORITHM_KEYS, ConfigError, RunConfig, rng_stream, stream_uniforms
 from .objectives import Objective
 from .participation import Scheduler
 
@@ -139,13 +139,15 @@ class Simulation:
                               f" objective has {objective.n_clients} clients.")
         self.objective = objective
         self.scheduler = scheduler
+        # An unchecked config may set a key the algorithm does not read; it is ignored.
+        reads = ALGORITHM_KEYS[cfg.algorithm]
         self.eta = cfg.eta
-        self.mu = cfg.mu if cfg.algorithm == "fedprox" else 0.0
+        self.mu = cfg.mu if "mu" in reads else 0.0
         self.local_steps = cfg.local_steps
         self.seed = cfg.seed
         self.rounds = cfg.rounds
-        self.uses_cv = cfg.algorithm in CV_ALGORITHMS
-        if cfg.algorithm in WINDOW_ALGORITHMS:
+        self.uses_cv = "cv_init" in reads
+        if "gamma" in reads:
             self.window_len = scheduler.params().window
             self.gamma = cfg.gamma
         else:

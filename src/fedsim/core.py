@@ -26,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-ALGORITHMS = ("fedavg", "fedprox", "scaffold", "amp_fedavg", "amp_scaffold")
-# Algorithms that keep control variates, and those that commit once per
-# participation window.
-CV_ALGORITHMS = ("scaffold", "amp_scaffold")
-WINDOW_ALGORITHMS = ("amp_fedavg", "amp_scaffold")
+# The algorithm keys each algorithm reads, which are also its switches: a
+# proximal pull (mu), control variates (cv_init) and an amplified commit
+# once per participation window (gamma).
+ALGORITHM_KEYS = {"fedavg": (), "fedprox": ("mu",), "scaffold": ("cv_init",),
+                  "amp_fedavg": ("gamma",), "amp_scaffold": ("gamma", "cv_init")}
+ALGORITHMS = tuple(ALGORITHM_KEYS)
 CV_INIT_MODES = ("warm_start", "zero")
 
 PURPOSES = {"gradient-noise": 0, "sampling": 1, "partition": 2, "init": 3}
@@ -233,9 +234,9 @@ _DEFAULTS = RunConfig()
 
 def reject_unread(cfg: RunConfig, owner: str, reads: tuple[str, ...],
                   keys: tuple[str, ...]) -> None:
-    """Reject the first of `keys` that `owner` (a pattern, an objective or a
-    dataset kind) does not read and that is not at its RunConfig default, so
-    a value set for another choice never passes silently."""
+    """Reject the first of `keys` that `owner` (an algorithm, a pattern, an
+    objective or a dataset kind) does not read and is not at its RunConfig
+    default, so a value set for another choice never passes silently."""
     for key in keys:
         if key not in reads and getattr(cfg, key) != getattr(_DEFAULTS, key):
             raise ConfigError(f"{owner} does not read {key}; leave it unset.")
@@ -300,6 +301,8 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
 def validate_run_config(cfg: RunConfig) -> RunConfig:
     """Check the algorithm and run-loop keys and fill derived defaults.
 
+    `mu`, `gamma` and `cv_init` are range-checked, then any of them that
+    the algorithm does not read (`ALGORITHM_KEYS`) must be at its default.
     The participation keys are checked by building the scheduler. The
     objective and data keys are checked by the code that reads them: the
     objective constructors, `harness.parse_centers`, `harness.load_dataset`,
@@ -324,10 +327,8 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("gamma must be >= 1.")
     if cfg.mu < 0:
         raise ConfigError("mu must be >= 0.")
-    if cfg.mu > 0 and cfg.algorithm != "fedprox":
-        raise ConfigError("mu is only meaningful for fedprox.")
-    if cfg.algorithm not in WINDOW_ALGORITHMS and cfg.gamma != 1.0:
-        raise ConfigError(f"{cfg.algorithm} requires gamma = 1.")
+    reject_unread(cfg, f"algorithm {cfg.algorithm}", ALGORITHM_KEYS[cfg.algorithm],
+                  ("mu", "gamma", "cv_init"))
     if not 0 <= cfg.seed < _U64:
         raise ConfigError("seed must fit in an unsigned 64-bit integer.")
     if cfg.eval_every < 0:

@@ -68,14 +68,14 @@ class Objective:
 
 
 class SyntheticHard(Objective):
-    """Two-client nonsmooth construction on R^4.
+    """Two-client nonsmooth construction on R^4, coordinates x[0]..x[3].
 
-    Both clients share three curved coordinates; the fourth is linear with
-    opposite slopes (+kappa for client 0, -kappa for client 1), so the global
-    objective is flat there while local steps pull hard in opposite
-    directions. Coordinate 3 carries a one-sided quadratic [x]_+^2 and all
-    gradient noise.
-    """
+    Client i's loss is mu_pl/2 * (x[0] - c)^2 + h/2 * (x[1] - x1*)^2
+    + h/8 * (x[2]^2 + max(x[2], 0)^2) + s_i * kappa * x[3], with s_0 = 1,
+    s_1 = -1 and x1* = c * sqrt(mu_pl / h); all gradient noise is on x[2].
+    The +-kappa slopes on x[3] make the global objective flat there but
+    enter no other coordinate's gradient, so heterogeneity never reaches
+    the loss."""
 
     dim = 4
     n_clients = 2
@@ -132,6 +132,8 @@ class Quadratic(Objective):
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         if centers.ndim != 2:
             raise ValueError("centers must be an (n_clients, dim) array.")
+        if not np.isfinite(centers).all():
+            raise ValueError("centers must be finite.")
         if sigma < 0:
             raise ValueError("sigma must be >= 0.")
         self.centers = centers

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsim import harness
+from fedsim import ALGORITHMS, harness
 from fedsim.cli import build_parser, main
 from fedsim.core import ConfigError, build_run_config
 from fedsim.data import load_idx
@@ -165,6 +165,7 @@ def test_run_accepts_a_nan_target_value(tmp_path, capsys):
     (QUAD_CFG, "sigma=-1", "sigma"),
     (QUAD_CFG, "centers=", "centers"),
     (QUAD_CFG, "centers=1; 2; 3", "n_clients = 2, but the quadratic objective has 3 clients"),
+    (QUAD_CFG, "centers=nan; 3", "centers"),
     (LOGISTIC_CFG, "dataset=bogus", "dataset"),
     (LOGISTIC_RUN_CFG, "dataset=idx", "images_path"),
     (LOGISTIC_CFG, "similarity=101", "similarity"),
@@ -173,8 +174,8 @@ def test_run_accepts_a_nan_target_value(tmp_path, capsys):
     # logistic never reads sigma
     (LOGISTIC_CFG, "sigma=-1", "objective logistic does not read sigma"),
 ], ids=["pattern", "objective", "synthetic-n_clients", "h", "mu_pl", "kappa", "synthetic-sigma",
-        "quadratic-sigma", "centers-empty", "centers-count", "dataset", "idx-paths", "similarity",
-        "minibatch", "l2", "logistic-sigma"])
+        "quadratic-sigma", "centers-empty", "centers-count", "centers-nan", "dataset", "idx-paths",
+        "similarity", "minibatch", "l2", "logistic-sigma"])
 def test_run_rejects_a_bad_objective_key_by_name(tmp_path, capsys, base, override, key):
     cfg = _write(tmp_path, "run.cfg", base)
     rc = main(["run", "--config", cfg, "--override", override, "--out", str(tmp_path / "o")])
@@ -235,6 +236,28 @@ def test_run_rejects_a_key_its_objective_never_reads(tmp_path, capsys, objective
             assert (rc, err) == (2, f"error: {unread[key]} does not read {key}; leave it unset.\n")
         else:
             assert f"does not read {key};" not in err
+
+
+# A value other than the RunConfig default for every algorithm key, and the
+# keys each algorithm reads.
+ALGORITHM_KEY_VALUES = {"mu": "0.5", "gamma": "2", "cv_init": "zero"}
+ALGORITHM_READS = {"fedavg": (), "fedprox": ("mu",), "scaffold": ("cv_init",),
+                   "amp_fedavg": ("gamma",), "amp_scaffold": ("gamma", "cv_init")}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_rejects_a_key_its_algorithm_never_reads(tmp_path, capsys, algorithm):
+    # Each algorithm key the algorithm never reads exits 2 and is named; a
+    # key it reads is never reported as unread.
+    cfg = _write(tmp_path, "run.cfg", QUAD_CFG)
+    for key, value in ALGORITHM_KEY_VALUES.items():
+        rc = main(["run", "--config", cfg, "--override", f"algorithm={algorithm}",
+                   "--override", f"{key}={value}", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if key in ALGORITHM_READS[algorithm]:
+            assert f"does not read {key};" not in err
+        else:
+            assert (rc, err) == (2, f"error: algorithm {algorithm} does not read {key}; leave it unset.\n")
 
 
 def test_grid_writes_csv_and_best_line(tmp_path, capsys):
@@ -423,10 +446,12 @@ def test_partition_report_needs_logistic(tmp_path, capsys):
     (["sigma=-1", "h=0"], "objective logistic does not read h; leave it unset."),
     (["l2=-1"], "l2 must be >= 0."),
     (["minibatch=0"], "minibatch must be >= 1."),
-], ids=["unread_key", "l2", "minibatch"])
-def test_partition_report_rejects_an_objective_key_as_run_does(tmp_path, capsys, overrides, message):
-    # Both commands build the objective the same way: a logistic config that
-    # sets keys only synthetic_hard reads, or an objective key out of range,
+    (["cv_init=zero"], "algorithm fedavg does not read cv_init; leave it unset."),
+], ids=["unread_key", "l2", "minibatch", "cv_init"])
+def test_partition_report_rejects_a_key_as_run_does(tmp_path, capsys, overrides, message):
+    # Both commands validate the config and build the objective the same
+    # way: a logistic config that sets keys only synthetic_hard reads, an
+    # objective key out of range, or an algorithm key fedavg never reads,
     # exits 2 with the same message.
     cfg = _write(tmp_path, "log.cfg", LOGISTIC_CFG)
     flags = [arg for item in overrides for arg in ("--override", item)]

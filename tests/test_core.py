@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedsim import harness, participation
 from fedsim.core import (
+    ALGORITHM_KEYS,
     PURPOSES,
     ConfigError,
     ExperimentSpec,
@@ -271,13 +274,35 @@ def test_validation_rejects_inconsistent_combinations():
     with pytest.raises(ConfigError):
         validate_run_config(RunConfig(n_clients=2, rounds=1, algorithm="sgd", eta=0.1,
                                       objective="quadratic", centers="0"))
-    with pytest.raises(ConfigError, match="gamma = 1"):
+    with pytest.raises(ConfigError, match="algorithm scaffold does not read gamma"):
         build_run_config(dict(BASE, algorithm="scaffold", gamma="2"))
-    with pytest.raises(ConfigError, match="fedprox"):
+    with pytest.raises(ConfigError, match="algorithm fedavg does not read mu"):
         build_run_config(dict(BASE, mu="0.5"))
     with pytest.raises(ConfigError, match="multiple of k_bar"):
         build_run_config(dict(BASE, n_clients="5", objective="quadratic",
                               centers="0;0;0;0;0", pattern="cyclic", k_bar="2"))
+
+
+# The keys the run loop itself reads. Every other RunConfig field is read by
+# the choice a table names: an algorithm, a pattern, or an objective or its
+# dataset kind.
+RUN_LOOP_KEYS = ("n_clients", "rounds", "local_steps", "algorithm", "eta", "pattern",
+                 "objective", "seed", "eval_every", "target_value")
+
+
+def test_every_config_key_has_exactly_one_owner():
+    # A field with no owner would pass every unread-key rule whatever its
+    # value, and a field with two owners would be rejected by one of them.
+    owners = {
+        "run loop": RUN_LOOP_KEYS,
+        "core.ALGORITHM_KEYS": tuple(key for keys in ALGORITHM_KEYS.values() for key in keys),
+        "participation table": participation._PARTICIPATION_KEYS,
+        "objective and data tables": harness._OBJECTIVE_KEYS,
+    }
+    fields = [field.name for field in dataclasses.fields(RunConfig)]
+    owned_by = {name: [owner for owner, keys in owners.items() if name in keys] for name in fields}
+    assert {name: found for name, found in owned_by.items() if len(found) != 1} == {}
+    assert {key for keys in owners.values() for key in keys} <= set(fields)
 
 
 def test_regularized_pattern_rejects_s_clients():
