@@ -17,7 +17,6 @@ average a single round's gradient mean.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,40 +29,19 @@ from .participation import Scheduler
 NOISE_CHUNK = 1 << 14
 
 
-@dataclass
-class ControlVariates:
-    """Per-client gradient estimates plus the window accumulators feeding
-    their refresh.
-
-    per_client[i] is subtracted in client i's local steps and global_cv
-    (their uniform mean) added back, so the corrections cancel on average.
-    accum[i] collects participation-weighted raw gradient sums over the
-    current window and qbar[i] the client's window-averaged weight.
-    """
-
-    per_client: np.ndarray
-    global_cv: np.ndarray
-    accum: np.ndarray
-    qbar: np.ndarray
-
-    @classmethod
-    def zeros(cls, n_clients: int, dim: int) -> "ControlVariates":
-        return cls(per_client=np.zeros((n_clients, dim)), global_cv=np.zeros(dim),
-                   accum=np.zeros((n_clients, dim)), qbar=np.zeros(n_clients))
-
-
 def control_variate_init(mode: str, objective: Objective, x0: np.ndarray, seed: int,
-                         local_steps: int) -> ControlVariates:
-    """Initial control variates at the starting model.
+                         local_steps: int) -> np.ndarray:
+    """Initial control variates at the starting model: an (n_clients, dim)
+    array whose row i is subtracted in client i's local steps.
 
     warm_start draws local_steps stochastic gradients per client at x0 and
     averages them, so with zero noise each client starts at its exact local
     gradient. Draw k of client i reads uniforms k*draws to (k+1)*draws - 1
     of the "init" stream (seed, i, 0). zero leaves everything at 0.
     """
-    cv = ControlVariates.zeros(objective.n_clients, objective.dim)
+    variates = np.zeros((objective.n_clients, objective.dim))
     if mode == "zero":
-        return cv
+        return variates
     if mode != "warm_start":
         raise ValueError(f"unknown cv_init mode: {mode!r}")
     d = objective.draws
@@ -72,9 +50,8 @@ def control_variate_init(mode: str, objective: Objective, x0: np.ndarray, seed: 
         total = np.zeros(objective.dim)
         for k in range(local_steps):
             total += objective.stoch_grad_local(i, x0, uniforms[k * d:(k + 1) * d])
-        cv.per_client[i] = total / local_steps
-    cv.global_cv = cv.per_client.mean(axis=0)
-    return cv
+        variates[i] = total / local_steps
+    return variates
 
 
 def client_local_update(objective: Objective, client: int, start: np.ndarray,
@@ -125,6 +102,16 @@ class Simulation:
     `model` whenever a metric evaluation is wanted. Reading the model never
     touches any training randomness.
 
+    The state is plain arrays: `model`, the live server model that sampled
+    clients start from, and `x_global`, the model at the last commit. With
+    control variates, `variates` holds client i's estimate in row i and
+    `variate_mean` their mean, so client i steps with the correction
+    `variate_mean - variates[i]`; over a window `accum[i]` sums client i's
+    weighted raw gradients and `qbar[i]` its window-averaged weight. Without
+    control variates all four are None. Every `window_len` rounds the commit
+    moves `x_global` gamma times the window's movement of `model`, rebases
+    `model` there and refreshes the variates of the clients seen.
+
     Client i's local steps in round r read the first `local_steps * draws`
     uniforms of the "gradient-noise" stream (seed, i, r). When r falls
     outside the rounds held, one `stream_uniforms` call computes them for
@@ -146,28 +133,25 @@ class Simulation:
         self.local_steps = cfg.local_steps
         self.seed = cfg.seed
         self.rounds = cfg.rounds
-        self.uses_cv = "cv_init" in reads
         if "gamma" in reads:
             self.window_len = scheduler.params().window
             self.gamma = cfg.gamma
         else:
             self.window_len = 1
             self.gamma = 1.0
-        self.x_global = self.w_inner = np.zeros(objective.dim)
-        self.cv = None
-        if self.uses_cv:
-            self.cv = control_variate_init(cfg.cv_init, objective, self.x_global,
-                                           cfg.seed, cfg.local_steps)
+        self.x_global = self.model = np.zeros(objective.dim)
+        self.variates = self.variate_mean = self.accum = self.qbar = None
+        if "cv_init" in reads:
+            self.variates = control_variate_init(cfg.cv_init, objective, self.x_global,
+                                                 cfg.seed, cfg.local_steps)
+            self.variate_mean = self.variates.mean(axis=0)
+            self.accum = np.zeros_like(self.variates)
+            self.qbar = np.zeros(objective.n_clients)
         self.uplink_scalars = 0
         # Uniforms of rounds [noise_start, noise_start + len(noise)), shaped
         # (rounds, clients, local_steps * draws); filled on first use.
         self._noise = np.empty((0, objective.n_clients, cfg.local_steps * objective.draws))
         self._noise_start = 0
-
-    @property
-    def model(self) -> np.ndarray:
-        """The live server model (re-based to the global model at commits)."""
-        return self.w_inner
 
     def _fill_noise(self, r: int) -> None:
         n_clients, per_client = self._noise.shape[1:]
@@ -180,52 +164,44 @@ class Simulation:
         self._noise = uniforms.reshape(len(rounds), n_clients, per_client)
         self._noise_start = r
 
-    def _client_work(self, client: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-        if not 0 <= r - self._noise_start < len(self._noise):
-            self._fill_noise(r)
-        # Python floats are the same doubles and much cheaper to hand out
-        # one at a time; one row at a time keeps the chunk's lists small.
-        uniforms = self._noise[r - self._noise_start, client].tolist()
-        correction = None
-        if self.uses_cv:
-            correction = self.cv.global_cv - self.cv.per_client[client]
-        return client_local_update(self.objective, client, self.w_inner,
-                                   self.local_steps, self.eta, uniforms, correction, self.mu)
-
     def run_round(self, r: int) -> None:
         sampled = self.scheduler.sample_round(r, self.seed)
+        if not 0 <= r - self._noise_start < len(self._noise):
+            self._fill_noise(r)
+        noise = self._noise[r - self._noise_start]
+        variates = self.variates
         # Every sampled client weighs 1/S. `sampled` is sorted, so the
         # floating-point reduction always walks clients in index order.
         q = 1.0 / len(sampled)
-        new_inner = np.zeros(self.objective.dim)
+        new_model = np.zeros(self.objective.dim)
         for i in sampled.tolist():
-            end, grad_sum = self._client_work(i, r)
-            new_inner += q * end
-            if self.uses_cv:
-                self.cv.accum[i] += q * grad_sum
-                self.cv.qbar[i] += q / self.window_len
-        self.w_inner = new_inner
-        self.uplink_scalars += len(sampled) * self.objective.dim * (2 if self.uses_cv else 1)
+            # Python floats are the same doubles and much cheaper to hand out
+            # one at a time; one row at a time keeps the chunk's lists small.
+            uniforms = noise[i].tolist()
+            correction = None if variates is None else self.variate_mean - variates[i]
+            end, grad_sum = client_local_update(self.objective, i, self.model, self.local_steps,
+                                                self.eta, uniforms, correction, self.mu)
+            new_model += q * end
+            if variates is not None:
+                self.accum[i] += q * grad_sum
+                self.qbar[i] += q / self.window_len
+        self.model = new_model
+        self.uplink_scalars += len(sampled) * self.objective.dim * (1 if variates is None else 2)
 
-        if (r + 1) % self.window_len == 0:
-            self._finalize_window()
-
-    def _finalize_window(self) -> None:
+        if (r + 1) % self.window_len:
+            return
         # Both model arrays are only ever rebound, never written in place,
-        # so the inner and global models may share one array.
+        # so the live and committed models may share one array.
         if self.gamma != 1.0:
-            self.w_inner = self.x_global + self.gamma * (self.w_inner - self.x_global)
-        self.x_global = self.w_inner
-        if self.uses_cv:
-            self._refresh_control_variates()
-
-    def _refresh_control_variates(self) -> None:
-        cv = self.cv
-        seen = cv.qbar > 0
+            self.model = self.x_global + self.gamma * (self.model - self.x_global)
+        self.x_global = self.model
+        if variates is None:
+            return
+        seen = self.qbar > 0
         if np.any(seen):
-            denom = self.window_len * cv.qbar[seen] * self.local_steps
-            cv.per_client[seen] = cv.accum[seen] / denom[:, None]
+            denom = self.window_len * self.qbar[seen] * self.local_steps
+            variates[seen] = self.accum[seen] / denom[:, None]
         # Clients absent for the whole window keep their previous estimate.
-        cv.global_cv = cv.per_client.mean(axis=0)
-        cv.accum[:] = 0.0
-        cv.qbar[:] = 0.0
+        self.variate_mean = variates.mean(axis=0)
+        self.accum[:] = 0.0
+        self.qbar[:] = 0.0

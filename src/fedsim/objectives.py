@@ -132,6 +132,8 @@ class Quadratic(Objective):
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         if centers.ndim != 2:
             raise ValueError("centers must be an (n_clients, dim) array.")
+        if centers.shape[1] == 0:
+            raise ValueError("centers must give each client at least one coordinate.")
         if not np.isfinite(centers).all():
             raise ValueError("centers must be finite.")
         if sigma < 0:

@@ -1,7 +1,8 @@
 """Reference checks used only by the tests: a finite-difference gradient
 checker, the cyclic pattern's closed forms for the window statistics
-that `fedsim verify` does not check against a closed form, and a shorthand
-for the scheduler a pattern name builds."""
+that `fedsim verify` does not check against a closed form, the exact
+window map of the noiseless quadratic under full participation, and a
+shorthand for the scheduler a pattern name builds."""
 
 import numpy as np
 
@@ -48,6 +49,25 @@ def cyclic_w_mean(n_clients: int, k_bar: int, s_clients: int) -> float:
     tests.
     """
     return s_clients * k_bar / n_clients ** 2
+
+
+def full_participation_window_factor(gamma: float, eta: float, local_steps: int,
+                                     window: int) -> float:
+    """Exact factor by which one window shrinks the distance to the optimum
+    on the noiseless quadratic f_i(x) = 0.5 * ||x - b_i||^2 when every
+    client takes part in every round.
+
+    With b the mean center, each local step maps x - b_i to
+    (1 - eta) * (x - b_i). Without control variates a round's average of the
+    endpoints is then b + (1 - eta)^K * (x - b), K = local_steps. With
+    control variates, every client's correction is b_i - b under a warm start
+    and after every refresh (all clients see the same models), so each
+    step is x - eta * (x - b) and the round map is the same. A window of
+    rounds therefore maps the committed model x_g to an inner model
+    b + a * (x_g - b) with a = (1 - eta)^(K * window), and the commit
+    x_g + gamma * (inner - x_g) leaves b + (1 - gamma * (1 - a)) * (x_g - b).
+    """
+    return abs(1 - gamma * (1 - (1 - eta) ** (local_steps * window)))
 
 
 def grad_check(objective: Objective, n_points: int = 50, h: float = 1e-5,

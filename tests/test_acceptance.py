@@ -172,7 +172,7 @@ def test_criterion_6():
     for r in range(cfg.rounds):
         sim.run_round(r)
         if (r + 1) % sim.window_len == 0:
-            gap = float(np.linalg.norm(sim.cv.global_cv - sim.cv.per_client.mean(axis=0)))
+            gap = float(np.linalg.norm(sim.variate_mean - sim.variates.mean(axis=0)))
             assert gap <= 1e-12, f"refresh at round {r + 1}: gap {gap:.3e}"
             refreshes += 1
     assert refreshes == 2

@@ -4,7 +4,6 @@ import pytest
 from fedsim import algorithms
 from fedsim.algorithms import (
     NOISE_CHUNK,
-    ControlVariates,
     Simulation,
     client_local_update,
     control_variate_init,
@@ -12,6 +11,8 @@ from fedsim.algorithms import (
 from fedsim.core import RunConfig, rng_stream, stream_uniforms
 from fedsim.objectives import Logistic, Quadratic
 from fedsim.participation import make_scheduler
+
+from checks import full_participation_window_factor
 
 
 def _cfg(**kw) -> RunConfig:
@@ -131,12 +132,17 @@ def test_fedprox_with_zero_mu_matches_fedavg_exactly():
 
 def test_warm_start_control_variates_without_noise():
     obj = Quadratic(np.array([[1.0, 2.0], [3.0, -4.0], [0.0, 0.0]]))
-    cv = control_variate_init("warm_start", obj, np.zeros(2), seed=0, local_steps=3)
+    variates = control_variate_init("warm_start", obj, np.zeros(2), seed=0, local_steps=3)
+    assert variates.shape == (3, 2)
     for i in range(3):
-        np.testing.assert_array_equal(cv.per_client[i], obj.grad_local(i, np.zeros(2)))
-    np.testing.assert_array_equal(cv.global_cv, cv.per_client.mean(axis=0))
+        np.testing.assert_array_equal(variates[i], obj.grad_local(i, np.zeros(2)))
     zero = control_variate_init("zero", obj, np.zeros(2), seed=0, local_steps=3)
-    assert not zero.per_client.any() and not zero.global_cv.any()
+    assert zero.shape == (3, 2) and not zero.any()
+    # the engine holds the same variates and their mean
+    cfg = _cfg(n_clients=3, algorithm="scaffold", local_steps=3)
+    sim = Simulation(obj, make_scheduler(cfg), cfg)
+    np.testing.assert_array_equal(sim.variates, variates)
+    np.testing.assert_array_equal(sim.variate_mean, variates.mean(axis=0))
     with pytest.raises(ValueError):
         control_variate_init("cold", obj, np.zeros(2), 0, 1)
 
@@ -150,9 +156,9 @@ def test_refresh_uses_window_average_of_raw_gradients():
                                       rng_stream(0, "gradient-noise", 0, 0).random(2))
     sim.run_round(0)
     sim.run_round(1)
-    assert sim.cv.per_client[0][0] == grad_sum[0] / 2
+    assert sim.variates[0][0] == grad_sum[0] / 2
     # the accumulators reset at the commit
-    assert not sim.cv.accum.any() and not sim.cv.qbar.any()
+    assert not sim.accum.any() and not sim.qbar.any()
 
 
 def test_clients_absent_all_window_keep_their_variate():
@@ -160,7 +166,7 @@ def test_clients_absent_all_window_keep_their_variate():
                s_clients=1, seed=3)
     centers = [[1.0], [2.0], [-1.0], [-2.0]]
     sim = _sim(cfg, centers)
-    before = sim.cv.per_client.copy()
+    before = sim.variates.copy()
     sim.run_round(0)
     sim.run_round(1)
     sampled_over_window = {0, 1} | {2, 3}
@@ -169,7 +175,7 @@ def test_clients_absent_all_window_keep_their_variate():
     ) - set(make_scheduler(cfg).sample_round(1, 3).tolist())
     assert len(quiet) == 2
     for i in quiet:
-        np.testing.assert_array_equal(sim.cv.per_client[i], before[i])
+        np.testing.assert_array_equal(sim.variates[i], before[i])
 
 
 def test_global_variate_stays_the_mean_after_every_refresh():
@@ -180,9 +186,9 @@ def test_global_variate_stays_the_mean_after_every_refresh():
     for r in range(20):
         sim.run_round(r)
         if (r + 1) % sim.window_len == 0:
-            gap = np.linalg.norm(sim.cv.global_cv - sim.cv.per_client.mean(axis=0))
+            gap = np.linalg.norm(sim.variate_mean - sim.variates.mean(axis=0))
             assert gap <= 1e-12
-            corrections = sum(sim.cv.global_cv - sim.cv.per_client[i] for i in range(4))
+            corrections = sum(sim.variate_mean - sim.variates[i] for i in range(4))
             assert np.linalg.norm(corrections) <= 1e-12
 
 
@@ -211,6 +217,45 @@ def test_gd_equivalence_window_one():
         sim.run_round(r)
         x = x - 0.1 * (x - centers.mean(axis=0))
         assert np.abs(sim.model - x).max() <= 1e-12
+
+
+@pytest.mark.parametrize("algorithm, gamma, window", [
+    ("fedavg", 1.0, 1), ("scaffold", 1.0, 1),
+    ("amp_fedavg", 1.0, 4), ("amp_fedavg", 1.5, 4), ("amp_fedavg", 3.0, 4),
+    ("amp_scaffold", 1.0, 4), ("amp_scaffold", 1.5, 4), ("amp_scaffold", 3.0, 4),
+])
+def test_full_participation_windows_contract_by_the_exact_factor(algorithm, gamma, window):
+    # Both clients take part in every round of a 4-round window; the optimum
+    # is the mean center 1, so |model - 1| starts at 1 and each commit scales
+    # it by the closed-form factor.
+    cfg = _cfg(algorithm=algorithm, gamma=gamma, pattern="grouped_cyclic", k_bar=1,
+               s_clients=2, avail_rounds_g=4, local_steps=3, eta=0.05, rounds=5 * window)
+    sim = _sim(cfg, [[2.0], [0.0]])
+    assert sim.window_len == window
+    factor = full_participation_window_factor(gamma, 0.05, 3, window)
+    distance = 1.0
+    for r in range(cfg.rounds):
+        sim.run_round(r)
+        if (r + 1) % window == 0:
+            now = abs(sim.model[0] - 1.0)
+            assert abs(now / distance - factor) <= 1e-12 * factor, f"window ending at round {r + 1}"
+            distance = now
+
+
+@pytest.mark.parametrize("algorithm, key", [
+    ("scaffold", dict(gamma=2.0)), ("fedavg", dict(mu=0.5)), ("fedavg", dict(cv_init="zero")),
+], ids=["scaffold-gamma", "fedavg-mu", "fedavg-cv_init"])
+def test_a_key_the_algorithm_does_not_read_is_ignored(algorithm, key):
+    # An unchecked config reaches the engine without validate_run_config's
+    # rejection; the key then changes no bit of any round's model.
+    kw = dict(algorithm=algorithm, n_clients=4, s_clients=2, pattern="grouped_cyclic", k_bar=2,
+              avail_rounds_g=2, sigma=0.5, local_steps=3, rounds=16)
+    centers = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5], [2.0, -1.0]]
+    plain, keyed = _sim(_cfg(**kw), centers), _sim(_cfg(**kw, **key), centers)
+    for r in range(16):
+        plain.run_round(r)
+        keyed.run_round(r)
+        assert keyed.model.tobytes() == plain.model.tobytes(), f"round {r}"
 
 
 @pytest.mark.parametrize("algorithm,extra", [
@@ -266,14 +311,6 @@ def test_mismatched_population_is_rejected():
     cfg = _cfg(n_clients=3, s_clients=2)
     with pytest.raises(ValueError, match="n_clients"):
         _sim(cfg, [[1.0], [-1.0]])
-
-
-def test_control_variates_zeros_shape():
-    cv = ControlVariates.zeros(5, 3)
-    assert cv.per_client.shape == (5, 3)
-    assert cv.global_cv.shape == (3,)
-    assert cv.accum.shape == (5, 3)
-    assert cv.qbar.shape == (5,)
 
 
 def _chunked_objective(kind: str):
@@ -377,11 +414,13 @@ def test_warm_start_equals_a_stream_per_client(kind):
     # the client's "init" stream.
     objective = _chunked_objective(kind)
     x0 = rng_stream(3, "init", 99).standard_normal(objective.dim)
-    cv = control_variate_init("warm_start", objective, x0, seed=5, local_steps=4)
+    variates = control_variate_init("warm_start", objective, x0, seed=5, local_steps=4)
     for i in range(objective.n_clients):
         rng = rng_stream(5, "init", i, 0)
         total = np.zeros(objective.dim)
         for _ in range(4):
             total += objective.stoch_grad_local(i, x0, rng.random(objective.draws))
-        assert cv.per_client[i].tobytes() == (total / 4).tobytes()
-    assert cv.global_cv.tobytes() == cv.per_client.mean(axis=0).tobytes()
+        assert variates[i].tobytes() == (total / 4).tobytes()
+    cfg = _cfg(n_clients=12, algorithm="scaffold", local_steps=4, seed=5, objective=kind)
+    sim = Simulation(objective, make_scheduler(cfg), cfg)
+    assert sim.variate_mean.tobytes() == sim.variates.mean(axis=0).tobytes()

@@ -166,6 +166,7 @@ def test_run_accepts_a_nan_target_value(tmp_path, capsys):
     (QUAD_CFG, "centers=", "centers"),
     (QUAD_CFG, "centers=1; 2; 3", "n_clients = 2, but the quadratic objective has 3 clients"),
     (QUAD_CFG, "centers=nan; 3", "centers"),
+    (QUAD_CFG, "centers=,", "centers"),
     (LOGISTIC_CFG, "dataset=bogus", "dataset"),
     (LOGISTIC_RUN_CFG, "dataset=idx", "images_path"),
     (LOGISTIC_CFG, "similarity=101", "similarity"),
@@ -174,8 +175,8 @@ def test_run_accepts_a_nan_target_value(tmp_path, capsys):
     # logistic never reads sigma
     (LOGISTIC_CFG, "sigma=-1", "objective logistic does not read sigma"),
 ], ids=["pattern", "objective", "synthetic-n_clients", "h", "mu_pl", "kappa", "synthetic-sigma",
-        "quadratic-sigma", "centers-empty", "centers-count", "centers-nan", "dataset", "idx-paths",
-        "similarity", "minibatch", "l2", "logistic-sigma"])
+        "quadratic-sigma", "centers-empty", "centers-count", "centers-nan", "centers-no-coordinates",
+        "dataset", "idx-paths", "similarity", "minibatch", "l2", "logistic-sigma"])
 def test_run_rejects_a_bad_objective_key_by_name(tmp_path, capsys, base, override, key):
     cfg = _write(tmp_path, "run.cfg", base)
     rc = main(["run", "--config", cfg, "--override", override, "--out", str(tmp_path / "o")])
