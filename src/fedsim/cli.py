@@ -3,7 +3,7 @@
 Subcommands: run (one seeded run to run.csv), grid (sweep an experiment
 file to grid.csv), verify (participation pattern diagnostics to
 verify.csv), partition-report (label histogram of the client shards),
-datagen (write a synthetic IDX dataset).
+datagen (write a synthetic IDX dataset). Every file is written atomically.
 
 Exit codes: 0 on success with no failed check, 1 when verify finds a
 failed check, 2 on any error.
@@ -28,8 +28,8 @@ from .core import (
 )
 from .data import _atomic_write, label_histogram, save_idx
 from .diagnostics import assumption_suite, checks_to_csv_rows, format_report
-from .harness import (best_cell, blob_datasets, build_objective, rounds_to_target, run_grid, run_once,
-                      write_grid_csv, write_run_csv)
+from .harness import (best_cell, blob_datasets, build_objective, grid_csv, rounds_to_target, run_grid,
+                      run_once, run_record_csv)
 from .participation import PATTERNS, make_scheduler
 
 
@@ -51,7 +51,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = build_run_config(values)
     record = run_once(cfg)
     path = _out_path(args, "run.csv")
-    write_run_csv(record, path)
+    _atomic_write(path, run_record_csv(record).encode())
 
     print(f"run: algorithm={cfg.algorithm} objective={cfg.objective} pattern={cfg.pattern}"
           f" rounds={cfg.rounds} eta={format_value(cfg.eta)} gamma={format_value(cfg.gamma)}"
@@ -82,7 +82,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     results = run_grid(spec)
     grid_keys = list(spec.grid)
     path = _out_path(args, "grid.csv")
-    write_grid_csv(results, grid_keys, path)
+    _atomic_write(path, grid_csv(results, grid_keys).encode())
 
     print(f"grid: {len(results)} cells x {len(spec.seeds)} seeds")
     for cell in results:

@@ -17,6 +17,9 @@ from .core import format_value
 from .participation import CyclicScheduler, ScaScheduler, Scheduler
 
 _EXACT_TOL = 1e-12
+# Windows the Monte Carlo samples before it averages the regularity
+# statistic, while the participation history warms up.
+BURN_IN = 10
 
 
 @dataclass
@@ -48,12 +51,10 @@ class CheckResult:
 
 class ParticipationHistory:
     """Tracks, per client, the weight column of its most recent window with
-    any participation. Clients never seen have no history and are excluded
-    from the regularity statistic."""
+    any participation. A client never seen keeps an all-zero row."""
 
     def __init__(self, n_clients: int, window_len: int):
         self.z = np.zeros((n_clients, window_len))
-        self.has_history = np.zeros(n_clients, dtype=bool)
 
     def observe(self, q: np.ndarray) -> None:
         """Record a (rounds, clients) weight matrix."""
@@ -61,7 +62,6 @@ class ParticipationHistory:
             raise ValueError("window shape does not match the history tracker.")
         participated = q.sum(axis=0) > 0
         self.z[participated] = q[:, participated].T
-        self.has_history |= participated
 
 
 def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
@@ -69,9 +69,9 @@ def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
 
     history supplies each client's reference weights for the regularity
     ratio: the weight column of its most recent participated window. A
-    client without history, or whose history is all zero, is excluded from
-    that term. The regularity statistic v_sq_lambda adds the per-client
-    terms one at a time, in client order.
+    client whose history row is all zero is excluded from that term. The
+    regularity statistic v_sq_lambda adds the per-client terms one at a
+    time, in client order.
     """
     if q.ndim != 2:
         raise ValueError("window matrix must be two dimensional.")
@@ -86,12 +86,12 @@ def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
     coef[seen] = 1.0 / (window_len * qbar[seen])
     w = overlap @ coef / n_clients
 
-    z, has = history.z, history.has_history
+    z = history.z
     if z.shape != (n_clients, window_len):
         raise ValueError("history shape does not match the window.")
     v = qbar - 1.0 / n_clients
     z_mean = z.mean(axis=1)
-    use = has & (z_mean > 0)
+    use = z_mean > 0
     terms = v[use] ** 2 * ((z[use] ** 2).mean(axis=1) / z_mean[use] ** 2)
     # cumsum adds sequentially; np.sum would sum pairwise and round
     # differently.
@@ -131,7 +131,6 @@ class MonteCarloStats:
     """Aggregates over independently sampled windows."""
 
     trials: int
-    burn_in: int
     qbar_mean: np.ndarray
     qbar_var: np.ndarray
     qbar_pos_freq: np.ndarray
@@ -155,12 +154,11 @@ def sample_window(scheduler: Scheduler, window_index: int, seed: int, window_len
     return q
 
 
-def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int,
-                      burn_in: int = 10) -> MonteCarloStats:
+def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int) -> MonteCarloStats:
     """Sample `trials` aligned windows and aggregate every window statistic.
 
     The regularity statistic needs participation history, so its average
-    skips the first `burn_in` windows while the tracker warms up.
+    skips the first `BURN_IN` windows while the tracker warms up.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1.")
@@ -191,7 +189,7 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int,
         qbar_pos += stats.qbar > 0
         w_sum += stats.w
         w_sq_sum += stats.w ** 2
-        if t >= burn_in:
+        if t >= BURN_IN:
             vsl_sum += stats.v_sq_lambda
             vsl_sq_sum += stats.v_sq_lambda ** 2
             vsl_count += 1
@@ -208,7 +206,6 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int,
     vsl_var = vsl_sq_sum / vsl_count - vsl_mean ** 2 if vsl_count else 0.0
     return MonteCarloStats(
         trials=trials,
-        burn_in=burn_in,
         qbar_mean=qbar_mean,
         qbar_var=np.maximum(qbar_sq_sum / trials - qbar_mean ** 2, 0.0),
         qbar_pos_freq=qbar_pos / trials,

@@ -3,9 +3,8 @@ record metrics, and serialize results as CSV.
 
 Evaluation never consumes training randomness (metric computation is
 deterministic and the random streams are purpose-tagged), so changing the
-evaluation schedule cannot change a trajectory. All files are written
-atomically and floats are serialized in shortest round-trip form, which
-makes re-runs byte-identical.
+evaluation schedule cannot change a trajectory. Floats are serialized in
+shortest round-trip form, which makes re-runs byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 from .algorithms import Simulation
 from .core import (ConfigError, ExperimentSpec, RunConfig, RunRecord, build_run_config, format_value,
                    reject_unread, validate_run_config)
-from .data import _atomic_write, load_idx, make_blobs, partition_by_similarity
+from .data import load_idx, make_blobs, partition_by_similarity
 from .objectives import Logistic, Objective, Quadratic, SyntheticHard
 from .participation import make_scheduler
 
@@ -177,10 +176,6 @@ def run_record_csv(record: RunRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_run_csv(record: RunRecord, path: str) -> None:
-    _atomic_write(path, run_record_csv(record).encode())
-
-
 # ---------------------------------------------------------------------------
 # Grid runner
 
@@ -248,10 +243,6 @@ def grid_csv(results: list[GridCellResult], grid_keys: list[str]) -> str:
         fields.append(format_value(cell.mean_rounds_to_target))
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
-
-
-def write_grid_csv(results: list[GridCellResult], grid_keys: list[str], path: str) -> None:
-    _atomic_write(path, grid_csv(results, grid_keys).encode())
 
 
 def best_cell(results: list[GridCellResult]) -> GridCellResult:

@@ -168,10 +168,10 @@ class Logistic(Objective):
     the full penalty term. `labels[i]` holds client i's labels, which
     `fedsim partition-report` counts.
 
-    One helper, `_grad`, serves `grad_local` on the full shard and
-    `stoch_grad_local` on the drawn rows when `minibatch > 1`. It subtracts
-    a one-hot label table that is built once, at construction, per client.
-    `eval_local` computes the loss alone, with no gradient.
+    Every gradient subtracts 1.0 from the softmax at each row's label. One
+    helper, `_grad`, does so for `grad_local` on the full shard and for
+    `stoch_grad_local` on the drawn rows when `minibatch > 1`. `eval_local`
+    computes the loss alone, with no gradient.
 
     With `minibatch == 1`, `stoch_grad_local` works on the drawn row as 1-D
     arrays, which skips most of the small-array overhead, and returns the
@@ -180,9 +180,7 @@ class Logistic(Objective):
     - each entry of `np.multiply.outer(delta, f)` is the one exact multiply
       of the k = 1 matrix product, and `+= 0.0` turns its -0.0 into the
       product's 0.0 before any penalty is added;
-    - the mean over one row skips the divide, since `x / 1 == x`;
-    - subtracting 1 at the label alone equals subtracting the one-hot row,
-      since `p - 0.0 == p`.
+    - the mean over one row skips the divide, since `x / 1 == x`.
     """
 
     def __init__(self, shards: list[tuple[np.ndarray, np.ndarray]], num_classes: int,
@@ -195,10 +193,8 @@ class Logistic(Objective):
         if minibatch < 1:
             raise ValueError("minibatch must be >= 1.")
         num_features = shards[0][0].shape[1]
-        eye = np.eye(num_classes)
         self._features = []
         self.labels = []
-        self._onehot = []
         for idx, (feats, labels) in enumerate(shards):
             labels = np.asarray(labels, dtype=int)
             if len(labels) == 0:
@@ -211,20 +207,21 @@ class Logistic(Objective):
                 raise ValueError(f"client {idx} has labels outside [0, {num_classes}).")
             self._features.append(np.hstack([feats, np.ones((feats.shape[0], 1))]))
             self.labels.append(labels)
-            self._onehot.append(eye[labels])
         self.num_classes = num_classes
         self.num_features = num_features
         self.l2 = l2
-        self.minibatch = self.draws = minibatch
+        self.draws = minibatch
         self.n_clients = len(shards)
         self.dim = num_classes * (num_features + 1)
         if test_set is not None:
             feats, labels = test_set
             labels = np.asarray(labels, dtype=int)
+            if len(labels) == 0:
+                raise ValueError("the test set has no samples.")
             if feats.shape[1] != num_features:
                 raise ValueError(f"the test set has {feats.shape[1]} features, expected {num_features}.")
             # A label the model cannot predict would only ever count as a miss.
-            if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
+            if labels.min() < 0 or labels.max() >= num_classes:
                 raise ValueError(f"the test set has labels outside [0, {num_classes}).")
             self._test = (np.hstack([feats, np.ones((feats.shape[0], 1))]), labels)
         else:
@@ -248,15 +245,13 @@ class Logistic(Objective):
         g[:, :-1] = self.l2 * w[:, :-1]
         return g
 
-    def _grad(self, w: np.ndarray, feats: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    def _grad(self, w: np.ndarray, feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Mean cross-entropy gradient over `feats` plus the penalty, raveled.
 
-        Subtracting the one-hot rows equals subtracting 1 at each label,
-        because p - 0.0 == p for every probability p, and `+= 0.0` turns
-        -0.0 into 0.0 exactly as adding a zero penalty would.
+        `+= 0.0` turns -0.0 into 0.0 exactly as adding a zero penalty would.
         """
         delta = np.exp(self._log_softmax(feats @ w.T))
-        delta -= onehot
+        delta[np.arange(len(labels)), labels] -= 1.0
         grad = delta.T @ feats / len(feats)
         if self.l2:
             return (grad + self._penalty_grad(w)).ravel()
@@ -272,7 +267,7 @@ class Logistic(Objective):
 
     def grad_local(self, client: int, x: np.ndarray) -> np.ndarray:
         self._check_client(client)
-        return self._grad(self._weights(x), self._features[client], self._onehot[client])
+        return self._grad(self._weights(x), self._features[client], self.labels[client])
 
     def stoch_grad_local(self, client: int, x: np.ndarray, u: Sequence[float]) -> np.ndarray:
         self._check_client(client)
@@ -281,10 +276,9 @@ class Logistic(Objective):
         n = len(labels)
         # int() truncates like a cast to int64, as 0 <= u * n < 2**53; min()
         # catches u * n rounding up to n. Plain lists skip small-array costs.
-        if self.minibatch > 1:
-            idx = [min(int(u[k] * n), n - 1) for k in range(self.minibatch)]
-            return self._grad(w, self._features[client].take(idx, axis=0),
-                              self._onehot[client].take(idx, axis=0))
+        if self.draws > 1:
+            idx = [min(int(u[k] * n), n - 1) for k in range(self.draws)]
+            return self._grad(w, self._features[client].take(idx, axis=0), labels.take(idx))
         i = min(int(u[0] * n), n - 1)
         f = self._features[client][i]
         logits = w @ f

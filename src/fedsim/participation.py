@@ -95,8 +95,6 @@ class ScaScheduler(CyclicScheduler):
         super().__init__(n_clients, k_bar, s_clients, avail_rounds_g)
         if not (0 <= p_active <= 1 and 0 <= p_inactive <= 1):
             raise ConfigError("availability probabilities must lie in [0, 1].")
-        self.p_active = p_active
-        self.p_inactive = p_inactive
         # Row g holds every client's availability probability while group g
         # is the eligible one.
         groups = np.arange(n_clients) // self.group_size

@@ -1,8 +1,9 @@
 """Reference checks used only by the tests: a finite-difference gradient
 checker, the cyclic pattern's closed forms for the window statistics
 that `fedsim verify` does not check against a closed form, the exact
-window map of the noiseless quadratic under full participation, and a
-shorthand for the scheduler a pattern name builds."""
+window factor of the noiseless quadratic under full participation and
+scaffold's exact round map there with one client present, and a shorthand
+for the scheduler a pattern name builds."""
 
 import numpy as np
 
@@ -68,6 +69,38 @@ def full_participation_window_factor(gamma: float, eta: float, local_steps: int,
     x_g + gamma * (inner - x_g) leaves b + (1 - gamma * (1 - a)) * (x_g - b).
     """
     return abs(1 - gamma * (1 - (1 - eta) ** (local_steps * window)))
+
+
+def scaffold_round_map(eta: float, local_steps: int, centers, present: int) -> np.ndarray:
+    """Exact affine map of one `scaffold` round on the noiseless 1-D
+    quadratic f_i(x) = 0.5 * (x - b_i)^2 when client p = `present` alone
+    takes part.
+
+    The map acts on the state (x, c_0, ..., c_{n-1}, 1): the model, the
+    variates, and a constant 1 that carries the offsets. Client p steps
+    with the correction delta = mean(c) - c_p, so each local step maps
+    x - (b_p - delta) to (1 - eta) * (x - (b_p - delta)), and K =
+    local_steps of them send x to rho * x + (1 - rho) * (b_p - delta) with
+    rho = (1 - eta)^K. Its raw gradients x_k - b_p = -delta + (1 - eta)^k *
+    (x - b_p + delta) sum to -K * delta + (1 - rho) / eta * (x - b_p + delta),
+    so the refresh sets c_p to their mean, beta * (x - b_p) - (1 - beta) *
+    delta with beta = (1 - rho) / (eta * K). Every absent variate is left
+    as it was.
+    """
+    n = len(centers)
+    rho = (1 - eta) ** local_steps
+    beta = (1 - rho) / (eta * local_steps)
+    x = np.zeros(n + 2)
+    x[0] = 1.0
+    b_p = np.zeros(n + 2)
+    b_p[-1] = centers[present]
+    delta = np.zeros(n + 2)
+    delta[1:-1] = 1.0 / n
+    delta[1 + present] -= 1.0
+    m = np.eye(n + 2)
+    m[0] = rho * x + (1 - rho) * (b_p - delta)
+    m[1 + present] = beta * (x - b_p) - (1 - beta) * delta
+    return m
 
 
 def grad_check(objective: Objective, n_points: int = 50, h: float = 1e-5,

@@ -12,7 +12,7 @@ from fedsim.core import RunConfig, rng_stream, stream_uniforms
 from fedsim.objectives import Logistic, Quadratic
 from fedsim.participation import make_scheduler
 
-from checks import full_participation_window_factor
+from checks import full_participation_window_factor, scaffold_round_map
 
 
 def _cfg(**kw) -> RunConfig:
@@ -240,6 +240,37 @@ def test_full_participation_windows_contract_by_the_exact_factor(algorithm, gamm
             now = abs(sim.model[0] - 1.0)
             assert abs(now / distance - factor) <= 1e-12 * factor, f"window ending at round {r + 1}"
             distance = now
+
+
+@pytest.mark.parametrize("eta, radius", [
+    (1e-4, 0.599), (3e-4, 0.157), (1e-3, 0.157), (3e-3, 0.889), (1e-2, 1.000),
+])
+def test_scaffold_long_phases_follow_the_exact_round_map(eta, radius):
+    # Client 0 alone for 240 rounds, then client 1 alone, and so on; the
+    # optimum is the mean center 1. The warm start sets c_i = -b_i at x = 0.
+    g = 240
+    cfg = _cfg(algorithm="scaffold", pattern="grouped_cyclic", k_bar=2, s_clients=1,
+               avail_rounds_g=g, local_steps=10, eta=eta, cv_init="warm_start", rounds=10 * g)
+    sim = _sim(cfg, [[2.0], [0.0]])
+    phases = [np.linalg.matrix_power(scaffold_round_map(eta, 10, [2.0, 0.0], p), g)
+              for p in (0, 1)]
+    # The linear part of two phases, on (x, c_0, c_1), gives the rate per
+    # 480-round window.
+    two_phases = (phases[1] @ phases[0])[:3, :3]
+    assert round(float(np.abs(np.linalg.eigvals(two_phases)).max()), 3) == radius
+    state = np.array([0.0, -2.0, 0.0, 1.0])
+    errors = []
+    for phase in range(10):
+        for r in range(phase * g, (phase + 1) * g):
+            sim.run_round(r)
+        state = phases[phase % 2] @ state
+        assert abs(sim.model[0] - state[0]) <= 1e-12, f"phase {phase}"
+        errors.append(sim.model[0] - 1.0)
+    if eta == 1e-2:
+        # The model flips to the mirror of where the absent client's variate
+        # was taken, so the error changes sign every phase without decaying.
+        assert all(a * b < 0 for a, b in zip(errors, errors[1:]))
+        assert min(map(abs, errors)) > 0.999
 
 
 @pytest.mark.parametrize("algorithm, key", [

@@ -7,7 +7,7 @@ import pytest
 from fedsim import ALGORITHMS, harness
 from fedsim.cli import build_parser, main
 from fedsim.core import ConfigError, build_run_config
-from fedsim.data import load_idx
+from fedsim.data import load_idx, make_blobs, save_idx
 from fedsim.diagnostics import assumption_suite, checks_to_csv_rows
 from fedsim.participation import CyclicScheduler, ScaScheduler
 
@@ -44,6 +44,15 @@ similarity = 50
 
 # The logistic run without its data keys, for configs that pick the data.
 LOGISTIC_RUN_CFG = LOGISTIC_CFG.split("dataset = blob")[0]
+
+# A logistic run on IDX files in the working directory, its held-out pair
+# short of test_labels_path.
+IDX_CFG = LOGISTIC_RUN_CFG + """\
+dataset = idx
+images_path = train-images.idx
+labels_path = train-labels.idx
+test_images_path = empty-images.idx
+"""
 
 SYNTHETIC_CFG = """\
 n_clients = 2
@@ -172,12 +181,17 @@ def test_run_accepts_a_nan_target_value(tmp_path, capsys):
     (LOGISTIC_CFG, "similarity=101", "similarity"),
     (LOGISTIC_CFG, "minibatch=0", "minibatch"),
     (LOGISTIC_CFG, "l2=-1", "l2"),
+    (IDX_CFG, "test_labels_path=empty-labels.idx", "the test set has no samples"),
     # logistic never reads sigma
     (LOGISTIC_CFG, "sigma=-1", "objective logistic does not read sigma"),
 ], ids=["pattern", "objective", "synthetic-n_clients", "h", "mu_pl", "kappa", "synthetic-sigma",
         "quadratic-sigma", "centers-empty", "centers-count", "centers-nan", "centers-no-coordinates",
-        "dataset", "idx-paths", "similarity", "minibatch", "l2", "logistic-sigma"])
-def test_run_rejects_a_bad_objective_key_by_name(tmp_path, capsys, base, override, key):
+        "dataset", "idx-paths", "similarity", "minibatch", "l2", "empty-test-pair", "logistic-sigma"])
+def test_run_rejects_a_bad_objective_key_by_name(tmp_path, capsys, monkeypatch, base, override, key):
+    # IDX_CFG's files: 200 training samples and a held-out pair with none.
+    monkeypatch.chdir(tmp_path)
+    save_idx("train-images.idx", "train-labels.idx", *make_blobs(200, 3, 4, seed=0))
+    save_idx("empty-images.idx", "empty-labels.idx", np.zeros((0, 4)), np.zeros(0, dtype=int))
     cfg = _write(tmp_path, "run.cfg", base)
     rc = main(["run", "--config", cfg, "--override", override, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from fedsim import diagnostics
 from fedsim.data import make_blobs, partition_by_similarity
 from fedsim.diagnostics import (
+    BURN_IN,
     ParticipationHistory,
     assumption_suite,
     checks_to_csv_rows,
@@ -103,7 +104,6 @@ def test_cyclic_windows_enumerated_exactly():
     history.observe(_one_hot_window(0, 1))
     history.observe(_one_hot_window(2, 3))
     np.testing.assert_array_equal(history.z, np.eye(2)[np.arange(4) % 2])
-    assert history.has_history.all()
     for q in outcomes:
         stats = window_stats(q, history)
         # every outcome: two sampled clients at w = 1/4, so the client
@@ -134,7 +134,7 @@ def test_cyclic_windows_enumerated_exactly():
         history = ParticipationHistory(sched.n_clients, sched.k_bar)
         for q in windows:
             history.observe(q)
-        assert history.has_history.all()
+        assert history.z.any(axis=1).all()
         mean_v = np.mean([window_stats(q, history).v_sq_lambda for q in windows])
         closed = cyclic_v_sq_lambda_mean(sched.n_clients, sched.k_bar, sched.s_clients)
         assert abs(mean_v - closed) <= 1e-12
@@ -158,7 +158,7 @@ def _loop_v_sq_lambda(q, history):
     n_clients = q.shape[1]
     v = q.mean(axis=0) - 1.0 / n_clients
     total = 0.0
-    for i in np.flatnonzero(history.has_history):
+    for i in range(n_clients):
         z_mean = history.z[i].mean()
         if z_mean <= 0:
             continue
@@ -177,10 +177,8 @@ def test_v_sq_lambda_matches_the_client_loop_bit_for_bit():
                 history = ParticipationHistory(n_clients, window_len)
                 history.z = rng.random((n_clients, window_len)) * (
                     rng.random((n_clients, window_len)) < 0.5)
-                # all-zero rows, with and without history, and clients
-                # without history
+                # all-zero rows: clients without history
                 history.z[rng.random(n_clients) < 0.2] = 0.0
-                history.has_history = rng.random(n_clients) < 0.7
                 got = window_stats(q, history).v_sq_lambda
                 assert type(got) is float
                 assert np.float64(got).tobytes() == np.float64(_loop_v_sq_lambda(q, history)).tobytes()
@@ -217,12 +215,12 @@ def test_window_stats_rejects_a_history_of_another_shape():
 
 def test_history_tracker_keeps_the_latest_participated_window():
     history = ParticipationHistory(3, 2)
-    assert not history.has_history.any() and not history.z.any()
+    assert not history.z.any()
     history.observe(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]))
-    assert history.has_history.tolist() == [True, True, False]
+    assert history.z.any(axis=1).tolist() == [True, True, False]
     np.testing.assert_array_equal(history.z[0], [0.5, 0.5])
     history.observe(np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]))
-    assert history.has_history.all()
+    assert history.z.any(axis=1).all()
     np.testing.assert_array_equal(history.z[0], [0.5, 0.5])
     np.testing.assert_array_equal(history.z[1], [0.5, 0.0])
     np.testing.assert_array_equal(history.z[2], [0.5, 1.0])
@@ -265,7 +263,7 @@ def test_monte_carlo_matches_the_cyclic_closed_forms():
     var = float(mc.qbar_var.mean())
     assert abs(var - cyclic_qbar_variance(4, 2, 1, 2)) <= 0.05 * (1 / 16)
     assert abs(mc.v_sq_lambda_mean - cyclic_v_sq_lambda_mean(4, 2, 1)) <= 0.1 * 0.5
-    assert mc.v_sq_lambda_count == 2000 - mc.burn_in
+    assert mc.v_sq_lambda_count == 2000 - BURN_IN
     np.testing.assert_allclose(mc.qbar_pos_freq, 0.5, atol=0.06)
 
 

@@ -19,8 +19,6 @@ from fedsim.harness import (
     run_grid,
     run_once,
     run_record_csv,
-    write_grid_csv,
-    write_run_csv,
 )
 from fedsim.data import save_idx
 from fedsim.objectives import Quadratic
@@ -142,13 +140,6 @@ def test_run_csv_format():
     assert float(first[2]) == record.train_losses[0]
 
 
-def test_write_run_csv(tmp_path):
-    record = run_once(_quad())
-    path = tmp_path / "run.csv"
-    write_run_csv(record, str(path))
-    assert path.read_text() == run_record_csv(record)
-
-
 def test_parse_centers():
     np.testing.assert_array_equal(parse_centers("1,2; 3,4"), [[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(parse_centers("1; 2;"), [[1.0], [2.0]])
@@ -238,21 +229,17 @@ def test_grid_checks_every_config_before_the_first_run(monkeypatch):
     assert calls == []
 
 
-def test_grid_records_rounds_to_target(tmp_path):
+def test_grid_records_rounds_to_target():
     spec = _grid_spec(target_value=2.0, eval_every=1)
     results = run_grid(spec)
     hit = [c for c in results if not math.isnan(c.mean_rounds_to_target)]
     assert hit
     assert all(c.mean_rounds_to_target >= 0 for c in hit)
     keys = list(spec.grid)
-    text = grid_csv(results, keys)
-    lines = text.splitlines()
+    lines = grid_csv(results, keys).splitlines()
     assert lines[0] == "cell_id,eta,local_steps,mean_final_loss,std_final_loss,mean_rounds_to_target"
     assert len(lines) == 5
     assert lines[1].startswith("0,0.05,1,")
-    path = tmp_path / "grid.csv"
-    write_grid_csv(results, keys, str(path))
-    assert path.read_text() == text
 
 
 def test_best_cell_prefers_numbers_over_nan():
