@@ -37,7 +37,8 @@ def control_variate_init(mode: str, objective: Objective, x0: np.ndarray, seed: 
     warm_start draws local_steps stochastic gradients per client at x0 and
     averages them, so with zero noise each client starts at its exact local
     gradient. Draw k of client i reads uniforms k*draws to (k+1)*draws - 1
-    of the "init" stream (seed, i, 0). zero leaves everything at 0.
+    of the "init" stream (seed, i, 0), mapped through `objective.noise` in
+    one call per client. zero leaves everything at 0.
     """
     variates = np.zeros((objective.n_clients, objective.dim))
     if mode == "zero":
@@ -46,16 +47,16 @@ def control_variate_init(mode: str, objective: Objective, x0: np.ndarray, seed: 
         raise ValueError(f"unknown cv_init mode: {mode!r}")
     d = objective.draws
     for i in range(objective.n_clients):
-        uniforms = rng_stream(seed, "init", i, 0).random(local_steps * d).tolist()
+        noise = objective.noise(rng_stream(seed, "init", i, 0).random(local_steps * d)).tolist()
         total = np.zeros(objective.dim)
         for k in range(local_steps):
-            total += objective.stoch_grad_local(i, x0, uniforms[k * d:(k + 1) * d])
+            total += objective.stoch_grad_local(i, x0, noise[k * d:(k + 1) * d])
         variates[i] = total / local_steps
     return variates
 
 
 def client_local_update(objective: Objective, client: int, start: np.ndarray,
-                        local_steps: int, eta: float, uniforms: Sequence[float],
+                        local_steps: int, eta: float, noise: Sequence[float],
                         correction: np.ndarray | None = None,
                         mu: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Run one client's local steps from `start`.
@@ -65,10 +66,11 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     Returns the endpoint and the sum of raw (uncorrected) stochastic
     gradients, which feeds control-variate refreshes.
 
-    `uniforms` holds the client-round's `local_steps * draws` uniforms, and
-    step k's oracle call gets `uniforms[k*draws:(k+1)*draws]`, so each
-    step's noise is fixed by its position whatever the other steps read.
-    A sequence of any other length raises ValueError.
+    `noise` holds the client-round's `local_steps * draws` noise values,
+    uniforms already mapped through `objective.noise`, and step k's oracle
+    call gets `noise[k*draws:(k+1)*draws]`, so each step's noise is fixed
+    by its position whatever the other steps read. A sequence of any other
+    length raises ValueError.
 
     Each step is written into the oracle's fresh gradient and the private
     copy of the start, in the order `x - eta * (g + correction + prox)`
@@ -78,13 +80,13 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     if local_steps < 1:
         raise ValueError("local_steps must be >= 1.")
     d = objective.draws
-    if len(uniforms) != local_steps * d:
+    if len(noise) != local_steps * d:
         raise ValueError(f"{local_steps} local steps of {d} draws need {local_steps * d}"
-                         f" uniforms, got {len(uniforms)}.")
+                         f" noise values, got {len(noise)}.")
     x = np.array(start, dtype=float)
     grad_sum = np.zeros_like(x)
     for k in range(local_steps):
-        g = objective.stoch_grad_local(client, x, uniforms[k * d:(k + 1) * d])
+        g = objective.stoch_grad_local(client, x, noise[k * d:(k + 1) * d])
         grad_sum += g
         if correction is not None:
             g += correction
@@ -113,11 +115,12 @@ class Simulation:
     `model` there and refreshes the variates of the clients seen.
 
     Client i's local steps in round r read the first `local_steps * draws`
-    uniforms of the "gradient-noise" stream (seed, i, r). When r falls
-    outside the rounds held, one `stream_uniforms` call computes them for
-    every client over the next chunk of rounds, so a round costs no stream
-    construction; each sampled client's row goes to `client_local_update`
-    as a list.
+    uniforms of the "gradient-noise" stream (seed, i, r), mapped through
+    `objective.noise`. When r falls outside the rounds held, one
+    `stream_uniforms` call computes them for every client over the next
+    chunk of rounds and one `objective.noise` call maps the chunk, so a
+    round costs no stream construction and no per-step mapping; each
+    sampled client's row goes to `client_local_update` as a list.
     """
 
     def __init__(self, objective: Objective, scheduler: Scheduler, cfg: RunConfig):
@@ -148,8 +151,8 @@ class Simulation:
             self.accum = np.zeros_like(self.variates)
             self.qbar = np.zeros(objective.n_clients)
         self.uplink_scalars = 0
-        # Uniforms of rounds [noise_start, noise_start + len(noise)), shaped
-        # (rounds, clients, local_steps * draws); filled on first use.
+        # Mapped noise of rounds [noise_start, noise_start + len(noise)),
+        # shaped (rounds, clients, local_steps * draws); filled on first use.
         self._noise = np.empty((0, objective.n_clients, cfg.local_steps * objective.draws))
         self._noise_start = 0
 
@@ -161,7 +164,7 @@ class Simulation:
         clients = np.tile(np.arange(n_clients, dtype=np.uint64), len(rounds))
         uniforms = stream_uniforms(self.seed, "gradient-noise", clients,
                                    np.repeat(rounds, n_clients), per_client)
-        self._noise = uniforms.reshape(len(rounds), n_clients, per_client)
+        self._noise = self.objective.noise(uniforms).reshape(len(rounds), n_clients, per_client)
         self._noise_start = r
 
     def run_round(self, r: int) -> None:
@@ -177,10 +180,9 @@ class Simulation:
         for i in sampled.tolist():
             # Python floats are the same doubles and much cheaper to hand out
             # one at a time; one row at a time keeps the chunk's lists small.
-            uniforms = noise[i].tolist()
             correction = None if variates is None else self.variate_mean - variates[i]
             end, grad_sum = client_local_update(self.objective, i, self.model, self.local_steps,
-                                                self.eta, uniforms, correction, self.mu)
+                                                self.eta, noise[i].tolist(), correction, self.mu)
             new_model += q * end
             if variates is not None:
                 self.accum[i] += q * grad_sum

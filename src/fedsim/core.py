@@ -7,9 +7,12 @@ for bit. `rng_stream` opens one (seed, purpose, client, round) stream as a
 numpy Generator. `stream_uniforms` computes the first n uniforms of many
 such streams in one vectorized Philox pass, bit for bit equal to the
 Generators'. The run loop computes its gradient noise that way, one chunk
-of rounds for every client at a time. A stochastic gradient oracle never
-opens a stream: it is handed its uniforms by position, and
-`gaussian_from` and `gaussians_from` map given uniforms to normal draws.
+of rounds for every client at a time, and maps the chunk through the
+objective's elementwise noise map. A stochastic gradient oracle never
+opens a stream: it is handed its mapped draws by position. `gaussians_from`
+maps uniforms to normal draws through `ndtri`, a port of the Cephes inverse
+normal CDF that returns the bits of `scipy.special.ndtri` without importing
+scipy.
 
 Configuration is a flat key = value text format with one key per line and
 # comments.
@@ -20,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +39,9 @@ CV_INIT_MODES = ("warm_start", "zero")
 PURPOSES = {"gradient-noise": 0, "sampling": 1, "partition": 2, "init": 3}
 
 _U64 = 1 << 64
-# Generator.random() can return exactly 0.0, and the inverse normal CDF maps
-# 0.0 to -inf, so uniforms fed into it are floored at the smallest positive
-# value the 53-bit output can produce.
+# Generator.random() can return exactly 0.0, where the inverse normal CDF is
+# -inf, so uniforms fed into it are floored at the smallest positive value
+# the 53-bit output can produce.
 _MIN_UNIFORM = 2.0 ** -53
 
 
@@ -135,38 +137,89 @@ def stream_uniforms(seed: int, purpose: str, clients, rounds, n: int) -> np.ndar
     return (words >> np.uint64(11)) * 2.0 ** -53
 
 
-# scipy.special.ndtri, the inverse normal CDF, bound on the first Gaussian
-# draw: importing scipy.special costs more than the rest of `import fedsim`,
-# and commands that draw no Gaussian (`fedsim verify` among them) never pay
-# it.
-_ndtri = None
+# The inverse normal CDF of Moshier's Cephes library (ndtri.c), which
+# scipy.special.ndtri compiles. Numerator tables list the coefficients from
+# the highest power down; denominator tables start with the leading 1.0 that
+# Cephes' p1evl leaves implicit, since 1.0 * x + c == x + c exactly.
+_S2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+# |y - 0.5| <= 3/8: y + y^3 P0(y^2) / Q0(y^2), scaled by sqrt(2 pi)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# tail, x = sqrt(-2 log y) in [2, 8): y between exp(-2) and exp(-32)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# far tail, x >= 8: y below exp(-32)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
 
-def _load_ndtri():
-    global _ndtri
-    from scipy.special import ndtri
-    _ndtri = ndtri
-    return ndtri
+def _polevl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
+    """Horner's rule, one rounding per multiply and per add, as Cephes."""
+    acc = coefs[0] * x
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= x
+        acc += c
+    return acc
 
 
-def gaussians_from(u: Sequence[float], sigma: float) -> np.ndarray:
-    """Map the uniforms `u` to draws from N(0, sigma^2), one each; sigma=0
-    gives exact zeros."""
+def _logs(x: np.ndarray) -> np.ndarray:
+    """The C library's log of each element. Cephes calls it; numpy's own
+    vectorized log can differ from it in the last bit."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=len(x))
+
+
+def ndtri(y) -> np.ndarray:
+    """The inverse normal CDF of each element of `y`, bit for bit equal to
+    `scipy.special.ndtri` for 0 < y < 1; 0, 1 and values outside raise
+    ValueError.
+
+    Arithmetic and sqrt are correctly rounded in numpy as in C, so only the
+    logs of the tail, about 27% of uniform inputs, leave numpy.
+    """
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    upper = flat > 1.0 - _EXP_M2
+    t = np.where(upper, 1.0 - flat, flat)
+    out = np.empty_like(t)
+    central = t > _EXP_M2
+    # The central branch takes its sign from t - 0.5, the tail from `upper`.
+    c = t[central] - 0.5
+    c2 = c * c
+    out[central] = (c + c * (c2 * _polevl(c2, _P0) / _polevl(c2, _Q0))) * _S2PI
+    tail = ~central
+    x = np.sqrt(-2.0 * _logs(t[tail]))
+    x0 = x - _logs(x) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    far = x >= 8.0
+    zf = z[far]
+    x1[far] = zf * _polevl(zf, _P2) / _polevl(zf, _Q2)
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out.reshape(y.shape)
+
+
+def gaussians_from(u, sigma: float) -> np.ndarray:
+    """Map the uniforms `u` elementwise to draws from N(0, sigma^2), in an
+    array of u's shape; sigma=0 gives exact zeros."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0.")
     if sigma == 0:
-        return np.zeros(len(u))
-    return sigma * (_ndtri or _load_ndtri())(np.maximum(u, _MIN_UNIFORM))
-
-
-def gaussian_from(u: float, sigma: float) -> float:
-    """Map one uniform to a draw from N(0, sigma^2), equal to
-    `gaussians_from([u], sigma)[0]`; sigma=0 gives 0.0."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0.")
-    if sigma == 0:
-        return 0.0
-    return sigma * float((_ndtri or _load_ndtri())(max(u, _MIN_UNIFORM)))
+        return np.zeros(np.shape(u))
+    return sigma * ndtri(np.maximum(u, _MIN_UNIFORM))
 
 
 # ---------------------------------------------------------------------------

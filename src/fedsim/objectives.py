@@ -12,13 +12,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import gaussian_from, gaussians_from
+from .core import gaussians_from
 
 
 class Objective:
     """Oracle interface for the per-client losses f_i and their average f.
 
-    `draws` is the number of uniforms one `stoch_grad_local` call reads.
+    `draws` is the number of noise values one `stoch_grad_local` call
+    reads. Each is a uniform passed through `noise`, which the caller
+    applies once to a whole block of uniforms.
     """
 
     dim: int
@@ -31,12 +33,19 @@ class Objective:
     def grad_local(self, client: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def stoch_grad_local(self, client: int, x: np.ndarray, u: Sequence[float]) -> np.ndarray:
-        """One stochastic gradient draw from the uniforms `u`.
+    def noise(self, u: np.ndarray) -> np.ndarray:
+        """Map an array of uniforms in [0, 1) elementwise, keeping its shape,
+        to the noise values `stoch_grad_local` reads. Elementwise means a
+        block maps to the same bits whatever else is mapped with it."""
+        raise NotImplementedError
 
-        `u` is a sequence of exactly `draws` floats in [0, 1), the uniforms
-        the caller addressed to this call; the oracle reads them by position
-        and never opens a stream, so reading `u[draws]` raises IndexError.
+    def stoch_grad_local(self, client: int, x: np.ndarray, z: Sequence[float]) -> np.ndarray:
+        """One stochastic gradient draw from the noise values `z`.
+
+        `z` is a sequence of exactly `draws` floats, the uniforms the caller
+        addressed to this call mapped through `noise`; the oracle reads them
+        by position and never opens a stream, so reading `z[draws]` raises
+        IndexError.
 
         Returns a new array that shares memory with nothing else, so the
         caller may overwrite it (the local step does, in place).
@@ -119,9 +128,12 @@ class SyntheticHard(Objective):
         return np.array([self.mu_pl * (x0 - self.c), self.h * (x1 - self._x2_star), g2,
                          self.kappa if client == 0 else -self.kappa])
 
-    def stoch_grad_local(self, client: int, x: np.ndarray, u: Sequence[float]) -> np.ndarray:
+    def noise(self, u: np.ndarray) -> np.ndarray:
+        return gaussians_from(u, self.sigma)
+
+    def stoch_grad_local(self, client: int, x: np.ndarray, z: Sequence[float]) -> np.ndarray:
         g = self.grad_local(client, x)
-        g[2] += gaussian_from(u[0], self.sigma)
+        g[2] += z[0]
         return g
 
 
@@ -154,8 +166,11 @@ class Quadratic(Objective):
         x = self._check_x(x)
         return x - self.centers[client]
 
-    def stoch_grad_local(self, client: int, x: np.ndarray, u: Sequence[float]) -> np.ndarray:
-        return self.grad_local(client, x) + gaussians_from(u, self.sigma)
+    def noise(self, u: np.ndarray) -> np.ndarray:
+        return gaussians_from(u, self.sigma)
+
+    def stoch_grad_local(self, client: int, x: np.ndarray, z: Sequence[float]) -> np.ndarray:
+        return self.grad_local(client, x) + z
 
 
 class Logistic(Objective):
@@ -268,6 +283,10 @@ class Logistic(Objective):
     def grad_local(self, client: int, x: np.ndarray) -> np.ndarray:
         self._check_client(client)
         return self._grad(self._weights(x), self._features[client], self.labels[client])
+
+    def noise(self, u: np.ndarray) -> np.ndarray:
+        # The draws pick samples, so they stay uniforms.
+        return u
 
     def stoch_grad_local(self, client: int, x: np.ndarray, u: Sequence[float]) -> np.ndarray:
         self._check_client(client)

@@ -32,10 +32,11 @@ def test_criterion_1():
     # convergence ordering on the nonsmooth synthetic problem: the windowed
     # control-variate method crosses train loss 0.2 within [400, 1200]
     # rounds, plain averaging needs >= 3x its rounds, and per-round control
-    # variates are expected to need >= 1.5x
+    # variates are expected to need >= 1.5x. No criterion bounds fedprox, so
+    # it is not run.
     start = time.monotonic()
     hits = {}
-    for algo in ALGORITHMS:
+    for algo in ("fedavg", "scaffold", "amp_fedavg", "amp_scaffold"):
         hits[algo] = []
         for seed in range(5):
             cfg = _config(f"synthetic_{algo}.cfg", f"seed={seed}")

@@ -31,7 +31,7 @@ def _sim(cfg: RunConfig, centers) -> Simulation:
 def test_single_local_step_endpoint_and_gradient_sum():
     obj = Quadratic(np.array([[1.0]]))
     end, grad_sum = client_local_update(obj, 0, np.zeros(1), local_steps=1, eta=0.1,
-                                        uniforms=rng_stream(0, "gradient-noise").random(1))
+                                        noise=obj.noise(rng_stream(0, "gradient-noise").random(1)))
     assert end[0] == 0.1
     assert grad_sum[0] == -1.0
 
@@ -39,7 +39,7 @@ def test_single_local_step_endpoint_and_gradient_sum():
 def test_local_steps_compound():
     obj = Quadratic(np.array([[1.0]]))
     end, grad_sum = client_local_update(obj, 0, np.zeros(1), local_steps=2, eta=0.1,
-                                        uniforms=rng_stream(0, "gradient-noise").random(2))
+                                        noise=obj.noise(rng_stream(0, "gradient-noise").random(2)))
     # second step starts from 0.1, gradient is 0.1 - 1 = -0.9
     assert abs(end[0] - 0.19) < 1e-15
     assert abs(grad_sum[0] - (-1.9)) < 1e-15
@@ -47,10 +47,9 @@ def test_local_steps_compound():
 
 def test_proximal_pull_shrinks_the_step():
     obj = Quadratic(np.array([[1.0]]))
-    plain, _ = client_local_update(obj, 0, np.zeros(1), 3, 0.1,
-                                   rng_stream(0, "gradient-noise").random(3))
-    prox, _ = client_local_update(obj, 0, np.zeros(1), 3, 0.1,
-                                  rng_stream(0, "gradient-noise").random(3), mu=5.0)
+    noise = obj.noise(rng_stream(0, "gradient-noise").random(3))
+    plain, _ = client_local_update(obj, 0, np.zeros(1), 3, 0.1, noise)
+    prox, _ = client_local_update(obj, 0, np.zeros(1), 3, 0.1, noise, mu=5.0)
     assert 0 < prox[0] < plain[0]
 
 
@@ -63,9 +62,8 @@ def test_local_update_equals_the_out_of_place_formula(with_correction, mu):
     start = rng_stream(1, "init", 1).standard_normal(3)
     correction = rng_stream(1, "init", 2).standard_normal(3) if with_correction else None
     before = start.copy(), None if correction is None else correction.copy()
-    end, grad_sum = client_local_update(objective, 1, start, 7, 0.3,
-                                        rng_stream(1, "gradient-noise", 1, 2).random(7 * 3),
-                                        correction, mu)
+    noise = objective.noise(rng_stream(1, "gradient-noise", 1, 2).random(7 * 3))
+    end, grad_sum = client_local_update(objective, 1, start, 7, 0.3, noise, correction, mu)
     assert start.tobytes() == before[0].tobytes()
     if correction is not None:
         assert correction.tobytes() == before[1].tobytes()
@@ -74,8 +72,8 @@ def test_local_update_equals_the_out_of_place_formula(with_correction, mu):
     x = start
     expected_sum = np.zeros(3)
     for _ in range(7):
-        # step k's uniforms are the stream's k-th block of `draws`
-        g = objective.stoch_grad_local(1, x, rng.random(objective.draws))
+        # step k's noise maps the stream's k-th block of `draws` uniforms
+        g = objective.stoch_grad_local(1, x, objective.noise(rng.random(objective.draws)))
         expected_sum = expected_sum + g
         step = g
         if correction is not None:
@@ -92,8 +90,8 @@ def test_round_aggregates_by_participation_weight():
     sim = _sim(cfg, [[1.0], [-1.0]])
     ends = []
     for client in range(2):
-        end, _ = client_local_update(sim.objective, client, np.zeros(1), 1, 0.1,
-                                     rng_stream(0, "gradient-noise", client, 0).random(1))
+        noise = sim.objective.noise(rng_stream(0, "gradient-noise", client, 0).random(1))
+        end, _ = client_local_update(sim.objective, client, np.zeros(1), 1, 0.1, noise)
         ends.append(end)
     sim.run_round(0)
     assert sim.model[0] == 0.5 * (ends[0][0] + ends[1][0])
@@ -152,8 +150,8 @@ def test_refresh_uses_window_average_of_raw_gradients():
                s_clients=1, local_steps=2, eta=0.01)
     sim = _sim(cfg, [[1.0], [-1.0]])
     # with zero initial variates round 0 is plain local SGD for client 0
-    _, grad_sum = client_local_update(sim.objective, 0, np.zeros(1), 2, 0.01,
-                                      rng_stream(0, "gradient-noise", 0, 0).random(2))
+    noise = sim.objective.noise(rng_stream(0, "gradient-noise", 0, 0).random(2))
+    _, grad_sum = client_local_update(sim.objective, 0, np.zeros(1), 2, 0.01, noise)
     sim.run_round(0)
     sim.run_round(1)
     assert sim.variates[0][0] == grad_sum[0] / 2
@@ -319,7 +317,8 @@ def test_client_updates_do_not_depend_on_execution_order():
 
     def update(client):
         uniforms = rng_stream(cfg.seed, "gradient-noise", client, 3).random(cfg.local_steps * 3)
-        return client_local_update(objective, client, start, cfg.local_steps, cfg.eta, uniforms)
+        return client_local_update(objective, client, start, cfg.local_steps, cfg.eta,
+                                   objective.noise(uniforms))
 
     forward = {i: update(i) for i in sampled}
     backward = {i: update(i) for i in reversed(sampled)}
@@ -377,7 +376,8 @@ def test_chunked_noise_equals_a_stream_per_client_round(monkeypatch, kind, patte
         for i in sampled.tolist():
             uniforms = rng_stream(cfg.seed, "gradient-noise", i, r).random(
                 cfg.local_steps * objective.draws)
-            end, _ = client_local_update(objective, i, x, cfg.local_steps, cfg.eta, uniforms)
+            end, _ = client_local_update(objective, i, x, cfg.local_steps, cfg.eta,
+                                         objective.noise(uniforms))
             new += (1.0 / len(sampled)) * end
         x = new
         assert sim.model.tobytes() == x.tobytes()
@@ -385,13 +385,13 @@ def test_chunked_noise_equals_a_stream_per_client_round(monkeypatch, kind, patte
 
 
 def test_an_objective_that_overdraws_raises_instead_of_reading_the_next_stream():
-    # Reading u[draws] would be the next step's first uniform; each call is
-    # handed exactly its own `draws`, so the read fails on the first call,
+    # Reading z[draws] would be the next step's first noise value; each call
+    # is handed exactly its own `draws`, so the read fails on the first call,
     # in the run loop and in the warm start alike.
     class Overdrawing(Quadratic):
-        def stoch_grad_local(self, client, x, u):
-            u[self.draws]
-            return super().stoch_grad_local(client, x, u)
+        def stoch_grad_local(self, client, x, z):
+            z[self.draws]
+            return super().stoch_grad_local(client, x, z)
 
     objective = Overdrawing(np.array([[1.0], [-1.0]]), sigma=1.0)
     cfg = _cfg(sigma=1.0, local_steps=3)
@@ -403,20 +403,21 @@ def test_an_objective_that_overdraws_raises_instead_of_reading_the_next_stream()
 
 
 def test_each_step_reads_its_own_uniforms_whatever_the_other_steps_read():
-    # An oracle that ignores its uniforms on even steps still gets, on odd
-    # step k, the k-th block of `draws` uniforms of its client-round stream.
+    # An oracle that ignores its noise on even steps still gets, on odd step
+    # k, the k-th block of `draws` uniforms of its client-round stream,
+    # mapped.
     class OddStepsOnly(Quadratic):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.calls = 0
             self.seen = []
 
-        def stoch_grad_local(self, client, x, u):
+        def stoch_grad_local(self, client, x, z):
             step, self.calls = self.calls % 5, self.calls + 1
             if step % 2 == 0:
                 return self.grad_local(client, x)
-            self.seen.append((client, step, np.array(u)))
-            return super().stoch_grad_local(client, x, u)
+            self.seen.append((client, step, np.array(z)))
+            return super().stoch_grad_local(client, x, z)
 
     cfg = _cfg(n_clients=4, s_clients=2, local_steps=5, sigma=0.5, seed=7, rounds=3)
     objective = OddStepsOnly(rng_stream(7, "init").random((4, 3)), sigma=0.5)
@@ -426,15 +427,15 @@ def test_each_step_reads_its_own_uniforms_whatever_the_other_steps_read():
         sim.run_round(r)
         sampled = make_scheduler(cfg).sample_round(r, cfg.seed).tolist()
         assert [(i, k) for i, k, _ in objective.seen] == [(i, k) for i in sampled for k in (1, 3)]
-        for i, k, u in objective.seen:
-            want = rng_stream(cfg.seed, "gradient-noise", i, r).random(5 * 3)[k * 3:(k + 1) * 3]
-            assert u.tobytes() == want.tobytes()
+        for i, k, z in objective.seen:
+            want = objective.noise(rng_stream(cfg.seed, "gradient-noise", i, r).random(5 * 3))
+            assert z.tobytes() == want[k * 3:(k + 1) * 3].tobytes()
 
 
 @pytest.mark.parametrize("length", [0, 5, 7, 12])
 def test_local_update_rejects_uniforms_of_the_wrong_length(length):
     objective = Quadratic(np.array([[1.0, 2.0], [0.0, -1.0]]), sigma=0.5)
-    with pytest.raises(ValueError, match=f"need 6 uniforms, got {length}"):
+    with pytest.raises(ValueError, match=f"need 6 noise values, got {length}"):
         client_local_update(objective, 0, np.zeros(2), 3, 0.1, [0.5] * length)
 
 
@@ -442,7 +443,7 @@ def test_local_update_rejects_uniforms_of_the_wrong_length(length):
 def test_warm_start_equals_a_stream_per_client(kind):
     # The golden bytes cover only one uniform per draw; this pins draws > 1:
     # the warm start's draw k reads the k-th block of `draws` uniforms of
-    # the client's "init" stream.
+    # the client's "init" stream, mapped.
     objective = _chunked_objective(kind)
     x0 = rng_stream(3, "init", 99).standard_normal(objective.dim)
     variates = control_variate_init("warm_start", objective, x0, seed=5, local_steps=4)
@@ -450,7 +451,7 @@ def test_warm_start_equals_a_stream_per_client(kind):
         rng = rng_stream(5, "init", i, 0)
         total = np.zeros(objective.dim)
         for _ in range(4):
-            total += objective.stoch_grad_local(i, x0, rng.random(objective.draws))
+            total += objective.stoch_grad_local(i, x0, objective.noise(rng.random(objective.draws)))
         assert variates[i].tobytes() == (total / 4).tobytes()
     cfg = _cfg(n_clients=12, algorithm="scaffold", local_steps=4, seed=5, objective=kind)
     sim = Simulation(objective, make_scheduler(cfg), cfg)

@@ -4,7 +4,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
-from fedsim.core import gaussian_from, gaussians_from, rng_stream
+from fedsim.core import gaussians_from, rng_stream, stream_uniforms
 from fedsim.data import make_blobs, partition_by_similarity
 from fedsim.objectives import Logistic, Quadratic, SyntheticHard
 
@@ -12,8 +12,8 @@ X2_STAR = math.sqrt(2.0) / 4.0
 
 
 class Recording(Sequence):
-    """Uniforms handed to an oracle that remember which positions it read;
-    reading past the end raises IndexError, as a list does."""
+    """Noise values handed to an oracle that remember which positions it
+    read; reading past the end raises IndexError, as a list does."""
 
     def __init__(self, values):
         self._values = list(values)
@@ -76,12 +76,12 @@ def test_synthetic_opposite_linear_slopes():
 def test_synthetic_noise_only_on_third_coordinate():
     obj = SyntheticHard(sigma=1.0)
     x = np.array([0.3, -0.2, 0.7, 0.1])
-    g = obj.stoch_grad_local(0, x, rng_stream(1, "gradient-noise").random(1))
+    g = obj.stoch_grad_local(0, x, obj.noise(rng_stream(1, "gradient-noise").random(1)))
     exact = obj.grad_local(0, x)
     assert np.array_equal(g[[0, 1, 3]], exact[[0, 1, 3]])
     assert g[2] != exact[2]
     quiet = SyntheticHard(sigma=0.0)
-    g0 = quiet.stoch_grad_local(0, x, rng_stream(1, "gradient-noise").random(1))
+    g0 = quiet.stoch_grad_local(0, x, quiet.noise(rng_stream(1, "gradient-noise").random(1)))
     assert np.array_equal(g0, quiet.grad_local(0, x))
 
 
@@ -96,8 +96,8 @@ def test_synthetic_gd_reaches_the_minimum():
 def test_synthetic_stoch_grad_is_unbiased():
     obj = SyntheticHard(sigma=1.0)
     x = np.array([0.5, 0.5, -0.5, 0.0])
-    rng = rng_stream(9, "gradient-noise")
-    draws = np.stack([obj.stoch_grad_local(1, x, rng.random(1)) for _ in range(4000)])
+    z = obj.noise(rng_stream(9, "gradient-noise").random(4000))
+    draws = np.stack([obj.stoch_grad_local(1, x, z[k:k + 1]) for k in range(4000)])
     np.testing.assert_allclose(draws.mean(axis=0), obj.grad_local(1, x), atol=4.0 / math.sqrt(4000))
 
 
@@ -128,21 +128,10 @@ def test_synthetic_oracle_matches_reference_math(params, sigma):
                     u = rng.random(1)
                     want = _reference_synthetic_grad(obj, client, x)
                     want[2] += gaussians_from(u, obj.sigma)[0]
-                    recorded = Recording(u)
+                    recorded = Recording(obj.noise(u))
                     assert obj.stoch_grad_local(client, x, recorded).tobytes() == want.tobytes()
-                    # each draw read exactly its one uniform
+                    # each draw read exactly its one noise value
                     assert recorded.read == {0}
-
-
-@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 3.0])
-def test_gaussian_from_equals_one_batched_draw(sigma):
-    u = rng_stream(9, "gradient-noise", 1, 2).random(50)
-    for k, v in enumerate(u.tolist()):
-        value = gaussian_from(v, sigma)
-        assert isinstance(value, float)
-        assert np.float64(value).tobytes() == gaussians_from(u[k:k + 1], sigma)[0].tobytes()
-    with pytest.raises(ValueError, match="sigma"):
-        gaussian_from(u[0], -0.5)
 
 
 def test_quadratic_closed_form():
@@ -355,13 +344,31 @@ def test_logistic_oracle_matches_reference_math():
     (lambda: _tiny_logistic(l2=0.1, minibatch=3), 3),
 ], ids=["synthetic-sigma0", "synthetic", "quadratic-sigma0", "quadratic", "logistic", "logistic-minibatch3"])
 def test_each_call_consumes_exactly_its_declared_draws(build, draws):
-    # The run loop hands each step exactly `draws` uniforms by position, so
-    # an oracle reads only u[:draws]: past the end the sequence raises. An
-    # oracle with noise reads all of them; a noiseless quadratic needs none.
+    # The run loop hands each step exactly `draws` noise values by position,
+    # and an oracle reads all of them, zeros included, and nothing past the
+    # end, where the sequence raises.
     obj = build()
     assert obj.draws == draws
-    u = Recording(rng_stream(6, "gradient-noise", 1, 4).random(draws))
-    obj.stoch_grad_local(1, np.full(obj.dim, 0.3), u)
-    assert u.read <= set(range(draws))
-    if getattr(obj, "sigma", 1.0) > 0:
-        assert u.read == set(range(draws))
+    z = Recording(obj.noise(rng_stream(6, "gradient-noise", 1, 4).random(draws)))
+    obj.stoch_grad_local(1, np.full(obj.dim, 0.3), z)
+    assert z.read == set(range(draws))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SyntheticHard(sigma=0.0),
+    lambda: SyntheticHard(sigma=1.3),
+    lambda: Quadratic(np.zeros((7, 3)), sigma=0.5),
+    lambda: _tiny_logistic(minibatch=3),
+], ids=["synthetic-sigma0", "synthetic", "quadratic", "logistic"])
+def test_noise_is_elementwise(build):
+    # The run loop maps a whole chunk of rounds at once, and the chunk's
+    # bounds depend on NOISE_CHUNK and n_clients, so each row must map to
+    # the same bits whatever it is mapped with.
+    obj = build()
+    rows = stream_uniforms(3, "gradient-noise", np.arange(40) % 7, np.arange(40) // 7, 30)
+    chunk = obj.noise(rows.reshape(4, 10, 30))
+    assert chunk.shape == (4, 10, 30) and chunk.dtype == np.float64
+    by_row = np.stack([obj.noise(row) for row in rows])
+    assert chunk.tobytes() == by_row.tobytes()
+    if getattr(obj, "sigma", 0.0) > 0:
+        assert chunk.tobytes() == gaussians_from(rows, obj.sigma).tobytes()

@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fedsim"
@@ -43,26 +44,32 @@ def test_package_has_no_unused_imports():
     assert not unused, f"unused module-level imports: {unused}"
 
 
-def scipy_imports(path: Path) -> list[str]:
-    """Module-level imports of scipy in `path`."""
+ALLOWED_PACKAGES = sys.stdlib_module_names | {"numpy", "fedsim"}
+
+
+def foreign_imports(path: Path) -> list[str]:
+    """Imports anywhere in `path`, function bodies included, of a package
+    other than the standard library, numpy and fedsim itself."""
     found = []
-    for node in module_imports(parse(path)):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
+            names = [] if node.level else [node.module]
+        elif isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        if any(name.split(".")[0] == "scipy" for name in names):
-            found.append(f"{path.name}:{node.lineno}")
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names
+                  if name.split(".")[0] not in ALLOWED_PACKAGES]
     return found
 
 
-def test_package_imports_scipy_only_inside_functions():
-    """Importing scipy.special costs more than the rest of `import fedsim`,
-    so it happens at the first Gaussian draw, never at import time."""
+def test_package_imports_only_the_standard_library_numpy_and_itself():
+    """numpy is fedsim's one dependency: the inverse normal CDF is ported
+    into `core`, so no run pays for importing scipy.special."""
     modules = sorted(SRC.glob("*.py"))
     assert modules
-    found = [entry for path in modules for entry in scipy_imports(path)]
-    assert not found, f"module-level scipy imports: {found}"
+    found = [entry for path in modules for entry in foreign_imports(path)]
+    assert not found, f"imports outside the standard library and numpy: {found}"
 
 
 def numpy_random_calls(path: Path) -> list[str]:
@@ -121,9 +128,9 @@ def stream_constructor_uses(path: Path) -> list[str]:
 
 
 def test_oracles_read_only_the_uniforms_they_are_handed():
-    """A stochastic gradient oracle gets its step's uniforms by position;
-    one that opened a stream of its own would draw noise no (seed, purpose,
-    client, round, step) address accounts for."""
+    """A stochastic gradient oracle gets its step's mapped noise by
+    position; one that opened a stream of its own would draw noise no
+    (seed, purpose, client, round, step) address accounts for."""
     assert stream_constructor_uses(SRC / "algorithms.py"), "the check no longer sees the run loop's streams"
     found = stream_constructor_uses(SRC / "objectives.py")
     assert not found, f"objectives.py reaches a stream constructor: {found}"
