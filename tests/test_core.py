@@ -145,6 +145,34 @@ def test_ndtri_keeps_the_shape_and_rejects_the_ends():
             ndtri([0.25, bad])
 
 
+def _fresh_interpreter(code: str) -> dict:
+    """Run `code` in a new interpreter with src/ first on the path and
+    return the JSON object it prints last."""
+    script = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_fedsim_does_not_load_scipy():
+    got = _fresh_interpreter(
+        "import json, fedsim, fedsim.cli\n"
+        "print(json.dumps({'loaded': 'scipy.special' in sys.modules}))")
+    assert got == {"loaded": False}
+
+
+def test_verify_does_not_load_scipy(tmp_path):
+    argv = ["verify", "--pattern", "cyclic", "--n", "12", "--k-bar", "3", "--s", "2",
+            "--trials", "20", "--out", str(tmp_path)]
+    got = _fresh_interpreter(
+        "import json\nfrom fedsim import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'loaded': 'scipy.special' in sys.modules}))")
+    assert got == {"code": 0, "loaded": False}
+    assert (tmp_path / "verify.csv").exists()
+
+
 def test_runs_never_import_scipy(tmp_path):
     # Every noisy run maps its uniforms through `ndtri`, and the desk run
     # also draws its blob features through it.
@@ -152,14 +180,11 @@ def test_runs_never_import_scipy(tmp_path):
     argvs = [["run", "--config", str(configs / f"{name}.cfg"), "--override", "rounds=30",
               "--out", str(tmp_path / name)]
              for name in ("desk_amp_scaffold", "synthetic_amp_scaffold")]
-    script = (f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\nfrom fedsim import cli\n"
-              f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
-              "print(json.dumps({'codes': codes, 'scipy': sorted(m for m in sys.modules"
-              " if m.split('.')[0] == 'scipy')}))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "scipy": []}
+    got = _fresh_interpreter(
+        f"import json\nfrom fedsim import cli\ncodes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps({'codes': codes, 'scipy': sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy')}))")
+    assert got == {"codes": [0, 0], "scipy": []}
     for name in ("desk_amp_scaffold", "synthetic_amp_scaffold"):
         assert (tmp_path / name / "run.csv").exists()
 
