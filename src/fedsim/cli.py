@@ -28,7 +28,7 @@ from .core import (
 )
 from .data import _atomic_write, label_histogram, save_idx
 from .diagnostics import assumption_suite, checks_to_csv_rows, format_report
-from .harness import (best_cell, blob_datasets, build_objective, grid_csv, rounds_to_target, run_grid,
+from .harness import (best_cell, blob_datasets, build_run, grid_csv, rounds_to_target, run_grid,
                       run_once, run_record_csv)
 from .participation import PATTERNS, make_scheduler
 
@@ -112,11 +112,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_partition_report(args: argparse.Namespace) -> int:
-    values = _load_values(args)
-    cfg = build_run_config(values)
+    cfg, objective, _ = build_run(build_run_config(_load_values(args)))
     if cfg.objective != "logistic":
         raise ConfigError("partition-report needs a config with objective = logistic.")
-    labels = build_objective(cfg).labels
+    labels = objective.labels
     rows = label_histogram(labels)
     path = _out_path(args, "partition.csv")
     lines = ["client,label,count"] + [f"{c},{label},{n}" for c, label, n in rows]

@@ -356,13 +356,15 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
 
     `mu`, `gamma` and `cv_init` are range-checked, then any of them that
     the algorithm does not read (`ALGORITHM_KEYS`) must be at its default.
-    The participation keys are checked by building the scheduler. The
-    objective and data keys are checked by the code that reads them: the
-    objective constructors, `harness.parse_centers`, `harness.load_dataset`,
-    `data.partition_indices`, and `Simulation`, which matches `n_clients`
-    against the objective. `harness.build_objective` and `load_dataset` also
-    reject any key the chosen objective or dataset kind never reads. Returns
-    a normalized copy; the input is not modified.
+    The participation, objective and data keys are checked by the code
+    that reads them, which `harness.build_run` calls after this check:
+    `participation.make_scheduler` and the scheduler constructors, then
+    `harness.build_objective`, the objective constructors,
+    `harness.parse_centers`, `harness.load_dataset` and
+    `data.partition_indices`. `make_scheduler`, `build_objective` and
+    `load_dataset` also reject any key the chosen pattern, objective or
+    dataset kind never reads. `Simulation` matches `n_clients` against the
+    objective. Returns a normalized copy; the input is not modified.
     """
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm: {cfg.algorithm!r}")
@@ -386,10 +388,6 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("seed must fit in an unsigned 64-bit integer.")
     if cfg.eval_every < 0:
         raise ConfigError("eval_every must be >= 0.")
-
-    # imported here because participation imports this module
-    from .participation import make_scheduler
-    make_scheduler(cfg)
 
     out = dataclasses.replace(cfg)
     if cfg.eval_every == 0:

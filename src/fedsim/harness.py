@@ -19,7 +19,7 @@ from .core import (ConfigError, ExperimentSpec, RunConfig, RunRecord, build_run_
                    reject_unread, validate_run_config)
 from .data import load_idx, make_blobs, partition_by_similarity
 from .objectives import Logistic, Objective, Quadratic, SyntheticHard
-from .participation import make_scheduler
+from .participation import Scheduler, make_scheduler
 
 RUN_CSV_HEADER = "round,grad_norm,train_loss,test_metric,uplink_scalars"
 
@@ -106,16 +106,33 @@ def blob_datasets(n_train: int, n_test: int, n_classes: int, n_features: int, se
     return train, test
 
 
+def build_run(cfg: RunConfig) -> tuple[RunConfig, Objective, Scheduler]:
+    """The one construction path of a run: validate `cfg`, build its
+    scheduler, then build its objective. A config with several faults
+    raises at the first of these steps that checks one.
+
+    Returns the normalized config, the objective and the scheduler; the
+    input is not modified.
+    """
+    cfg = validate_run_config(cfg)
+    scheduler = make_scheduler(cfg)
+    return cfg, build_objective(cfg), scheduler
+
+
 def run_once(cfg: RunConfig) -> RunRecord:
-    """Execute one seeded run and return its metric record.
+    """Execute one seeded run and return its metric record: `simulate` on
+    the pieces `build_run` makes."""
+    return simulate(*build_run(cfg))
+
+
+def simulate(cfg: RunConfig, objective: Objective, scheduler: Scheduler) -> RunRecord:
+    """Run the rounds of a built run, recording a row at round 0, every
+    `eval_every` rounds and the last round.
 
     The run diverges at the first evaluation mark where the model, the
     train loss or the gradient norm is non-finite. Its rows then stop at
     the mark before and `diverged` is set; nothing is raised.
     """
-    cfg = validate_run_config(cfg)
-    objective = build_objective(cfg)
-    scheduler = make_scheduler(cfg)
     sim = Simulation(objective, scheduler, cfg)
 
     rounds: list[int] = []
@@ -197,24 +214,26 @@ def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
     config (from the file or an override) or in the grid is rejected
     rather than silently replaced.
 
-    Every (cell, seed) config is built, and so checked, before the first
-    run starts, so a bad cell fails before any run's time is spent. An
-    objective or data key is checked only when `run_once` builds that
-    cell's objective.
+    Every (cell, seed) run is built by `build_run`, and so checked, before
+    the first run starts, so a bad cell fails before any run's time is
+    spent. Only `Simulation`'s match of `n_clients` against the objective
+    waits for the cell's run. Every built objective is held until its
+    run, which for the logistic objective means every run's data shards
+    at once.
     """
     for key, where in (("seed", spec.base), ("grid.seed", spec.grid)):
         if "seed" in where:
             raise ConfigError(f"a grid takes its seeds from 'seeds' or --seed, not from {key}.")
     cells = spec.cells()
-    configs = [[build_run_config({**spec.base, **cell, "seed": str(seed)}) for seed in spec.seeds]
-               for cell in cells]
+    runs = [[build_run(build_run_config({**spec.base, **cell, "seed": str(seed)}))
+             for seed in spec.seeds] for cell in cells]
     results = []
-    for cell_id, (cell, cell_configs) in enumerate(zip(cells, configs)):
+    for cell_id, (cell, cell_runs) in enumerate(zip(cells, runs)):
         finals = []
         reached = []
         diverged = 0
-        for cfg in cell_configs:
-            record = run_once(cfg)
+        for cfg, objective, scheduler in cell_runs:
+            record = simulate(cfg, objective, scheduler)
             finals.append(record.final_loss)
             diverged += int(record.diverged)
             if not math.isnan(cfg.target_value):

@@ -13,9 +13,9 @@ from fedsim.algorithms import Simulation
 from fedsim.core import apply_overrides, build_run_config, parse_config_text
 from fedsim.data import make_blobs, partition_by_similarity
 from fedsim.diagnostics import assumption_suite, monte_carlo_stats
-from fedsim.harness import build_objective, rounds_to_target, run_once, run_record_csv
+from fedsim.harness import build_run, rounds_to_target, run_once, run_record_csv
 from fedsim.objectives import Logistic, Quadratic, SyntheticHard
-from fedsim.participation import CyclicScheduler, make_scheduler
+from fedsim.participation import CyclicScheduler
 
 from checks import grad_check, pattern_scheduler
 
@@ -83,7 +83,8 @@ def test_criterion_2():
         "local_steps": "1", "objective": "quadratic",
         "centers": "1,0,-2; -1,2,0.5; 0.25,-0.75,1.5", "sigma": "0",
     })
-    sim = Simulation(build_objective(cfg), make_scheduler(cfg), cfg)
+    cfg, objective, scheduler = build_run(cfg)
+    sim = Simulation(objective, scheduler, cfg)
     x = np.zeros(3)
     mean_center = centers.mean(axis=0)
     worst = 0.0
@@ -167,8 +168,8 @@ def test_criterion_6():
         "synthetic_fedavg.cfg", "algorithm=fedprox", "mu=0.0", *trim)))
     assert prox == plain
 
-    cfg = _config("synthetic_amp_scaffold.cfg", "rounds=960")
-    sim = Simulation(build_objective(cfg), make_scheduler(cfg), cfg)
+    cfg, objective, scheduler = build_run(_config("synthetic_amp_scaffold.cfg", "rounds=960"))
+    sim = Simulation(objective, scheduler, cfg)
     refreshes = 0
     for r in range(cfg.rounds):
         sim.run_round(r)

@@ -1,3 +1,4 @@
+import collections
 import re
 from pathlib import Path
 
@@ -9,6 +10,8 @@ from fedsim.cli import build_parser, main
 from fedsim.core import ConfigError, build_run_config
 from fedsim.data import load_idx, make_blobs, save_idx
 from fedsim.diagnostics import assumption_suite, checks_to_csv_rows
+from fedsim.harness import build_run
+from fedsim.objectives import SyntheticHard
 from fedsim.participation import CyclicScheduler, ScaScheduler
 
 from checks import pattern_scheduler
@@ -308,16 +311,47 @@ def test_grid_without_grid_keys_exits_2(tmp_path, capsys):
     ("", ["--override", "seed=5"], "seed"),
 ], ids=["file", "grid", "override"])
 def test_grid_rejects_a_seed_key_before_any_cell(tmp_path, capsys, monkeypatch, extra, override, key):
-    def never(cfg):
+    def never(*run):
         raise AssertionError("a grid cell ran")
 
-    monkeypatch.setattr(harness, "run_once", never)
+    monkeypatch.setattr(harness, "simulate", never)
     cfg = _write(tmp_path, "grid.cfg", GRID_CFG + extra)
     rc = main(["grid", "--config", cfg, *override, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: a grid takes its seeds from 'seeds' or --seed, not from {key}.\n")
     assert not (tmp_path / "o" / "grid.csv").exists()
+
+
+def _count_inits(monkeypatch, *classes) -> collections.Counter:
+    """Count the instances of each class built from here on, however the
+    builder reached the class."""
+    counts = collections.Counter()
+
+    def counted(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            counts[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        return wrapper
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    return counts
+
+
+@pytest.mark.parametrize("command, config, runs", [
+    ("run", "synthetic_scaffold.cfg", 1),
+    ("grid", "grid_synthetic_scaffold.cfg", 8),
+])
+def test_each_run_builds_one_scheduler_and_one_objective(tmp_path, capsys, monkeypatch, command,
+                                                         config, runs):
+    counts = _count_inits(monkeypatch, CyclicScheduler, SyntheticHard)
+    rc = main([command, "--config", str(CONFIGS / config), "--override", "rounds=20",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert counts == {"CyclicScheduler": runs, "SyntheticHard": runs}
 
 
 def test_verify_passes_on_iid(tmp_path, capsys):
@@ -433,7 +467,7 @@ def test_run_config_and_verify_reject_bad_participation_alike(tmp_path, capsys, 
     values = {"rounds": "1", "algorithm": "fedavg", "eta": "0.1", "objective": "quadratic",
               "centers": "0", "pattern": pattern, **keys}
     with pytest.raises(ConfigError) as exc:
-        build_run_config(values)
+        build_run(build_run_config(values))
     assert err == f"error: {exc.value}\n"
 
 

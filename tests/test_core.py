@@ -27,6 +27,7 @@ from fedsim.core import (
     stream_uniforms,
     validate_run_config,
 )
+from fedsim.harness import build_run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -302,8 +303,8 @@ def test_validation_rejects_inconsistent_combinations():
     with pytest.raises(ConfigError, match="algorithm fedavg does not read mu"):
         build_run_config(dict(BASE, mu="0.5"))
     with pytest.raises(ConfigError, match="multiple of k_bar"):
-        build_run_config(dict(BASE, n_clients="5", objective="quadratic",
-                              centers="0;0;0;0;0", pattern="cyclic", k_bar="2"))
+        build_run(build_run_config(dict(BASE, n_clients="5", objective="quadratic",
+                                        centers="0;0;0;0;0", pattern="cyclic", k_bar="2")))
 
 
 # The keys the run loop itself reads. Every other RunConfig field is read by
@@ -333,7 +334,7 @@ def test_regularized_pattern_rejects_s_clients():
                   pattern="regularized", window_p="4")
     assert build_run_config(values).s_clients == 1
     with pytest.raises(ConfigError, match="does not read s_clients"):
-        build_run_config(dict(values, s_clients="7"))
+        build_run(build_run_config(dict(values, s_clients="7")))
 
 
 def test_eval_every_defaults_by_objective():

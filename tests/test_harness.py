@@ -220,11 +220,15 @@ def test_grid_expands_in_key_order_and_aggregates():
     assert best_cell(results).overrides == {"eta": "0.2", "local_steps": "2"}
 
 
-def test_grid_checks_every_config_before_the_first_run(monkeypatch):
+@pytest.mark.parametrize("grid, error, message", [
+    ({"eta": ["0.1", "-1"]}, ConfigError, "eta must be > 0"),
+    ({"sigma": ["0", "-1"]}, ValueError, "sigma must be >= 0"),
+], ids=["run-key", "objective-key"])
+def test_grid_checks_every_config_before_the_first_run(monkeypatch, grid, error, message):
     calls = []
-    monkeypatch.setattr(harness, "run_once", lambda cfg: calls.append(cfg))
-    spec = ExperimentSpec(base=_grid_spec().base, grid={"eta": ["0.1", "-1"]}, seeds=[0, 1])
-    with pytest.raises(ConfigError, match="eta must be > 0"):
+    monkeypatch.setattr(harness, "simulate", lambda *run: calls.append(run))
+    spec = ExperimentSpec(base=_grid_spec().base, grid=grid, seeds=[0, 1])
+    with pytest.raises(error, match=message):
         run_grid(spec)
     assert calls == []
 

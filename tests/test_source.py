@@ -161,3 +161,59 @@ def test_each_name_list_is_assigned_in_one_module():
     homes = {name: [path.name for path in modules if name in module_assignments(path)]
              for name in NAME_LISTS}
     assert all(len(found) == 1 for found in homes.values()), f"modules assigning each list: {homes}"
+
+
+def package_import_graph() -> dict[str, set[str]]:
+    """The fedsim modules each module imports, at any level, function
+    bodies included."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    graph = {}
+    for name in modules:
+        targets = set()
+        for node in ast.walk(parse(SRC / f"{name}.py")):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                parts = [node.module] if node.module else [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fedsim"):
+                parts = node.module.split(".")[1:2] or [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                parts = [alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("fedsim.")]
+            else:
+                continue
+            targets |= {part.split(".")[0] for part in parts} & modules
+        graph[name] = targets - {name}
+    return graph
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of `graph` as a closed path of modules, or [] if it has none."""
+    done: set[str] = set()
+
+    def visit(name: str, path: list[str]) -> list[str]:
+        if name in path:
+            return path[path.index(name):] + [name]
+        if name in done:
+            return []
+        for target in sorted(graph[name]):
+            cycle = visit(target, path + [name])
+            if cycle:
+                return cycle
+        done.add(name)
+        return []
+
+    for name in sorted(graph):
+        cycle = visit(name, [])
+        if cycle:
+            return cycle
+    return []
+
+
+def test_package_imports_form_no_cycle():
+    """Each module depends only on the ones below it, so none reaches back
+    into a module that imports it, not even from inside a function."""
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert import_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) == []
+    graph = package_import_graph()
+    assert "core" in graph["harness"], "the check no longer sees the imports"
+    cycle = import_cycle(graph)
+    assert not cycle, f"import cycle: {' -> '.join(cycle)}"
