@@ -97,6 +97,13 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     return x, grad_sum
 
 
+def check_n_clients(cfg: RunConfig, objective: Objective) -> None:
+    """Reject a config whose `n_clients` differs from the objective's."""
+    if cfg.n_clients != objective.n_clients:
+        raise ConfigError(f"config n_clients = {cfg.n_clients}, but the {cfg.objective}"
+                          f" objective has {objective.n_clients} clients.")
+
+
 class Simulation:
     """Mutable server state driving one run round by round.
 
@@ -124,9 +131,7 @@ class Simulation:
     """
 
     def __init__(self, objective: Objective, scheduler: Scheduler, cfg: RunConfig):
-        if cfg.n_clients != objective.n_clients:
-            raise ConfigError(f"config n_clients = {cfg.n_clients}, but the {cfg.objective}"
-                              f" objective has {objective.n_clients} clients.")
+        check_n_clients(cfg, objective)
         self.objective = objective
         self.scheduler = scheduler
         # An unchecked config may set a key the algorithm does not read; it is ignored.

@@ -55,13 +55,15 @@ class ConfigError(ValueError):
 
 class _PhiloxKey(ISeedSequence):
     """Seed sequence whose only state is the Philox key [seed, 0]. Philox
-    asks it for exactly two uint64 words, once, at construction."""
+    asks it for exactly two uint64 words, once, at construction, and copies
+    them into its state one at a time, so a tuple of the two ints serves
+    and no array is built."""
 
     def __init__(self, seed: int):
         self._seed = seed
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return np.array([self._seed, 0], dtype=np.uint64)
+    def generate_state(self, n_words: int, dtype=np.uint32) -> tuple[int, int]:
+        return (self._seed, 0)
 
 
 def rng_stream(seed: int, purpose: str, client: int = 0, round_idx: int = 0) -> np.random.Generator:
@@ -75,16 +77,21 @@ def rng_stream(seed: int, purpose: str, client: int = 0, round_idx: int = 0) -> 
     discards it, which costs about half of a stream's construction. The key
     [seed, 0] is exactly the 128-bit key `Philox(key=seed)` stores, so the
     state and every draw are unchanged.
+
+    The 256-bit counter goes to Philox as its four uint64 words, low first:
+    [0, round_idx, client, purpose], the words `stream_uniforms` counts
+    with. Given a Python int, Philox splits it into those words itself,
+    which takes longer than building the array here; the state is the same.
     """
     if purpose not in PURPOSES:
         raise ValueError(f"unknown rng purpose: {purpose!r}")
-    # operator.index turns numpy integers into Python ints, whose shifts
-    # below cannot overflow, and rejects floats.
+    # operator.index turns numpy integers into Python ints and rejects
+    # floats, so the range checks below see exact values.
     seed, client, round_idx = map(operator.index, (seed, client, round_idx))
     for name, value in (("seed", seed), ("client", client), ("round_idx", round_idx)):
         if not 0 <= value < _U64:
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
-    counter = (PURPOSES[purpose] << 192) | (client << 128) | (round_idx << 64)
+    counter = np.array((0, round_idx, client, PURPOSES[purpose]), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_PhiloxKey(seed), counter=counter))
 
 
@@ -363,8 +370,8 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
     `harness.parse_centers`, `harness.load_dataset` and
     `data.partition_indices`. `make_scheduler`, `build_objective` and
     `load_dataset` also reject any key the chosen pattern, objective or
-    dataset kind never reads. `Simulation` matches `n_clients` against the
-    objective. Returns a normalized copy; the input is not modified.
+    dataset kind never reads. `build_run` then matches `n_clients` against
+    the objective. Returns a normalized copy; the input is not modified.
     """
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm: {cfg.algorithm!r}")

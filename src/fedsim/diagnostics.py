@@ -60,7 +60,7 @@ class ParticipationHistory:
         """Record a (rounds, clients) weight matrix."""
         if q.shape != (self.z.shape[1], self.z.shape[0]):
             raise ValueError("window shape does not match the history tracker.")
-        participated = q.sum(axis=0) > 0
+        participated = np.add.reduce(q, axis=0) > 0
         self.z[participated] = q[:, participated].T
 
 
@@ -76,7 +76,10 @@ def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
     if q.ndim != 2:
         raise ValueError("window matrix must be two dimensional.")
     window_len, n_clients = q.shape
-    qbar = q.mean(axis=0)
+    # A mean is np.add.reduce over the axis divided by the count, and a
+    # float square is the product with itself; spelled out, they skip
+    # np.mean's and the power's dispatch and give the same bits.
+    qbar = np.add.reduce(q, axis=0) / window_len
 
     # w_i averages, over reference clients j, the weight overlap between i
     # and j within the window, normalized by j's total participation.
@@ -89,10 +92,11 @@ def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
     z = history.z
     if z.shape != (n_clients, window_len):
         raise ValueError("history shape does not match the window.")
-    v = qbar - 1.0 / n_clients
-    z_mean = z.mean(axis=1)
+    z_mean = np.add.reduce(z, axis=1) / window_len
     use = z_mean > 0
-    terms = v[use] ** 2 * ((z[use] ** 2).mean(axis=1) / z_mean[use] ** 2)
+    v = qbar[use] - 1.0 / n_clients
+    z, z_mean = z[use], z_mean[use]
+    terms = v * v * ((np.add.reduce(z * z, axis=1) / window_len) / (z_mean * z_mean))
     # cumsum adds sequentially; np.sum would sum pairwise and round
     # differently.
     v_sq_lambda = np.cumsum(terms)[-1] if len(terms) else 0.0
@@ -101,7 +105,7 @@ def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
         qbar=qbar,
         w=w,
         v_sq_lambda=float(v_sq_lambda),
-        rho_sq_rounds=(q ** 2).sum(axis=1),
+        rho_sq_rounds=np.add.reduce(q * q, axis=1),
     )
 
 
@@ -184,11 +188,12 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int) -> MonteCarl
         stats = window_stats(q, history)
         history.observe(q)
 
-        qbar_sum += stats.qbar
-        qbar_sq_sum += stats.qbar ** 2
-        qbar_pos += stats.qbar > 0
-        w_sum += stats.w
-        w_sq_sum += stats.w ** 2
+        qbar, w = stats.qbar, stats.w
+        qbar_sum += qbar
+        qbar_sq_sum += qbar * qbar
+        qbar_pos += qbar > 0
+        w_sum += w
+        w_sq_sum += w * w
         if t >= BURN_IN:
             vsl_sum += stats.v_sq_lambda
             vsl_sq_sum += stats.v_sq_lambda ** 2
@@ -198,7 +203,7 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int) -> MonteCarl
         # A fallback round concentrates weight on fewer clients than the
         # nominal draw size, pushing the per-round concentration above the
         # pattern constant.
-        fallback += int((stats.rho_sq_rounds > params.rho_sq + _EXACT_TOL).sum())
+        fallback += np.count_nonzero(stats.rho_sq_rounds > params.rho_sq + _EXACT_TOL)
 
     qbar_mean = qbar_sum / trials
     w_mean = w_sum / trials

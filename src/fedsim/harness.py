@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import Simulation
+from .algorithms import Simulation, check_n_clients
 from .core import (ConfigError, ExperimentSpec, RunConfig, RunRecord, build_run_config, format_value,
                    reject_unread, validate_run_config)
 from .data import load_idx, make_blobs, partition_by_similarity
@@ -108,15 +108,18 @@ def blob_datasets(n_train: int, n_test: int, n_classes: int, n_features: int, se
 
 def build_run(cfg: RunConfig) -> tuple[RunConfig, Objective, Scheduler]:
     """The one construction path of a run: validate `cfg`, build its
-    scheduler, then build its objective. A config with several faults
-    raises at the first of these steps that checks one.
+    scheduler, build its objective, then match `n_clients` against the
+    objective. A config with several faults raises at the first of these
+    steps that checks one.
 
     Returns the normalized config, the objective and the scheduler; the
     input is not modified.
     """
     cfg = validate_run_config(cfg)
     scheduler = make_scheduler(cfg)
-    return cfg, build_objective(cfg), scheduler
+    objective = build_objective(cfg)
+    check_n_clients(cfg, objective)
+    return cfg, objective, scheduler
 
 
 def run_once(cfg: RunConfig) -> RunRecord:
@@ -216,10 +219,8 @@ def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
 
     Every (cell, seed) run is built by `build_run`, and so checked, before
     the first run starts, so a bad cell fails before any run's time is
-    spent. Only `Simulation`'s match of `n_clients` against the objective
-    waits for the cell's run. Every built objective is held until its
-    run, which for the logistic objective means every run's data shards
-    at once.
+    spent. Every built objective is held until its run, which for the
+    logistic objective means every run's data shards at once.
     """
     for key, where in (("seed", spec.base), ("grid.seed", spec.grid)):
         if "seed" in where:

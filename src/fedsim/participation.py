@@ -73,7 +73,12 @@ class CyclicScheduler(Scheduler):
             # nothing else reads the sampling stream, so none is opened.
             return np.arange(base, base + self.group_size, dtype=np.int64)
         rng = rng_stream(seed, "sampling", 0, r)
-        return np.sort(base + rng.permutation(self.group_size)[: self.s_clients])
+        # Sorting before the offset orders the same; both act in place on
+        # the fresh permutation.
+        idx = rng.permutation(self.group_size)[: self.s_clients]
+        idx.sort()
+        idx += base
+        return idx
 
     def params(self) -> PatternParams:
         return PatternParams(1.0 / self.s_clients, self.avail_rounds_g * self.k_bar,
@@ -104,12 +109,17 @@ class ScaScheduler(CyclicScheduler):
         probs = self._probs[self.active_group(r)]
         for retry in range(SCA_MAX_RETRIES):
             rng = rng_stream(seed, "sampling", retry, r)
-            available = np.flatnonzero(rng.random(self.n_clients) < probs)
+            available = (rng.random(self.n_clients) < probs).nonzero()[0]
             if len(available) == 0:
                 continue
             if len(available) <= self.s_clients:
                 return available
-            return np.sort(available[rng.permutation(len(available))[: self.s_clients]])
+            # Shuffling `available` in place draws what
+            # `available[rng.permutation(len(available))]` draws.
+            rng.shuffle(available)
+            idx = available[: self.s_clients]
+            idx.sort()
+            return idx
         raise ValueError(
             f"no clients available at round {r} after {SCA_MAX_RETRIES} availability draws.")
 

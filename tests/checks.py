@@ -1,14 +1,15 @@
 """Reference checks used only by the tests: a finite-difference gradient
 checker, the cyclic pattern's closed forms for the window statistics
-that `fedsim verify` does not check against a closed form, the exact
-window factor of the noiseless quadratic under full participation and
-scaffold's exact round map there with one client present, and a shorthand
-for the scheduler a pattern name builds."""
+that `fedsim verify` does not check against a closed form, the window
+statistics in their plainest spelling, the exact window factor of
+the noiseless quadratic under full participation and scaffold's exact
+round map there with one client present, and a shorthand for the
+scheduler a pattern name builds."""
 
 import numpy as np
 
 from fedsim.core import RunConfig, gaussians_from, rng_stream
-from fedsim.diagnostics import CheckResult
+from fedsim.diagnostics import CheckResult, ParticipationHistory, WindowStats
 from fedsim.objectives import Objective
 from fedsim.participation import Scheduler, make_scheduler
 
@@ -50,6 +51,30 @@ def cyclic_w_mean(n_clients: int, k_bar: int, s_clients: int) -> float:
     tests.
     """
     return s_clients * k_bar / n_clients ** 2
+
+
+def window_stats_reference(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
+    """`diagnostics.window_stats` in its plainest spelling, with `np.mean`
+    and `** 2`. The two must agree bit for bit."""
+    window_len, n_clients = q.shape
+    qbar = q.mean(axis=0)
+    overlap = q.T @ q
+    coef = np.zeros(n_clients)
+    seen = qbar > 0
+    coef[seen] = 1.0 / (window_len * qbar[seen])
+    w = overlap @ coef / n_clients
+    z = history.z
+    v = qbar - 1.0 / n_clients
+    z_mean = z.mean(axis=1)
+    use = z_mean > 0
+    terms = v[use] ** 2 * ((z[use] ** 2).mean(axis=1) / z_mean[use] ** 2)
+    v_sq_lambda = np.cumsum(terms)[-1] if len(terms) else 0.0
+    return WindowStats(
+        qbar=qbar,
+        w=w,
+        v_sq_lambda=float(v_sq_lambda),
+        rho_sq_rounds=(q ** 2).sum(axis=1),
+    )
 
 
 def full_participation_window_factor(gamma: float, eta: float, local_steps: int,

@@ -25,7 +25,13 @@ from fedsim.participation import (
     Scheduler,
 )
 
-from checks import cyclic_v_sq_lambda_mean, cyclic_w_mean, grad_check, pattern_scheduler
+from checks import (
+    cyclic_v_sq_lambda_mean,
+    cyclic_w_mean,
+    grad_check,
+    pattern_scheduler,
+    window_stats_reference,
+)
 
 
 def _one_hot_window(first: int, second: int) -> np.ndarray:
@@ -185,6 +191,43 @@ def test_v_sq_lambda_matches_the_client_loop_bit_for_bit():
             # no client with history at all
             got = window_stats(q, ParticipationHistory(n_clients, window_len)).v_sq_lambda
             assert type(got) is float and got == 0.0
+
+
+@pytest.mark.parametrize("sched", [
+    pattern_scheduler("iid", 12, s_clients=3),
+    pattern_scheduler("cyclic", 12, k_bar=4, s_clients=2),
+    pattern_scheduler("grouped_cyclic", 12, k_bar=3, s_clients=2, avail_rounds_g=3),
+    pattern_scheduler("regularized", 12, window_p=4),
+    ScaScheduler(12, 3, 3, 2, p_active=0.3, p_inactive=0.05),
+    CyclicScheduler(250, 5, 10),
+    ScaScheduler(100, 5, 10, 3),
+], ids=["iid", "cyclic", "grouped_cyclic", "regularized", "sca-sparse", "verify-cyclic",
+        "verify-sca"])
+def test_window_stats_matches_its_reference_bit_for_bit(sched):
+    """Over a run of sampled windows, history included, every statistic
+    has the bytes of the np.mean and ** 2 spelling. The first window meets
+    an all-zero history, later ones a history where some clients are still
+    unseen; iid windows are one round long, and the sparse sca windows
+    hold fallback rounds."""
+    window_len = sched.params().window
+    history = ParticipationHistory(sched.n_clients, window_len)
+    unseen_counts = set()
+    fallback_rounds = 0
+    for t in range(40):
+        q = sample_window(sched, t, 0, window_len)
+        got = window_stats(q, history)
+        want = window_stats_reference(q, history)
+        for field in ("qbar", "w", "rho_sq_rounds"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert type(got.v_sq_lambda) is float
+        assert got.v_sq_lambda.hex() == want.v_sq_lambda.hex()
+        unseen_counts.add(int((~history.z.any(axis=1)).sum()))
+        fallback_rounds += int((got.rho_sq_rounds > sched.params().rho_sq + 1e-12).sum())
+        history.observe(q)
+    assert sched.n_clients in unseen_counts
+    if isinstance(sched, ScaScheduler) and sched.n_clients == 12:
+        assert fallback_rounds > 0
+        assert any(0 < unseen < sched.n_clients for unseen in unseen_counts)
 
 
 def test_monte_carlo_makes_one_window_stats_call_per_window(monkeypatch):

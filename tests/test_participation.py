@@ -163,6 +163,51 @@ def test_sca_fallback_weights_when_few_available():
     assert saw_fallback
 
 
+def _sca_reference_round(sch, r, seed):
+    """`ScaScheduler.sample_round` in its plainest spelling: a fresh stream
+    per retry, np.flatnonzero and np.sort of the permuted draw. Also returns
+    the retry count and whether the round fell back to every available
+    client."""
+    probs = sch._probs[sch.active_group(r)]
+    for retry in range(participation.SCA_MAX_RETRIES):
+        rng = rng_stream(seed, "sampling", retry, r)
+        available = np.flatnonzero(rng.random(sch.n_clients) < probs)
+        if len(available) == 0:
+            continue
+        if len(available) <= sch.s_clients:
+            return available, retry, True
+        return np.sort(available[rng.permutation(len(available))[: sch.s_clients]]), retry, False
+    raise AssertionError("every availability draw was empty")
+
+
+def test_sca_sample_round_equals_the_reference_draw():
+    sch = ScaScheduler(12, 3, 2, 2, p_active=0.3, p_inactive=0.05)
+    retried = fallbacks = sampled = 0
+    for seed in range(3):
+        for r in range(200):
+            expected, retries, fallback = _sca_reference_round(sch, r, seed)
+            got = sch.sample_round(r, seed)
+            assert got.dtype == expected.dtype == np.int64
+            assert got.tobytes() == expected.tobytes()
+            retried += retries > 0
+            fallbacks += fallback
+            sampled += not fallback
+    assert retried and fallbacks and sampled
+
+
+@pytest.mark.parametrize("sch", [
+    ScaScheduler(12, 3, 2, 2, p_active=0.3, p_inactive=0.05),
+    CyclicScheduler(12, 3, 2),
+    CyclicScheduler(12, 3, 4),
+], ids=["sca", "cyclic-sampled", "cyclic-full-group"])
+def test_returned_rounds_share_no_memory(sch):
+    """The in-place sort and offset act on arrays no later call sees."""
+    for r in range(40):
+        expected = sch.sample_round(r, 5).copy()
+        sch.sample_round(r, 5)[:] = -1
+        assert np.array_equal(sch.sample_round(r, 5), expected)
+
+
 def test_sca_gives_up_when_nobody_can_show_up():
     sch = ScaScheduler(4, 2, 1, 1, p_active=0.0, p_inactive=0.0)
     with pytest.raises(ValueError, match="100 availability draws"):
