@@ -142,7 +142,7 @@ class Simulation:
         self.seed = cfg.seed
         self.rounds = cfg.rounds
         if "gamma" in reads:
-            self.window_len = scheduler.params().window
+            self.window_len = scheduler.window
             self.gamma = cfg.gamma
         else:
             self.window_len = 1
@@ -205,9 +205,8 @@ class Simulation:
         if variates is None:
             return
         seen = self.qbar > 0
-        if np.any(seen):
-            denom = self.window_len * self.qbar[seen] * self.local_steps
-            variates[seen] = self.accum[seen] / denom[:, None]
+        denom = self.window_len * self.qbar[seen] * self.local_steps
+        variates[seen] = self.accum[seen] / denom[:, None]
         # Clients absent for the whole window keep their previous estimate.
         self.variate_mean = variates.mean(axis=0)
         self.accum[:] = 0.0

@@ -22,11 +22,12 @@ from .core import (
     RunConfig,
     apply_overrides,
     build_run_config,
+    check_seed,
     format_value,
     parse_config_text,
     parse_experiment_text,
 )
-from .data import _atomic_write, label_histogram, save_idx
+from .data import atomic_write, label_histogram, save_idx
 from .diagnostics import assumption_suite, checks_to_csv_rows, format_report
 from .harness import (best_cell, blob_datasets, build_run, grid_csv, rounds_to_target, run_grid,
                       run_once, run_record_csv)
@@ -51,7 +52,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = build_run_config(values)
     record = run_once(cfg)
     path = _out_path(args, "run.csv")
-    _atomic_write(path, run_record_csv(record).encode())
+    atomic_write(path, run_record_csv(record).encode())
 
     print(f"run: algorithm={cfg.algorithm} objective={cfg.objective} pattern={cfg.pattern}"
           f" rounds={cfg.rounds} eta={format_value(cfg.eta)} gamma={format_value(cfg.gamma)}"
@@ -82,7 +83,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     results = run_grid(spec)
     grid_keys = list(spec.grid)
     path = _out_path(args, "grid.csv")
-    _atomic_write(path, grid_csv(results, grid_keys).encode())
+    atomic_write(path, grid_csv(results, grid_keys).encode())
 
     print(f"grid: {len(results)} cells x {len(spec.seeds)} seeds")
     for cell in results:
@@ -99,6 +100,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # A full-group pattern opens no sampling stream, which would reject the seed.
+    check_seed(args.seed)
     scheduler = make_scheduler(RunConfig(
         n_clients=args.n, pattern=args.pattern, s_clients=args.s, k_bar=args.k_bar,
         avail_rounds_g=args.g, window_p=args.window_p, p_active=args.p_active,
@@ -106,7 +109,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = assumption_suite(scheduler, args.trials, seed=args.seed)
     print(format_report(checks))
     path = _out_path(args, "verify.csv")
-    _atomic_write(path, ("\n".join(checks_to_csv_rows(checks)) + "\n").encode())
+    atomic_write(path, ("\n".join(checks_to_csv_rows(checks)) + "\n").encode())
     print(f"wrote {path}")
     return 0 if all(c.passed for c in checks) else 1
 
@@ -119,7 +122,7 @@ def cmd_partition_report(args: argparse.Namespace) -> int:
     rows = label_histogram(labels)
     path = _out_path(args, "partition.csv")
     lines = ["client,label,count"] + [f"{c},{label},{n}" for c, label, n in rows]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
     sizes = [len(shard) for shard in labels]
     print(f"partition: {cfg.n_clients} clients, {sum(sizes)} samples,"

@@ -21,6 +21,7 @@ Configuration is a flat key = value text format with one key per line and
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -358,6 +359,12 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
     return validate_run_config(cfg)
 
 
+def check_seed(seed: int) -> None:
+    """Reject a run or verify seed outside the sampling streams' key range."""
+    if not 0 <= seed < _U64:
+        raise ConfigError("seed must fit in an unsigned 64-bit integer.")
+
+
 def validate_run_config(cfg: RunConfig) -> RunConfig:
     """Check the algorithm and run-loop keys and fill derived defaults.
 
@@ -391,8 +398,7 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("mu must be >= 0.")
     reject_unread(cfg, f"algorithm {cfg.algorithm}", ALGORITHM_KEYS[cfg.algorithm],
                   ("mu", "gamma", "cv_init"))
-    if not 0 <= cfg.seed < _U64:
-        raise ConfigError("seed must fit in an unsigned 64-bit integer.")
+    check_seed(cfg.seed)
     if cfg.eval_every < 0:
         raise ConfigError("eval_every must be >= 0.")
 
@@ -416,10 +422,7 @@ class ExperimentSpec:
 
     def cells(self) -> list[dict[str, str]]:
         """Expand the grid to the full Cartesian product, in key order."""
-        cells = [{}]
-        for key, options in self.grid.items():
-            cells = [dict(cell, **{key: opt}) for cell in cells for opt in options]
-        return cells
+        return [dict(zip(self.grid, combo)) for combo in itertools.product(*self.grid.values())]
 
 
 def parse_experiment_text(text: str) -> ExperimentSpec:

@@ -57,7 +57,8 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
     return features, labels
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def atomic_write(path: str, payload: bytes) -> None:
+    """Replace `path` with `payload` by renaming a finished file over it."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".idx-")
     try:
@@ -85,9 +86,9 @@ def save_idx(images_path: str, labels_path: str, features: np.ndarray, labels: n
         raise ValueError("labels must fit in a byte.")
     pixels = np.clip(np.rint(features * 255.0), 0, 255).astype(np.uint8)
     header = struct.pack(">IIII", IMAGE_MAGIC, len(features), 1, features.shape[1])
-    _atomic_write(images_path, header + pixels.tobytes())
+    atomic_write(images_path, header + pixels.tobytes())
     header = struct.pack(">II", LABEL_MAGIC, len(labels))
-    _atomic_write(labels_path, header + labels.astype(np.uint8).tobytes())
+    atomic_write(labels_path, header + labels.astype(np.uint8).tobytes())
 
 
 def make_blobs(n_samples: int, n_classes: int, n_features: int, seed: int,
@@ -108,17 +109,14 @@ def make_blobs(n_samples: int, n_classes: int, n_features: int, seed: int,
         raise ValueError("n_features too small to separate n_classes clusters.")
     rng = rng_stream(seed, "partition", 0, stream_index)
     corners: list[tuple[int, ...]] = []
-    used = set()
     attempts = 0
     while len(corners) < n_classes:
         bits = tuple(int(b) for b in rng.random(n_features) < 0.5)
         attempts += 1
         if attempts > 10000:
             raise ValueError("could not find distinct cluster corners; increase n_features.")
-        if bits in used:
-            continue
-        used.add(bits)
-        corners.append(bits)
+        if bits not in corners:
+            corners.append(bits)
     centers = _BLOB_LOW + (_BLOB_HIGH - _BLOB_LOW) * np.array(corners, dtype=float)
     labels = np.arange(n_samples, dtype=np.int64) % n_classes
     noise = gaussians_from(rng.random(n_samples * n_features), _BLOB_NOISE).reshape(n_samples, n_features)

@@ -32,10 +32,6 @@ class WindowStats:
     # each round's concentration, the sum of its squared weights
     rho_sq_rounds: np.ndarray
 
-    @property
-    def rho_sq_realized(self) -> float:
-        return float(self.rho_sq_rounds.max())
-
 
 @dataclass
 class CheckResult:
@@ -167,8 +163,7 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int) -> MonteCarl
     if trials < 1:
         raise ValueError("trials must be >= 1.")
     n = scheduler.n_clients
-    params = scheduler.params()
-    window_len = params.window
+    window_len = scheduler.window
     history = ParticipationHistory(n, window_len)
 
     qbar_sum = np.zeros(n)
@@ -198,12 +193,12 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int) -> MonteCarl
             vsl_sum += stats.v_sq_lambda
             vsl_sq_sum += stats.v_sq_lambda ** 2
             vsl_count += 1
-        rho_sq_max = max(rho_sq_max, stats.rho_sq_realized)
+        rho_sq_max = max(rho_sq_max, float(stats.rho_sq_rounds.max()))
         sum_q_max_dev = max(sum_q_max_dev, float(np.abs(q.sum(axis=1) - 1.0).max()))
         # A fallback round concentrates weight on fewer clients than the
         # nominal draw size, pushing the per-round concentration above the
         # pattern constant.
-        fallback += np.count_nonzero(stats.rho_sq_rounds > params.rho_sq + _EXACT_TOL)
+        fallback += np.count_nonzero(stats.rho_sq_rounds > scheduler.rho_sq + _EXACT_TOL)
 
     qbar_mean = qbar_sum / trials
     w_mean = w_sum / trials
@@ -242,7 +237,6 @@ def _ratio(dev: np.ndarray, se: np.ndarray) -> np.ndarray:
 
 def assumption_suite(scheduler: Scheduler, trials: int, seed: int = 0) -> list[CheckResult]:
     """Check the participation assumptions and both regularity bounds."""
-    params = scheduler.params()
     n = scheduler.n_clients
     mc = monte_carlo_stats(scheduler, trials, seed)
     checks = []
@@ -252,9 +246,9 @@ def assumption_suite(scheduler: Scheduler, trials: int, seed: int = 0) -> list[C
         observed=mc.sum_q_max_dev, passed=mc.sum_q_max_dev <= _EXACT_TOL))
 
     is_sca = isinstance(scheduler, ScaScheduler)
-    rho_ok = mc.rho_sq_max <= params.rho_sq + _EXACT_TOL or is_sca
+    rho_ok = mc.rho_sq_max <= scheduler.rho_sq + _EXACT_TOL or is_sca
     checks.append(CheckResult(
-        check="rho_sq_bound", statistic=mc.rho_sq_max, expected=params.rho_sq,
+        check="rho_sq_bound", statistic=mc.rho_sq_max, expected=scheduler.rho_sq,
         observed=mc.rho_sq_max, passed=rho_ok))
     if is_sca:
         checks.append(CheckResult(
@@ -270,14 +264,14 @@ def assumption_suite(scheduler: Scheduler, trials: int, seed: int = 0) -> list[C
 
     freq = mc.qbar_pos_freq
     se = np.sqrt(np.maximum(freq * (1 - freq), 0.0) / mc.trials)
-    short = _ratio(freq - params.p_sample, se)
+    short = _ratio(freq - scheduler.p_sample, se)
     worst = float(short.min())
     checks.append(CheckResult(
         check="p_sample_floor", statistic=worst, expected=-4.0,
         observed=float(freq.min()), passed=worst >= -4.0))
 
     se = np.sqrt(mc.w_var / mc.trials)
-    bound = params.window ** 2 / n
+    bound = scheduler.window ** 2 / n
     excess = float(_ratio(mc.w_mean - bound, se).max())
     checks.append(CheckResult(
         check="w_mean_bound", statistic=excess, expected=4.0,
@@ -285,7 +279,7 @@ def assumption_suite(scheduler: Scheduler, trials: int, seed: int = 0) -> list[C
 
     if mc.v_sq_lambda_count:
         se_v = float(np.sqrt(mc.v_sq_lambda_var / mc.v_sq_lambda_count))
-        stat = _ratio(np.array([mc.v_sq_lambda_mean - params.rho_sq]), np.array([se_v]))[0]
+        stat = _ratio(np.array([mc.v_sq_lambda_mean - scheduler.rho_sq]), np.array([se_v]))[0]
         checks.append(CheckResult(
             check="v_sq_lambda_bound", statistic=float(stat), expected=4.0,
             observed=mc.v_sq_lambda_mean, passed=stat <= 4.0))
@@ -299,12 +293,12 @@ def assumption_suite(scheduler: Scheduler, trials: int, seed: int = 0) -> list[C
             checks.append(CheckResult(
                 check="regularized_qbar_exact", statistic=dev, expected=_EXACT_TOL,
                 observed=dev, passed=exact))
-        elif is_sca or params.window > 1:
+        elif is_sca or scheduler.window > 1:
             # At a one-round window qbar_i is 0 or 1/S, so its variance
             # m/S - m^2 follows from its mean m, which window_unbiasedness
             # already tests.
             expected = cyclic_qbar_variance(n, scheduler.k_bar, scheduler.s_clients,
-                                            params.window)
+                                            scheduler.window)
             observed = float(mc.qbar_var.mean())
             rel = abs(observed - expected) / expected if expected else abs(observed)
             checks.append(CheckResult(

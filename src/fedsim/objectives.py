@@ -208,39 +208,30 @@ class Logistic(Objective):
         if minibatch < 1:
             raise ValueError("minibatch must be >= 1.")
         num_features = shards[0][0].shape[1]
-        self._features = []
-        self.labels = []
-        for idx, (feats, labels) in enumerate(shards):
+
+        def with_bias(name: str, feats: np.ndarray, labels: np.ndarray):
+            """The checked features with the bias column appended, and the labels as ints."""
             labels = np.asarray(labels, dtype=int)
             if len(labels) == 0:
-                raise ValueError(f"client {idx} has an empty dataset.")
+                raise ValueError(f"{name} has no samples.")
             if feats.shape[1] != num_features:
-                raise ValueError(f"client {idx} has {feats.shape[1]} features, expected {num_features}.")
-            # Negative labels would wrap around when indexing, silently
-            # training on the last classes.
+                raise ValueError(f"{name} has {feats.shape[1]} features, expected {num_features}.")
+            # A negative label would wrap around when indexing, silently
+            # training on the last classes; a held-out label the model cannot
+            # predict would only ever count as a miss.
             if labels.min() < 0 or labels.max() >= num_classes:
-                raise ValueError(f"client {idx} has labels outside [0, {num_classes}).")
-            self._features.append(np.hstack([feats, np.ones((feats.shape[0], 1))]))
-            self.labels.append(labels)
+                raise ValueError(f"{name} has labels outside [0, {num_classes}).")
+            return np.hstack([feats, np.ones((feats.shape[0], 1))]), labels
+
+        checked = [with_bias(f"client {idx}", *shard) for idx, shard in enumerate(shards)]
+        self._features, self.labels = map(list, zip(*checked))
+        self._test = None if test_set is None else with_bias("the test set", *test_set)
         self.num_classes = num_classes
         self.num_features = num_features
         self.l2 = l2
         self.draws = minibatch
         self.n_clients = len(shards)
         self.dim = num_classes * (num_features + 1)
-        if test_set is not None:
-            feats, labels = test_set
-            labels = np.asarray(labels, dtype=int)
-            if len(labels) == 0:
-                raise ValueError("the test set has no samples.")
-            if feats.shape[1] != num_features:
-                raise ValueError(f"the test set has {feats.shape[1]} features, expected {num_features}.")
-            # A label the model cannot predict would only ever count as a miss.
-            if labels.min() < 0 or labels.max() >= num_classes:
-                raise ValueError(f"the test set has labels outside [0, {num_classes}).")
-            self._test = (np.hstack([feats, np.ones((feats.shape[0], 1))]), labels)
-        else:
-            self._test = None
 
     def _weights(self, x: np.ndarray) -> np.ndarray:
         return self._check_x(x).reshape(self.num_classes, self.num_features + 1)

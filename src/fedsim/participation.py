@@ -11,8 +11,6 @@ cyclic process with different parameters; `sca` adds availability draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ConfigError, RunConfig, reject_unread, rng_stream
@@ -20,24 +18,18 @@ from .core import ConfigError, RunConfig, reject_unread, rng_stream
 SCA_MAX_RETRIES = 100
 
 
-@dataclass(frozen=True)
-class PatternParams:
-    """Closed-form constants of a pattern: weight concentration bound rho_sq,
-    window length, and the per-window participation probability lower bound."""
-
-    rho_sq: float
-    window: int
-    p_sample: float
-
-
 class Scheduler:
+    """A sampling rule and its pattern's closed-form constants: `window` in
+    rounds, the weight concentration bound `rho_sq`, and `p_sample`, the
+    lower bound on a client's chance to take part in a window."""
+
     n_clients: int
+    window: int
+    rho_sq: float
+    p_sample: float
 
     def sample_round(self, r: int, seed: int) -> np.ndarray:
         """Sorted int64 indices of the clients sampled at round r."""
-        raise NotImplementedError
-
-    def params(self) -> PatternParams:
         raise NotImplementedError
 
 
@@ -62,6 +54,9 @@ class CyclicScheduler(Scheduler):
         self.s_clients = s_clients
         self.avail_rounds_g = avail_rounds_g
         self.group_size = n_clients // k_bar
+        self.window = avail_rounds_g * k_bar
+        self.rho_sq = 1.0 / s_clients
+        self.p_sample = s_clients * k_bar / n_clients
 
     def active_group(self, r: int) -> int:
         return (r // self.avail_rounds_g) % self.k_bar
@@ -79,10 +74,6 @@ class CyclicScheduler(Scheduler):
         idx.sort()
         idx += base
         return idx
-
-    def params(self) -> PatternParams:
-        return PatternParams(1.0 / self.s_clients, self.avail_rounds_g * self.k_bar,
-                             self.s_clients * self.k_bar / self.n_clients)
 
 
 class ScaScheduler(CyclicScheduler):

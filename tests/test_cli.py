@@ -471,6 +471,30 @@ def test_run_config_and_verify_reject_bad_participation_alike(tmp_path, capsys, 
     assert err == f"error: {exc.value}\n"
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("pattern, keys", [
+    ("iid", {"n_clients": "5", "s_clients": "5"}),
+    ("cyclic", {"n_clients": "12", "k_bar": "3", "s_clients": "2"}),
+    ("grouped_cyclic", {"n_clients": "12", "k_bar": "3", "s_clients": "2", "avail_rounds_g": "2"}),
+    ("regularized", {"n_clients": "12", "window_p": "4"}),
+    ("sca", {"n_clients": "12", "k_bar": "3", "s_clients": "2", "avail_rounds_g": "2"}),
+], ids=["iid", "cyclic", "grouped_cyclic", "regularized", "sca"])
+def test_verify_rejects_a_seed_out_of_range_on_every_pattern(tmp_path, capsys, pattern, keys, seed):
+    # iid with S = N and regularized take every eligible client and open no
+    # sampling stream, so only the config check can reject their seed.
+    flags = [arg for key, value in keys.items() for arg in (VERIFY_FLAGS[key], value)]
+    rc = main(["verify", "--pattern", pattern, *flags, "--trials", "10", "--seed", str(seed),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "verify.csv").exists()
+    values = {"rounds": "1", "algorithm": "fedavg", "eta": "0.1", "objective": "quadratic",
+              "centers": "0", "pattern": pattern, "seed": str(seed), **keys}
+    with pytest.raises(ConfigError) as exc:
+        build_run(build_run_config(values))
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert "seed" in str(exc.value)
+
+
 def test_partition_report(tmp_path, capsys):
     cfg = _write(tmp_path, "log.cfg", LOGISTIC_CFG)
     out = tmp_path / "p"

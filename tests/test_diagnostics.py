@@ -20,7 +20,6 @@ from fedsim.diagnostics import (
 from fedsim.objectives import Logistic, Quadratic, SyntheticHard
 from fedsim.participation import (
     CyclicScheduler,
-    PatternParams,
     ScaScheduler,
     Scheduler,
 )
@@ -46,9 +45,9 @@ class _StuckScheduler(Scheduler):
 
     def __init__(self, n_clients: int):
         self.n_clients = n_clients
-
-    def params(self) -> PatternParams:
-        return PatternParams(1.0, 1, 1.0 / self.n_clients)
+        self.window = 1
+        self.rho_sq = 1.0
+        self.p_sample = 1.0 / n_clients
 
     def sample_round(self, r: int, seed: int) -> np.ndarray:
         return np.array([0])
@@ -68,7 +67,7 @@ def test_uniform_window_is_perfectly_regular():
     np.testing.assert_array_equal(stats.qbar, [0.5, 0.5])
     np.testing.assert_allclose(stats.w, [0.5, 0.5])
     assert stats.v_sq_lambda == 0.0
-    assert stats.rho_sq_realized == 0.5
+    assert stats.rho_sq_rounds.max() == 0.5
     assert np.mean(stats.qbar > 0) == 1.0
 
 
@@ -81,7 +80,7 @@ def test_single_client_window_statistics():
     np.testing.assert_allclose(stats.w, [0.5, 0.0])
     # only client 0 carries history: (1 - 1/2)^2 * lambda with lambda = 1
     assert stats.v_sq_lambda == 0.25
-    assert stats.rho_sq_realized == 1.0
+    assert stats.rho_sq_rounds.max() == 1.0
     assert np.mean(stats.qbar > 0) == 0.5
 
 
@@ -117,7 +116,7 @@ def test_cyclic_windows_enumerated_exactly():
         assert abs(float(stats.w.mean()) - 0.125) <= 1e-15
         # one-hot history columns give lambda = 2 and |v| = 1/4 everywhere
         assert stats.v_sq_lambda == 0.5
-        assert stats.rho_sq_realized == 1.0
+        assert stats.rho_sq_rounds.max() == 1.0
     assert cyclic_w_mean(4, 2, 1) == 0.125
     assert cyclic_v_sq_lambda_mean(4, 2, 1) == 0.5
     assert cyclic_qbar_variance(4, 2, 1, 2) == 1 / 16
@@ -209,7 +208,7 @@ def test_window_stats_matches_its_reference_bit_for_bit(sched):
     an all-zero history, later ones a history where some clients are still
     unseen; iid windows are one round long, and the sparse sca windows
     hold fallback rounds."""
-    window_len = sched.params().window
+    window_len = sched.window
     history = ParticipationHistory(sched.n_clients, window_len)
     unseen_counts = set()
     fallback_rounds = 0
@@ -222,7 +221,7 @@ def test_window_stats_matches_its_reference_bit_for_bit(sched):
         assert type(got.v_sq_lambda) is float
         assert got.v_sq_lambda.hex() == want.v_sq_lambda.hex()
         unseen_counts.add(int((~history.z.any(axis=1)).sum()))
-        fallback_rounds += int((got.rho_sq_rounds > sched.params().rho_sq + 1e-12).sum())
+        fallback_rounds += int((got.rho_sq_rounds > sched.rho_sq + 1e-12).sum())
         history.observe(q)
     assert sched.n_clients in unseen_counts
     if isinstance(sched, ScaScheduler) and sched.n_clients == 12:

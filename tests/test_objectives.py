@@ -187,7 +187,7 @@ def test_logistic_penalty_skips_bias():
 def test_logistic_validation_errors():
     feats = np.zeros((2, 3))
     labels = np.zeros(2, dtype=int)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="client 0 has no samples"):
         Logistic([(np.zeros((0, 3)), np.zeros(0, dtype=int))], num_classes=2)
     with pytest.raises(ValueError, match="features"):
         Logistic([(feats, labels), (np.zeros((2, 4)), labels)], num_classes=2)

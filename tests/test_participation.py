@@ -51,10 +51,13 @@ def test_regularized_is_deterministic_and_exact():
     (CyclicScheduler(12, 3, 2), (0.5, 3, 0.5)),
     (CyclicScheduler(12, 3, 2, avail_rounds_g=4), (0.5, 12, 0.5)),
     (pattern_scheduler("regularized", 12, window_p=4), (1 / 3, 4, 1.0)),
+    # sca inherits the cyclic constants, which its availability draws break:
+    # a fallback round concentrates weight beyond 1/S. ROADMAP item 8 gives
+    # sca its own values, and that change must show here.
+    (ScaScheduler(12, 3, 2, 2), (0.5, 6, 0.5)),
 ])
 def test_pattern_constants(sch, expected):
-    params = sch.params()
-    assert (params.rho_sq, params.window, params.p_sample) == expected
+    assert (sch.rho_sq, sch.window, sch.p_sample) == expected
 
 
 @pytest.mark.parametrize("sch", [
@@ -67,7 +70,7 @@ def test_pattern_constants(sch, expected):
 def test_weights_sum_to_one_and_respect_concentration(sch):
     # The contract of sample_round: sorted, unique int64 client indices in
     # [0, n), each weighing 1/len, so the weights sum to one by construction.
-    rho_sq = sch.params().rho_sq
+    rho_sq = sch.rho_sq
     is_sca = isinstance(sch, ScaScheduler)
     for r in range(25):
         sampled = sch.sample_round(r, seed=3)
@@ -247,7 +250,7 @@ def test_factory_builds_the_right_scheduler():
     for pattern, g, window in (("cyclic", 1, 3), ("grouped_cyclic", 4, 12)):
         sch = make_scheduler(_cfg(pattern=pattern, k_bar=3, s_clients=2, avail_rounds_g=g))
         assert type(sch) is CyclicScheduler
-        assert sch.params().window == window
+        assert sch.window == window
     # cyclic does not read avail_rounds_g, nor regularized s_clients
     with pytest.raises(ConfigError, match="pattern cyclic does not read avail_rounds_g"):
         make_scheduler(_cfg(pattern="cyclic", k_bar=3, s_clients=2, avail_rounds_g=4))

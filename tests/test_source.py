@@ -217,3 +217,26 @@ def test_package_imports_form_no_cycle():
     assert "core" in graph["harness"], "the check no longer sees the imports"
     cycle = import_cycle(graph)
     assert not cycle, f"import cycle: {' -> '.join(cycle)}"
+
+
+def private_imports(path: Path) -> list[str]:
+    """Names with a leading underscore that `path` imports, at any level,
+    from another fedsim module."""
+    found = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("fedsim")):
+            found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_no_module_imports_another_modules_private_names(tmp_path):
+    """A name with a leading underscore belongs to its module; one that
+    another module needs is part of its owner's interface and is named so."""
+    sample = tmp_path / "sample.py"
+    sample.write_text("from .data import _x\nfrom fedsim.core import _y, z\n"
+                      "from numpy import _z\nfrom . import __version__\n")
+    assert private_imports(sample) == ["sample.py:1 _x", "sample.py:2 _y"]
+    modules = sorted(SRC.glob("*.py"))
+    found = [entry for path in modules for entry in private_imports(path)]
+    assert not found, f"imports of another module's private names: {found}"
