@@ -2,8 +2,8 @@
 
 Subcommands: run (one seeded run to run.csv), grid (sweep an experiment
 file to grid.csv), verify (participation pattern diagnostics to
-verify.csv), partition-report (label histogram of the client shards),
-datagen (write a synthetic IDX dataset). Every file is written atomically.
+verify.csv) and partition-report (label histogram of the client shards,
+to partition.csv). Every file is written atomically.
 
 Exit codes: 0 on success with no failed check, 1 when verify finds a
 failed check, 2 on any error.
@@ -27,10 +27,9 @@ from .core import (
     parse_config_text,
     parse_experiment_text,
 )
-from .data import atomic_write, label_histogram, save_idx
+from .data import atomic_write, label_histogram
 from .diagnostics import assumption_suite, checks_to_csv_rows, format_report
-from .harness import (best_cell, blob_datasets, build_run, grid_csv, rounds_to_target, run_grid,
-                      run_once, run_record_csv)
+from .harness import build_run, grid_csv, rounds_to_target, run_grid, run_once, run_record_csv
 from .participation import PATTERNS, make_scheduler
 
 
@@ -91,10 +90,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
         print(f"cell {cell.cell_id}: {desc} mean_final_loss={format_value(cell.mean_final_loss)}"
               f" std={format_value(cell.std_final_loss)}"
               f" mean_rounds_to_target={format_value(cell.mean_rounds_to_target)}")
-    best = best_cell(results)
-    best_desc = " ".join(f"{k}={best.overrides[k]}" for k in grid_keys)
-    print(f"best: cell {best.cell_id} {best_desc}"
-          f" mean_final_loss={format_value(best.mean_final_loss)}")
     print(f"wrote {path}")
     return 0
 
@@ -129,19 +124,6 @@ def cmd_partition_report(args: argparse.Namespace) -> int:
           f" similarity={format_value(cfg.similarity)}")
     print(f"shard sizes: min={min(sizes)} max={max(sizes)}")
     print(f"wrote {path}")
-    return 0
-
-
-def cmd_datagen(args: argparse.Namespace) -> int:
-    train, test = blob_datasets(args.samples, args.test_samples, args.classes,
-                                args.features, args.seed)
-    written = [_out_path(args, "train-images.idx"), _out_path(args, "train-labels.idx")]
-    save_idx(written[0], written[1], *train)
-    if test is not None:
-        written.extend([_out_path(args, "test-images.idx"), _out_path(args, "test-labels.idx")])
-        save_idx(written[2], written[3], *test)
-    for path in written:
-        print(f"wrote {path}")
     return 0
 
 
@@ -190,14 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(report)
     report.set_defaults(func=cmd_partition_report)
 
-    datagen = subs.add_parser("datagen", help="write a synthetic IDX classification dataset")
-    datagen.add_argument("--out", default=".")
-    datagen.add_argument("--samples", type=int, default=1000)
-    datagen.add_argument("--classes", type=int, default=10)
-    datagen.add_argument("--features", type=int, default=8)
-    datagen.add_argument("--seed", type=int, default=0)
-    datagen.add_argument("--test-samples", type=int, default=0)
-    datagen.set_defaults(func=cmd_datagen)
     return parser
 
 

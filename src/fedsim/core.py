@@ -370,10 +370,10 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
 
     `mu`, `gamma` and `cv_init` are range-checked, then any of them that
     the algorithm does not read (`ALGORITHM_KEYS`) must be at its default.
-    The participation, objective and data keys are checked by the code
-    that reads them, which `harness.build_run` calls after this check:
-    `participation.make_scheduler` and the scheduler constructors, then
-    `harness.build_objective`, the objective constructors,
+    `n_clients` and the participation, objective and data keys are checked
+    by the code that reads them, which `harness.build_run` calls after this
+    check: `participation.make_scheduler` and the scheduler constructors,
+    then `harness.build_objective`, the objective constructors,
     `harness.parse_centers`, `harness.load_dataset` and
     `data.partition_indices`. `make_scheduler`, `build_objective` and
     `load_dataset` also reject any key the chosen pattern, objective or
@@ -384,8 +384,6 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"unknown algorithm: {cfg.algorithm!r}")
     if cfg.cv_init not in CV_INIT_MODES:
         raise ConfigError(f"unknown cv_init mode: {cfg.cv_init!r}")
-    if cfg.n_clients < 1:
-        raise ConfigError("n_clients must be >= 1.")
     if cfg.rounds < 0:
         raise ConfigError("rounds must be >= 0.")
     if cfg.local_steps < 1:

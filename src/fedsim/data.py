@@ -1,11 +1,10 @@
 """Dataset IO, synthetic classification data, and the similarity partition.
 
-The on-disk container is the classic big-endian IDX pair (images + labels).
-Generated datasets are quantized to bytes before writing so a write/read
-round trip is exact. Partitioning splits one labeled dataset into N client
-shards where s% of each shard comes from a shuffled i.i.d. pool and the
-rest from a label-sorted pool taken contiguously, which concentrates each
-client on few labels as s shrinks.
+The on-disk container is the classic big-endian IDX pair (images +
+labels), which `load_idx` reads. Partitioning splits one labeled dataset
+into N client shards where s% of each shard comes from a shuffled i.i.d.
+pool and the rest from a label-sorted pool taken contiguously, which
+concentrates each client on few labels as s shrinks.
 """
 
 from __future__ import annotations
@@ -69,26 +68,6 @@ def atomic_write(path: str, payload: bytes) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-def save_idx(images_path: str, labels_path: str, features: np.ndarray, labels: np.ndarray) -> None:
-    """Write features in [0, 1] and integer labels as an IDX pair.
-
-    Features are stored as bytes (value * 255 rounded), one image row per
-    sample, so loading returns the same values when the input is already
-    byte-quantized.
-    """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels)
-    if features.ndim != 2 or len(features) != len(labels):
-        raise ValueError("features must be (n, d) with one label per row.")
-    if labels.size and (labels.min() < 0 or labels.max() > 255):
-        raise ValueError("labels must fit in a byte.")
-    pixels = np.clip(np.rint(features * 255.0), 0, 255).astype(np.uint8)
-    header = struct.pack(">IIII", IMAGE_MAGIC, len(features), 1, features.shape[1])
-    atomic_write(images_path, header + pixels.tobytes())
-    header = struct.pack(">II", LABEL_MAGIC, len(labels))
-    atomic_write(labels_path, header + labels.astype(np.uint8).tobytes())
 
 
 def make_blobs(n_samples: int, n_classes: int, n_features: int, seed: int,

@@ -77,8 +77,14 @@ def load_dataset(cfg: RunConfig):
         raise ConfigError(f"unknown dataset kind: {cfg.dataset!r}")
     reject_unread(cfg, f"dataset {cfg.dataset}", _DATASETS[cfg.dataset], _DATASET_KEYS)
     if cfg.dataset == "blob":
-        return blob_datasets(cfg.blob_samples, cfg.blob_test_samples, cfg.blob_classes,
-                             cfg.blob_features, cfg.seed)
+        if cfg.blob_test_samples < 0:
+            raise ConfigError("the held-out sample count (blob_test_samples) must be >= 0.")
+        train = make_blobs(cfg.blob_samples, cfg.blob_classes, cfg.blob_features, cfg.seed)
+        test = None
+        if cfg.blob_test_samples > 0:
+            test = make_blobs(cfg.blob_test_samples, cfg.blob_classes, cfg.blob_features,
+                              cfg.seed, stream_index=2)
+        return train, test
     if not cfg.images_path or not cfg.labels_path:
         raise ConfigError("dataset = idx requires images_path and labels_path.")
     if bool(cfg.test_images_path) != bool(cfg.test_labels_path):
@@ -87,22 +93,6 @@ def load_dataset(cfg: RunConfig):
     test = None
     if cfg.test_images_path:
         test = load_idx(cfg.test_images_path, cfg.test_labels_path)
-    return train, test
-
-
-def blob_datasets(n_train: int, n_test: int, n_classes: int, n_features: int, seed: int):
-    """Synthetic training set and, when n_test > 0, its held-out set.
-
-    `fedsim run` and `fedsim datagen` both draw the pair here, so the two
-    agree on how the held-out set is made.
-    """
-    if n_test < 0:
-        raise ConfigError("the held-out sample count (blob_test_samples, datagen --test-samples)"
-                          " must be >= 0.")
-    train = make_blobs(n_train, n_classes, n_features, seed)
-    test = None
-    if n_test > 0:
-        test = make_blobs(n_test, n_classes, n_features, seed, stream_index=2)
     return train, test
 
 
@@ -263,16 +253,3 @@ def grid_csv(results: list[GridCellResult], grid_keys: list[str]) -> str:
         fields.append(format_value(cell.mean_rounds_to_target))
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
-
-
-def best_cell(results: list[GridCellResult]) -> GridCellResult:
-    """Cell with the lowest mean final loss among cells with no diverged run.
-
-    A diverged run's final loss is its last finite evaluation, which can be
-    the round-0 loss, so any cell with a diverged run ranks after every cell
-    without one. NaN losses rank last within each group.
-    """
-    if not results:
-        raise ValueError("no grid cells to compare.")
-    return min(results, key=lambda c: (c.diverged_runs > 0, math.isnan(c.mean_final_loss),
-                                       c.mean_final_loss))

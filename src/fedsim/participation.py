@@ -139,6 +139,8 @@ PATTERNS = tuple(_PATTERNS)
 
 
 def make_scheduler(cfg: RunConfig) -> Scheduler:
+    if cfg.n_clients < 1:
+        raise ConfigError("n_clients must be >= 1.")
     if cfg.pattern not in _PATTERNS:
         raise ConfigError(f"unknown pattern: {cfg.pattern!r}")
     build, keys = _PATTERNS[cfg.pattern]

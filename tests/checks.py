@@ -3,12 +3,16 @@ checker, the cyclic pattern's closed forms for the window statistics
 that `fedsim verify` does not check against a closed form, the window
 statistics in their plainest spelling, the exact window factor of
 the noiseless quadratic under full participation and scaffold's exact
-round map there with one client present, and a shorthand for the
-scheduler a pattern name builds."""
+round map there with one client present, a shorthand for the scheduler a
+pattern name builds, and an IDX pair writer."""
+
+import struct
+from pathlib import Path
 
 import numpy as np
 
 from fedsim.core import RunConfig, gaussians_from, rng_stream
+from fedsim.data import IMAGE_MAGIC, LABEL_MAGIC
 from fedsim.diagnostics import CheckResult, ParticipationHistory, WindowStats
 from fedsim.objectives import Objective
 from fedsim.participation import Scheduler, make_scheduler
@@ -18,6 +22,17 @@ def pattern_scheduler(pattern: str, n_clients: int, **keys) -> Scheduler:
     """The scheduler `make_scheduler` builds for `pattern` on n_clients, with
     the given participation keys set."""
     return make_scheduler(RunConfig(n_clients=n_clients, pattern=pattern, **keys))
+
+
+def write_idx(images_path, labels_path, features, labels) -> None:
+    """Write the IDX pair `data.load_idx` reads: one image row of bytes
+    (feature * 255, rounded) per sample, and one byte per label. Nothing is
+    checked."""
+    features = np.asarray(features)
+    header = struct.pack(">IIII", IMAGE_MAGIC, len(features), 1, features.shape[1])
+    Path(images_path).write_bytes(header + np.rint(features * 255).astype(np.uint8).tobytes())
+    header = struct.pack(">II", LABEL_MAGIC, len(labels))
+    Path(labels_path).write_bytes(header + np.asarray(labels).astype(np.uint8).tobytes())
 
 
 def cyclic_v_sq_lambda_mean(n_clients: int, k_bar: int, s_clients: int) -> float:

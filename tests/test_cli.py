@@ -5,18 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsim import ALGORITHMS, harness
+from fedsim import ALGORITHMS, cli, harness
 from fedsim.cli import build_parser, main
 from fedsim.core import ConfigError, build_run_config
-from fedsim.data import load_idx, make_blobs, save_idx
+from fedsim.data import make_blobs
 from fedsim.diagnostics import assumption_suite, checks_to_csv_rows
 from fedsim.harness import build_run
 from fedsim.objectives import SyntheticHard
 from fedsim.participation import CyclicScheduler, ScaScheduler
 
-from checks import pattern_scheduler
+from checks import pattern_scheduler, write_idx
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 QUAD_CFG = """\
 # small deterministic run
@@ -82,6 +83,16 @@ def test_parser_identity():
     assert parser.prog == "fedsim"
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_docs_name_exactly_the_registered_subcommands():
+    # README's CLI block and the module docstring list the subcommands by hand.
+    registered = re.search(r"\{(.*?)\}", build_parser().format_usage()).group(1).split(",")
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## CLI\n", 1)[1].split("```")[1]
+    in_readme = [line.split()[1] for line in block.splitlines() if line.startswith("fedsim ")]
+    listed = cli.__doc__.split("Subcommands:", 1)[1].split("\n\n", 1)[0]
+    in_docstring = re.findall(r"([\w-]+) \(", listed)
+    assert sorted(in_readme) == sorted(in_docstring) == sorted(registered)
 
 
 def test_run_writes_csv_and_summary(tmp_path, capsys):
@@ -193,8 +204,8 @@ def test_run_accepts_a_nan_target_value(tmp_path, capsys):
 def test_run_rejects_a_bad_objective_key_by_name(tmp_path, capsys, monkeypatch, base, override, key):
     # IDX_CFG's files: 200 training samples and a held-out pair with none.
     monkeypatch.chdir(tmp_path)
-    save_idx("train-images.idx", "train-labels.idx", *make_blobs(200, 3, 4, seed=0))
-    save_idx("empty-images.idx", "empty-labels.idx", np.zeros((0, 4)), np.zeros(0, dtype=int))
+    write_idx("train-images.idx", "train-labels.idx", *make_blobs(200, 3, 4, seed=0))
+    write_idx("empty-images.idx", "empty-labels.idx", np.zeros((0, 4)), np.zeros(0, dtype=int))
     cfg = _write(tmp_path, "run.cfg", base)
     rc = main(["run", "--config", cfg, "--override", override, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -233,12 +244,10 @@ def test_run_rejects_a_key_its_objective_never_reads(tmp_path, capsys, objective
     base = {"synthetic_hard": SYNTHETIC_CFG, "quadratic": QUAD_CFG,
             "logistic": LOGISTIC_CFG}[objective]
     if dataset == "idx":
-        data = tmp_path / "d"
-        assert main(["datagen", "--out", str(data), "--samples", "200", "--classes", "3",
-                     "--features", "4"]) == 0
+        images, labels = tmp_path / "train-images.idx", tmp_path / "train-labels.idx"
+        write_idx(images, labels, *make_blobs(200, 3, 4, seed=0))
         base = (LOGISTIC_RUN_CFG + "dataset = idx\n"
-                f"images_path = {data / 'train-images.idx'}\n"
-                f"labels_path = {data / 'train-labels.idx'}\n")
+                f"images_path = {images}\nlabels_path = {labels}\n")
     cfg = _write(tmp_path, "run.cfg", base)
     unread = {key: f"objective {objective}" for key in OBJECTIVE_KEY_VALUES
               if key not in OBJECTIVE_READS[objective]}
@@ -278,14 +287,15 @@ def test_run_rejects_a_key_its_algorithm_never_reads(tmp_path, capsys, algorithm
             assert (rc, err) == (2, f"error: algorithm {algorithm} does not read {key}; leave it unset.\n")
 
 
-def test_grid_writes_csv_and_best_line(tmp_path, capsys):
+def test_grid_writes_csv_and_one_line_per_cell(tmp_path, capsys):
     cfg = _write(tmp_path, "grid.cfg", GRID_CFG)
     out = tmp_path / "out"
     rc = main(["grid", "--config", cfg, "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 0
-    assert "grid: 2 cells x 2 seeds" in captured.out
-    assert "best: cell" in captured.out
+    assert captured.out.splitlines()[0] == "grid: 2 cells x 2 seeds"
+    assert [line.split(":")[0] for line in captured.out.splitlines()[1:]] == [
+        "cell 0", "cell 1", f"wrote {out / 'grid.csv'}"]
     lines = (out / "grid.csv").read_text().splitlines()
     assert lines[0] == "cell_id,eta,mean_final_loss,std_final_loss,mean_rounds_to_target"
     assert len(lines) == 3
@@ -447,6 +457,7 @@ VERIFY_FLAGS = {"n_clients": "--n", "s_clients": "--s", "k_bar": "--k-bar",
     ("sca", {"n_clients": "6", "k_bar": "3", "p_active": "1.5"}, "probabilities"),
     ("regularized", {"n_clients": "5", "window_p": "2"}, "multiple of window_p"),
     ("iid", {"n_clients": "6", "s_clients": "7"}, "s_clients must be in"),
+    ("iid", {"n_clients": "0"}, "n_clients must be >= 1"),
     # keys the pattern does not read
     ("grouped_cyclic", {"n_clients": "6", "k_bar": "3", "window_p": "3"}, "does not read window_p"),
     ("cyclic", {"n_clients": "6", "k_bar": "3", "avail_rounds_g": "2"},
@@ -455,7 +466,8 @@ VERIFY_FLAGS = {"n_clients": "--n", "s_clients": "--s", "k_bar": "--k-bar",
     ("regularized", {"n_clients": "6", "window_p": "3", "k_bar": "2"}, "does not read k_bar"),
     ("regularized", {"n_clients": "6", "window_p": "3", "s_clients": "2"},
      "does not read s_clients"),
-], ids=["cyclic", "grouped_cyclic", "sca", "regularized", "iid", "grouped_cyclic-window_p",
+], ids=["cyclic", "grouped_cyclic", "sca", "regularized", "iid", "iid-n_clients",
+        "grouped_cyclic-window_p",
         "cyclic-avail_rounds_g", "iid-p_active", "regularized-k_bar", "regularized-s_clients"])
 def test_run_config_and_verify_reject_bad_participation_alike(tmp_path, capsys, pattern, keys,
                                                               reason):
@@ -536,39 +548,9 @@ def test_partition_report_rejects_a_key_as_run_does(tmp_path, capsys, overrides,
     assert not (tmp_path / "partition-report" / "partition.csv").exists()
 
 
-def test_datagen_round_trips_through_idx(tmp_path, capsys):
-    out = tmp_path / "d"
-    rc = main(["datagen", "--out", str(out), "--samples", "50", "--classes", "3",
-               "--features", "4", "--test-samples", "20"])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert captured.out.count("wrote ") == 4
-    features, labels = load_idx(str(out / "train-images.idx"), str(out / "train-labels.idx"))
-    assert features.shape == (50, 4) and labels.shape == (50,)
-    assert int(labels.max()) == 2
-    test_features, _ = load_idx(str(out / "test-images.idx"), str(out / "test-labels.idx"))
-    assert test_features.shape == (20, 4)
-    assert not np.array_equal(features[:20], test_features)
-
-
-def test_datagen_without_test_split(tmp_path):
-    out = tmp_path / "d"
-    rc = main(["datagen", "--out", str(out), "--samples", "30", "--classes", "2",
-               "--features", "3"])
-    assert rc == 0
-    assert not (out / "test-images.idx").exists()
-
-
 def test_run_rejects_a_negative_held_out_count(tmp_path, capsys):
     rc = main(["run", "--config", str(CONFIGS / "desk_fedavg.cfg"), "--override", "rounds=2",
                "--override", "blob_test_samples=-5", "--out", str(tmp_path)])
     assert rc == 2
     assert "held-out sample count" in capsys.readouterr().err
     assert not (tmp_path / "run.csv").exists()
-
-
-def test_datagen_rejects_a_negative_held_out_count(tmp_path, capsys):
-    rc = main(["datagen", "--out", str(tmp_path), "--samples", "50", "--test-samples", "-3"])
-    assert rc == 2
-    assert "held-out sample count" in capsys.readouterr().err
-    assert not (tmp_path / "train-images.idx").exists()

@@ -11,15 +11,16 @@ from fedsim.data import (
     make_blobs,
     partition_by_similarity,
     partition_indices,
-    save_idx,
 )
+
+from checks import write_idx
 
 
 def test_idx_round_trip(tmp_path):
     features, labels = make_blobs(120, 3, 5, seed=0)
     images = str(tmp_path / "images.idx")
     names = str(tmp_path / "labels.idx")
-    save_idx(images, names, features, labels)
+    write_idx(images, names, features, labels)
     loaded_features, loaded_labels = load_idx(images, names)
     np.testing.assert_array_equal(loaded_features, features)
     np.testing.assert_array_equal(loaded_labels, labels)
@@ -34,12 +35,22 @@ def test_idx_bad_magic(tmp_path):
         load_idx(str(images), str(names))
 
 
-def test_idx_truncation(tmp_path):
+@pytest.mark.parametrize("image_bytes, label_bytes, expected", [
+    (struct.pack(">III", IMAGE_MAGIC, 10, 1), struct.pack(">II", LABEL_MAGIC, 0),
+     "expected at least 16"),
+    (struct.pack(">IIII", IMAGE_MAGIC, 10, 1, 4) + b"\x00" * 39,
+     struct.pack(">II", LABEL_MAGIC, 10) + b"\x00" * 10, "expected 56"),
+    (struct.pack(">IIII", IMAGE_MAGIC, 2, 1, 3) + b"\x00" * 7,
+     struct.pack(">II", LABEL_MAGIC, 2) + b"\x00" * 2, "expected 22"),
+    (struct.pack(">IIII", IMAGE_MAGIC, 2, 1, 3) + b"\x00" * 6,
+     struct.pack(">II", LABEL_MAGIC, 2) + b"\x00" * 3, "expected 10"),
+], ids=["short-header", "short-payload", "long-image-payload", "long-label-payload"])
+def test_idx_truncation(tmp_path, image_bytes, label_bytes, expected):
     images = tmp_path / "images.idx"
     names = tmp_path / "labels.idx"
-    images.write_bytes(struct.pack(">IIII", IMAGE_MAGIC, 10, 1, 4) + b"\x00" * 39)
-    names.write_bytes(struct.pack(">II", LABEL_MAGIC, 10) + b"\x00" * 10)
-    with pytest.raises(ValueError, match="truncated or oversized"):
+    images.write_bytes(image_bytes)
+    names.write_bytes(label_bytes)
+    with pytest.raises(ValueError, match=f"truncated or oversized .*{expected}\\)"):
         load_idx(str(images), str(names))
 
 
@@ -50,13 +61,6 @@ def test_idx_count_mismatch(tmp_path):
     names.write_bytes(struct.pack(">II", LABEL_MAGIC, 3) + b"\x00" * 3)
     with pytest.raises(ValueError, match="count mismatch"):
         load_idx(str(images), str(names))
-
-
-def test_save_idx_validation(tmp_path):
-    with pytest.raises(ValueError, match="one label per row"):
-        save_idx(str(tmp_path / "a"), str(tmp_path / "b"), np.zeros((3, 2)), np.zeros(2))
-    with pytest.raises(ValueError, match="byte"):
-        save_idx(str(tmp_path / "a"), str(tmp_path / "b"), np.zeros((1, 2)), np.array([300]))
 
 
 def test_blobs_are_deterministic_and_quantized():

@@ -8,6 +8,14 @@ the two benchmark verify cases run at 200 trials, and one small verify
 case per pattern (12 clients, 300 trials): about 15 s on a 2-CPU host. A refactor must keep every digest. A deliberate change to the
 numerics re-records the digests it moves, in the same change, with the
 reason.
+
+The digests are per seed on one CPU's math kernels: they were recorded
+with OpenBLAS's SkylakeX kernel and numpy's AVX-512 dispatch on an
+AVX-512 Xeon. With an AVX2-only CPU's kernels, 6 of the 20 move in the
+last bits (the five synthetic runs and desk_scaffold), because BLAS dot
+products sum in another order and numpy's SIMD exp and log round
+differently from the C library's. glibc's log and exp pick FMA or
+non-FMA code by CPU as well.
 """
 
 import hashlib

@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import collections
 import sys
 from pathlib import Path
 
@@ -14,6 +15,16 @@ def parse(path: Path) -> ast.Module:
 def module_imports(tree: ast.Module) -> list[ast.Import | ast.ImportFrom]:
     """The import statements that run when the module is imported."""
     return [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    """The names a module's `__all__` lists."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return names
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -30,10 +41,7 @@ def unused_imports(path: Path) -> list[str]:
         for alias in node.names:
             imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    used |= exported_names(tree)
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
@@ -42,6 +50,42 @@ def test_package_has_no_unused_imports():
     assert modules
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert not unused, f"unused module-level imports: {unused}"
+
+
+def name_references(node: ast.AST) -> collections.Counter:
+    """How often each name is read under `node`, as a bare name or as an
+    attribute such as `harness.make_blobs`."""
+    counts = collections.Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            counts[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            counts[child.attr] += 1
+    return counts
+
+
+def unreferenced_definitions(paths: list[Path]) -> list[str]:
+    """Module-level functions and classes in `paths` that no module in
+    `paths` names outside their own definition, and that no `__all__`
+    lists: code that only a test, or nothing, calls."""
+    trees = {path: parse(path) for path in paths}
+    everywhere = sum((name_references(tree) for tree in trees.values()), collections.Counter())
+    exported = set().union(*map(exported_names, trees.values()))
+    return [f"{path.name}:{node.lineno} {node.name}" for path, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in exported
+            and everywhere[node.name] == name_references(node)[node.name]]
+
+
+def test_every_definition_is_used_by_the_package(tmp_path):
+    """A helper that only the tests call belongs in `tests/checks.py`."""
+    sample = tmp_path / "sample.py"
+    sample.write_text("__all__ = ['Exported']\nclass Exported: pass\ndef used(): pass\n"
+                      "def orphan(): return orphan()\nx = used()\n")
+    assert unreferenced_definitions([sample]) == ["sample.py:4 orphan"]
+    modules = sorted(SRC.glob("*.py"))
+    found = unreferenced_definitions(modules)
+    assert not found, f"definitions nothing in src/fedsim uses: {found}"
 
 
 ALLOWED_PACKAGES = sys.stdlib_module_names | {"numpy", "fedsim"}
