@@ -57,14 +57,15 @@ def control_variate_init(mode: str, objective: Objective, x0: np.ndarray, seed: 
 
 def client_local_update(objective: Objective, client: int, start: np.ndarray,
                         local_steps: int, eta: float, noise: Sequence[float],
-                        correction: np.ndarray | None = None,
-                        mu: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                        correction: np.ndarray | None = None, mu: float = 0.0,
+                        sum_gradients: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Run one client's local steps from `start`.
 
     Each step moves against the stochastic gradient plus the optional fixed
     correction and the optional proximal pull toward the start point.
-    Returns the endpoint and the sum of raw (uncorrected) stochastic
-    gradients, which feeds control-variate refreshes.
+    Returns the endpoint and, with `sum_gradients`, the sum of raw
+    (uncorrected) stochastic gradients, else None. Only control-variate
+    refreshes read that sum, so only the control-variate methods ask for it.
 
     `noise` holds the client-round's `local_steps * draws` noise values,
     uniforms already mapped through `objective.noise`, and step k's oracle
@@ -75,7 +76,8 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     Each step is written into the oracle's fresh gradient and the private
     copy of the start, in the order `x - eta * (g + correction + prox)`
     evaluates, so the bits equal that formula's; `start` and `correction`
-    are only read.
+    are only read. `eta` and `mu` enter as 0-d arrays, the same doubles,
+    which numpy takes without converting a Python float on every step.
     """
     if local_steps < 1:
         raise ValueError("local_steps must be >= 1.")
@@ -84,15 +86,18 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
         raise ValueError(f"{local_steps} local steps of {d} draws need {local_steps * d}"
                          f" noise values, got {len(noise)}.")
     x = np.array(start, dtype=float)
-    grad_sum = np.zeros_like(x)
+    grad_sum = np.zeros_like(x) if sum_gradients else None
+    step = np.array(eta, dtype=float)
+    pull = np.array(mu, dtype=float) if mu else None
     for k in range(local_steps):
         g = objective.stoch_grad_local(client, x, noise[k * d:(k + 1) * d])
-        grad_sum += g
+        if grad_sum is not None:
+            grad_sum += g
         if correction is not None:
             g += correction
-        if mu:
-            g += mu * (x - start)
-        g *= eta
+        if pull is not None:
+            g += pull * (x - start)
+        g *= step
         x -= g
     return x, grad_sum
 
@@ -152,7 +157,9 @@ class Simulation:
         if "cv_init" in reads:
             self.variates = control_variate_init(cfg.cv_init, objective, self.x_global,
                                                  cfg.seed, cfg.local_steps)
-            self.variate_mean = self.variates.mean(axis=0)
+            # The mean spelled out: np.add.reduce divided by the count is
+            # what `mean` computes, without its dispatch.
+            self.variate_mean = np.add.reduce(self.variates, axis=0) / len(self.variates)
             self.accum = np.zeros_like(self.variates)
             self.qbar = np.zeros(objective.n_clients)
         self.uplink_scalars = 0
@@ -181,17 +188,23 @@ class Simulation:
         # Every sampled client weighs 1/S. `sampled` is sorted, so the
         # floating-point reduction always walks clients in index order.
         q = 1.0 / len(sampled)
+        weight = np.array(q)
+        qbar_step = q / self.window_len
         new_model = np.zeros(self.objective.dim)
         for i in sampled.tolist():
             # Python floats are the same doubles and much cheaper to hand out
             # one at a time; one row at a time keeps the chunk's lists small.
             correction = None if variates is None else self.variate_mean - variates[i]
             end, grad_sum = client_local_update(self.objective, i, self.model, self.local_steps,
-                                                self.eta, noise[i].tolist(), correction, self.mu)
-            new_model += q * end
+                                                self.eta, noise[i].tolist(), correction, self.mu,
+                                                sum_gradients=variates is not None)
+            # Both arrays are this update's own, so they are weighted in place.
+            end *= weight
+            new_model += end
             if variates is not None:
-                self.accum[i] += q * grad_sum
-                self.qbar[i] += q / self.window_len
+                grad_sum *= weight
+                self.accum[i] += grad_sum
+                self.qbar[i] += qbar_step
         self.model = new_model
         self.uplink_scalars += len(sampled) * self.objective.dim * (1 if variates is None else 2)
 
@@ -208,6 +221,6 @@ class Simulation:
         denom = self.window_len * self.qbar[seen] * self.local_steps
         variates[seen] = self.accum[seen] / denom[:, None]
         # Clients absent for the whole window keep their previous estimate.
-        self.variate_mean = variates.mean(axis=0)
-        self.accum[:] = 0.0
-        self.qbar[:] = 0.0
+        self.variate_mean = np.add.reduce(variates, axis=0) / len(variates)
+        self.accum.fill(0.0)
+        self.qbar.fill(0.0)

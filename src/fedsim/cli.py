@@ -89,7 +89,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
         desc = " ".join(f"{k}={cell.overrides[k]}" for k in grid_keys)
         print(f"cell {cell.cell_id}: {desc} mean_final_loss={format_value(cell.mean_final_loss)}"
               f" std={format_value(cell.std_final_loss)}"
-              f" mean_rounds_to_target={format_value(cell.mean_rounds_to_target)}")
+              f" mean_rounds_to_target={format_value(cell.mean_rounds_to_target)}"
+              f" diverged={cell.diverged_runs}/{len(spec.seeds)}")
     print(f"wrote {path}")
     return 0
 

@@ -57,9 +57,12 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
 
 
 def atomic_write(path: str, payload: bytes) -> None:
-    """Replace `path` with `payload` by renaming a finished file over it."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".idx-")
+    """Replace `path` with `payload` by renaming a finished file over it.
+
+    The unfinished file sits beside the target as a hidden `.<name>-*`, and
+    is removed if the write fails."""
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

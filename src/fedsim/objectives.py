@@ -14,6 +14,10 @@ import numpy as np
 
 from .core import gaussians_from
 
+# +0.0 as a 0-d array: adding it turns -0.0 into 0.0 like adding the Python
+# float, without converting that float on every call.
+_ZERO = np.array(0.0)
+
 
 class Objective:
     """Oracle interface for the per-client losses f_i and their average f.
@@ -132,9 +136,16 @@ class SyntheticHard(Objective):
         return gaussians_from(u, self.sigma)
 
     def stoch_grad_local(self, client: int, x: np.ndarray, z: Sequence[float]) -> np.ndarray:
-        g = self.grad_local(client, x)
-        g[2] += z[0]
-        return g
+        # grad_local's arithmetic in this call, with the noise added to the
+        # x[2] term as a double before the one array is built: the same add
+        # as writing it into grad_local's array.
+        self._check_client(client)
+        x0, x1, x2, _ = self._check_x(x).tolist()
+        g2 = 0.25 * self.h * x2
+        if x2 > 0:
+            g2 += 0.25 * self.h * x2
+        return np.array([self.mu_pl * (x0 - self.c), self.h * (x1 - self._x2_star), g2 + z[0],
+                         self.kappa if client == 0 else -self.kappa])
 
 
 class Quadratic(Objective):
@@ -261,7 +272,7 @@ class Logistic(Objective):
         grad = delta.T @ feats / len(feats)
         if self.l2:
             return (grad + self._penalty_grad(w)).ravel()
-        grad += 0.0
+        grad += _ZERO
         return grad.ravel()
 
     def eval_local(self, client: int, x: np.ndarray) -> float:
@@ -296,7 +307,7 @@ class Logistic(Objective):
         delta = np.exp(shifted - np.log(np.add.reduce(np.exp(shifted))))
         delta[labels[i]] -= 1.0
         grad = np.multiply.outer(delta, f)
-        grad += 0.0
+        grad += _ZERO
         if self.l2:
             grad += self._penalty_grad(w)
         return grad.ravel()

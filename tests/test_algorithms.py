@@ -30,16 +30,21 @@ def _sim(cfg: RunConfig, centers) -> Simulation:
 
 def test_single_local_step_endpoint_and_gradient_sum():
     obj = Quadratic(np.array([[1.0]]))
+    noise = obj.noise(rng_stream(0, "gradient-noise").random(1))
     end, grad_sum = client_local_update(obj, 0, np.zeros(1), local_steps=1, eta=0.1,
-                                        noise=obj.noise(rng_stream(0, "gradient-noise").random(1)))
+                                        noise=noise, sum_gradients=True)
     assert end[0] == 0.1
     assert grad_sum[0] == -1.0
+    # the sum is computed only on request
+    plain, no_sum = client_local_update(obj, 0, np.zeros(1), local_steps=1, eta=0.1, noise=noise)
+    assert plain.tobytes() == end.tobytes() and no_sum is None
 
 
 def test_local_steps_compound():
     obj = Quadratic(np.array([[1.0]]))
     end, grad_sum = client_local_update(obj, 0, np.zeros(1), local_steps=2, eta=0.1,
-                                        noise=obj.noise(rng_stream(0, "gradient-noise").random(2)))
+                                        noise=obj.noise(rng_stream(0, "gradient-noise").random(2)),
+                                        sum_gradients=True)
     # second step starts from 0.1, gradient is 0.1 - 1 = -0.9
     assert abs(end[0] - 0.19) < 1e-15
     assert abs(grad_sum[0] - (-1.9)) < 1e-15
@@ -63,7 +68,8 @@ def test_local_update_equals_the_out_of_place_formula(with_correction, mu):
     correction = rng_stream(1, "init", 2).standard_normal(3) if with_correction else None
     before = start.copy(), None if correction is None else correction.copy()
     noise = objective.noise(rng_stream(1, "gradient-noise", 1, 2).random(7 * 3))
-    end, grad_sum = client_local_update(objective, 1, start, 7, 0.3, noise, correction, mu)
+    end, grad_sum = client_local_update(objective, 1, start, 7, 0.3, noise, correction, mu,
+                                        sum_gradients=True)
     assert start.tobytes() == before[0].tobytes()
     if correction is not None:
         assert correction.tobytes() == before[1].tobytes()
@@ -83,6 +89,9 @@ def test_local_update_equals_the_out_of_place_formula(with_correction, mu):
         x = x - 0.3 * step
     assert end.tobytes() == x.tobytes()
     assert grad_sum.tobytes() == expected_sum.tobytes()
+    # leaving the sum out moves no bit of the endpoint
+    plain, no_sum = client_local_update(objective, 1, start, 7, 0.3, noise, correction, mu)
+    assert plain.tobytes() == end.tobytes() and no_sum is None
 
 
 def test_round_aggregates_by_participation_weight():
@@ -151,7 +160,8 @@ def test_refresh_uses_window_average_of_raw_gradients():
     sim = _sim(cfg, [[1.0], [-1.0]])
     # with zero initial variates round 0 is plain local SGD for client 0
     noise = sim.objective.noise(rng_stream(0, "gradient-noise", 0, 0).random(2))
-    _, grad_sum = client_local_update(sim.objective, 0, np.zeros(1), 2, 0.01, noise)
+    _, grad_sum = client_local_update(sim.objective, 0, np.zeros(1), 2, 0.01, noise,
+                                      sum_gradients=True)
     sim.run_round(0)
     sim.run_round(1)
     assert sim.variates[0][0] == grad_sum[0] / 2
@@ -318,7 +328,7 @@ def test_client_updates_do_not_depend_on_execution_order():
     def update(client):
         uniforms = rng_stream(cfg.seed, "gradient-noise", client, 3).random(cfg.local_steps * 3)
         return client_local_update(objective, client, start, cfg.local_steps, cfg.eta,
-                                   objective.noise(uniforms))
+                                   objective.noise(uniforms), sum_gradients=True)
 
     forward = {i: update(i) for i in sampled}
     backward = {i: update(i) for i in reversed(sampled)}

@@ -296,9 +296,22 @@ def test_grid_writes_csv_and_one_line_per_cell(tmp_path, capsys):
     assert captured.out.splitlines()[0] == "grid: 2 cells x 2 seeds"
     assert [line.split(":")[0] for line in captured.out.splitlines()[1:]] == [
         "cell 0", "cell 1", f"wrote {out / 'grid.csv'}"]
+    assert all(line.endswith(" diverged=0/2") for line in captured.out.splitlines()[1:3])
     lines = (out / "grid.csv").read_text().splitlines()
     assert lines[0] == "cell_id,eta,mean_final_loss,std_final_loss,mean_rounds_to_target"
     assert len(lines) == 3
+
+
+def test_grid_prints_how_many_runs_of_a_cell_diverged(tmp_path, capsys):
+    # eta = 1e8 multiplies the distance to the center by about 1e8 a step,
+    # so the loss overflows within the 6 rounds of 30 steps.
+    cfg = _write(tmp_path, "grid.cfg", QUAD_CFG + "local_steps = 30\ngrid.eta = 0.05, 1e8\nseeds = 0, 1, 2\n")
+    out = tmp_path / "out"
+    assert main(["grid", "--config", cfg, "--out", str(out)]) == 0
+    cells = capsys.readouterr().out.splitlines()[1:3]
+    assert [line.split(" diverged=")[1] for line in cells] == ["0/3", "3/3"]
+    assert (out / "grid.csv").read_text().splitlines()[0] == (
+        "cell_id,eta,mean_final_loss,std_final_loss,mean_rounds_to_target")
 
 
 def test_grid_seed_flag_replaces_the_seed_list(tmp_path, capsys):

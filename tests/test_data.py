@@ -1,4 +1,6 @@
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from fedsim.data import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
+    atomic_write,
     label_histogram,
     load_idx,
     make_blobs,
@@ -132,3 +135,26 @@ def test_partition_by_similarity_groups_features_with_labels():
 def test_label_histogram_counts():
     rows = label_histogram([np.array([0, 0, 2]), np.array([1])])
     assert rows == [(0, 0, 2), (0, 2, 1), (1, 1, 1)]
+
+
+def test_atomic_write_names_its_temporary_file_after_the_target(tmp_path, monkeypatch):
+    target = tmp_path / "run.csv"
+    target.write_bytes(b"old")
+    moved = []
+
+    def failing_replace(src, dst):
+        moved.append((os.path.basename(src), Path(src).read_bytes()))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(str(target), b"new")
+    monkeypatch.undo()
+    [(name, payload)] = moved
+    assert name.startswith(".run.csv-") and payload == b"new"
+    # the failed write left the target as it was and no temporary file behind
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+    assert target.read_bytes() == b"old"
+    atomic_write(str(target), b"new")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+    assert target.read_bytes() == b"new"

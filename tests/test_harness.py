@@ -250,33 +250,54 @@ def test_grid_records_rounds_to_target():
     assert lines[1].startswith("0,0.05,1,")
 
 
-def _counted_run(monkeypatch, config_name: str, rounds: int) -> collections.Counter:
-    """Run a shipped config for `rounds` rounds, counting the calls at the
-    boundaries the traced benchmark counts: `stoch_grad_local`,
-    `client_local_update` and `CyclicScheduler.sample_round`."""
-    counts = collections.Counter()
+def _counted(counts: collections.Counter, name: str, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
 
-    build = harness.build_objective
+class _DelegatingObjective:
+    """Hands every attribute on to the built objective, of whose class it is
+    no instance, as the traced benchmark's objective proxy does; it wraps
+    only the four oracle methods, counting `stoch_grad_local` calls and
+    `eval_global`, `grad_global` and `test_metric` calls together as
+    "eval"."""
 
-    def build_counted(cfg):
-        objective = build(cfg)
-        objective.stoch_grad_local = counted("stoch_grad_local", objective.stoch_grad_local)
-        return objective
+    def __init__(self, inner, counts: collections.Counter):
+        self._inner = inner
+        self.stoch_grad_local = _counted(counts, "stoch_grad_local", inner.stoch_grad_local)
+        self.eval_global = _counted(counts, "eval", inner.eval_global)
+        self.grad_global = _counted(counts, "eval", inner.grad_global)
+        self.test_metric = _counted(counts, "eval", inner.test_metric)
 
-    monkeypatch.setattr(harness, "build_objective", build_counted)
-    monkeypatch.setattr(algorithms, "client_local_update",
-                        counted("client_local_update", algorithms.client_local_update))
-    monkeypatch.setattr(CyclicScheduler, "sample_round", counted("sample_round", CyclicScheduler.sample_round))
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _shipped_config(config_name: str, rounds: int | None = None) -> RunConfig:
+    """A shipped config, cut to `rounds` rounds when given."""
     config = Path(__file__).resolve().parent.parent / "configs" / f"{config_name}.cfg"
     values = parse_config_text(config.read_text(encoding="utf-8"))
-    values["rounds"] = str(rounds)
-    run_once(build_run_config(values))
+    if rounds is not None:
+        values["rounds"] = str(rounds)
+    return build_run_config(values)
+
+
+def _counted_run(monkeypatch, config_name: str, rounds: int) -> collections.Counter:
+    """Run a shipped config for `rounds` rounds, counting the calls at the
+    boundaries the traced benchmark counts: the objective's oracle methods
+    behind a delegating objective, `client_local_update` and
+    `CyclicScheduler.sample_round`."""
+    counts = collections.Counter()
+    build = harness.build_objective
+    monkeypatch.setattr(harness, "build_objective",
+                        lambda cfg: _DelegatingObjective(build(cfg), counts))
+    monkeypatch.setattr(algorithms, "client_local_update",
+                        _counted(counts, "client_local_update", algorithms.client_local_update))
+    monkeypatch.setattr(CyclicScheduler, "sample_round",
+                        _counted(counts, "sample_round", CyclicScheduler.sample_round))
+    run_once(_shipped_config(config_name, rounds))
     return counts
 
 
@@ -285,15 +306,30 @@ def test_desk_run_calls_the_oracle_once_per_local_step(monkeypatch):
     and one `client_local_update` per sampled client; batching either call
     needs the benchmark's spans moved first."""
     counts = _counted_run(monkeypatch, "desk_amp_scaffold", 20)
-    # 20 rounds x 10 sampled x 30 local steps, plus 50 clients x 30 warm-start draws.
+    # 20 rounds x 10 sampled x 30 local steps, plus 50 clients x 30 warm-start
+    # draws; three evaluation calls at each of the marks 0, 10 and 20.
     assert counts == {"stoch_grad_local": 20 * 10 * 30 + 50 * 30, "client_local_update": 20 * 10,
-                      "sample_round": 20}
+                      "sample_round": 20, "eval": 9}
 
 
 def test_synthetic_run_calls_the_oracle_once_per_local_step(monkeypatch):
     """The synthetic twin of the desk count: S = 1, so one client update and
     one `sample_round` per round, even though the full group needs no draw."""
     counts = _counted_run(monkeypatch, "synthetic_amp_scaffold", 480)
-    # 480 rounds x 1 sampled x 10 local steps, plus 2 clients x 10 warm-start draws.
+    # 480 rounds x 1 sampled x 10 local steps, plus 2 clients x 10 warm-start
+    # draws; three evaluation calls at each of the 25 marks 0, 20, ..., 480.
     assert counts == {"stoch_grad_local": 480 * 10 + 2 * 10, "client_local_update": 480,
-                      "sample_round": 480}
+                      "sample_round": 480, "eval": 75}
+
+
+@pytest.mark.parametrize("config_name, rounds", [("desk_amp_scaffold", 20),
+                                                 ("synthetic_scaffold", None)])
+def test_a_delegating_objective_writes_the_same_bytes(monkeypatch, config_name, rounds):
+    """The traced benchmark hands the run a proxy that is no instance of the
+    objective's class; the run must not tell the two apart."""
+    cfg = _shipped_config(config_name, rounds)
+    plain = run_record_csv(run_once(cfg))
+    build = harness.build_objective
+    monkeypatch.setattr(harness, "build_objective",
+                        lambda cfg: _DelegatingObjective(build(cfg), collections.Counter()))
+    assert run_record_csv(run_once(cfg)) == plain
