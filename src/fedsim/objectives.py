@@ -120,27 +120,19 @@ class SyntheticHard(Objective):
         return float(value + sign * self.kappa * x[3])
 
     def grad_local(self, client: int, x: np.ndarray) -> np.ndarray:
+        # Adding -0.0 returns every double unchanged, -0.0 included.
+        return self.stoch_grad_local(client, x, (-0.0,))
+
+    def noise(self, u: np.ndarray) -> np.ndarray:
+        return gaussians_from(u, self.sigma)
+
+    def stoch_grad_local(self, client: int, x: np.ndarray, z: Sequence[float]) -> np.ndarray:
         self._check_client(client)
         # Python floats are the same IEEE doubles as numpy scalars and much
         # cheaper to operate on one at a time.
         x0, x1, x2, _ = self._check_x(x).tolist()
         # The one-sided square is differentiable at 0 with derivative 0, so
         # the strict inequality handles the kink.
-        g2 = 0.25 * self.h * x2
-        if x2 > 0:
-            g2 += 0.25 * self.h * x2
-        return np.array([self.mu_pl * (x0 - self.c), self.h * (x1 - self._x2_star), g2,
-                         self.kappa if client == 0 else -self.kappa])
-
-    def noise(self, u: np.ndarray) -> np.ndarray:
-        return gaussians_from(u, self.sigma)
-
-    def stoch_grad_local(self, client: int, x: np.ndarray, z: Sequence[float]) -> np.ndarray:
-        # grad_local's arithmetic in this call, with the noise added to the
-        # x[2] term as a double before the one array is built: the same add
-        # as writing it into grad_local's array.
-        self._check_client(client)
-        x0, x1, x2, _ = self._check_x(x).tolist()
         g2 = 0.25 * self.h * x2
         if x2 > 0:
             g2 += 0.25 * self.h * x2
