@@ -16,6 +16,7 @@ average a single round's gradient mean.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -24,8 +25,9 @@ from .core import ALGORITHM_KEYS, ConfigError, RunConfig, rng_stream, stream_uni
 from .objectives import Objective
 from .participation import Scheduler
 
-# Doubles of gradient noise computed at once (128 KB): the uniforms of every
-# client over as many rounds as fit, and at least one round.
+# Doubles of gradient noise addressed at once (128 KB): the rounds of a
+# chunk are as many as would fit the uniforms of every client, and at least
+# one, though only the sampled clients' rows are computed.
 NOISE_CHUNK = 1 << 14
 
 
@@ -128,11 +130,15 @@ class Simulation:
 
     Client i's local steps in round r read the first `local_steps * draws`
     uniforms of the "gradient-noise" stream (seed, i, r), mapped through
-    `objective.noise`. When r falls outside the rounds held, one
-    `stream_uniforms` call computes them for every client over the next
-    chunk of rounds and one `objective.noise` call maps the chunk, so a
-    round costs no stream construction and no per-step mapping; each
-    sampled client's row goes to `client_local_update` as a list.
+    `objective.noise`. When r falls outside the rounds held, the next chunk
+    of rounds is sampled, one `sample_round` call per round, and one
+    `stream_uniforms` call computes the rows of the sampled (client, round)
+    pairs, which one `objective.noise` call maps; so a round costs no stream
+    construction and no per-step mapping, and `run_round(r)` reads its
+    sampled set and rows. Sampling is thus read up to one chunk ahead, and a
+    scheduler's error at any round of a chunk is raised when the chunk is
+    filled: a run that diverges at a mark can still raise the error of a
+    later round of its chunk.
     """
 
     def __init__(self, objective: Objective, scheduler: Scheduler, cfg: RunConfig):
@@ -163,27 +169,35 @@ class Simulation:
             self.accum = np.zeros_like(self.variates)
             self.qbar = np.zeros(objective.n_clients)
         self.uplink_scalars = 0
-        # Mapped noise of rounds [noise_start, noise_start + len(noise)),
-        # shaped (rounds, clients, local_steps * draws); filled on first use.
-        self._noise = np.empty((0, objective.n_clients, cfg.local_steps * objective.draws))
+        # Rounds [noise_start, noise_start + len(sets)): each round's sampled
+        # set, and from row `offsets[k]` the sampled clients' mapped noise of
+        # round noise_start + k, one row per client in the set's order.
+        self._sets: list[np.ndarray] = []
+        self._offsets: list[int] = []
+        self._noise = np.empty((0, cfg.local_steps * objective.draws))
         self._noise_start = 0
 
     def _fill_noise(self, r: int) -> None:
-        n_clients, per_client = self._noise.shape[1:]
-        chunk = max(1, NOISE_CHUNK // (n_clients * per_client))
+        per_client = self._noise.shape[1]
+        chunk = max(1, NOISE_CHUNK // (self.objective.n_clients * per_client))
         stop = max(r + 1, min(r + chunk, self.rounds))
-        rounds = np.arange(r, stop, dtype=np.uint64)
-        clients = np.tile(np.arange(n_clients, dtype=np.uint64), len(rounds))
-        uniforms = stream_uniforms(self.seed, "gradient-noise", clients,
-                                   np.repeat(rounds, n_clients), per_client)
-        self._noise = self.objective.noise(uniforms).reshape(len(rounds), n_clients, per_client)
+        self._sets = [self.scheduler.sample_round(k, self.seed) for k in range(r, stop)]
+        sizes = [len(sampled) for sampled in self._sets]
+        self._offsets = [0, *itertools.accumulate(sizes)]
+        rounds = np.repeat(np.arange(r, stop, dtype=np.uint64), sizes)
+        uniforms = stream_uniforms(self.seed, "gradient-noise", np.concatenate(self._sets),
+                                   rounds, per_client)
+        self._noise = self.objective.noise(uniforms)
         self._noise_start = r
 
     def run_round(self, r: int) -> None:
-        sampled = self.scheduler.sample_round(r, self.seed)
-        if not 0 <= r - self._noise_start < len(self._noise):
+        if not 0 <= r - self._noise_start < len(self._sets):
             self._fill_noise(r)
-        noise = self._noise[r - self._noise_start]
+        k = r - self._noise_start
+        sampled = self._sets[k]
+        # Python floats are the same doubles and much cheaper to hand out
+        # one at a time.
+        noise = self._noise[self._offsets[k]:self._offsets[k + 1]].tolist()
         variates = self.variates
         # Every sampled client weighs 1/S. `sampled` is sorted, so the
         # floating-point reduction always walks clients in index order.
@@ -191,12 +205,10 @@ class Simulation:
         weight = np.array(q)
         qbar_step = q / self.window_len
         new_model = np.zeros(self.objective.dim)
-        for i in sampled.tolist():
-            # Python floats are the same doubles and much cheaper to hand out
-            # one at a time; one row at a time keeps the chunk's lists small.
+        for i, row in zip(sampled.tolist(), noise):
             correction = None if variates is None else self.variate_mean - variates[i]
             end, grad_sum = client_local_update(self.objective, i, self.model, self.local_steps,
-                                                self.eta, noise[i].tolist(), correction, self.mu,
+                                                self.eta, row, correction, self.mu,
                                                 sum_gradients=variates is not None)
             # Both arrays are this update's own, so they are weighted in place.
             end *= weight

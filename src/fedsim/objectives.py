@@ -8,6 +8,7 @@ regression over per-client datasets.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -17,6 +18,12 @@ from .core import gaussians_from
 # +0.0 as a 0-d array: adding it turns -0.0 into 0.0 like adding the Python
 # float, without converting that float on every call.
 _ZERO = np.array(0.0)
+
+# Logits one evaluation pass holds at most (64 KB). A pass this small stays
+# in cache, and its temporaries stay under glibc's default 128 KB threshold
+# for mapping fresh pages: one pass over all 10,000 desk rows allocates
+# 800 KB arrays, which cost about 700 page faults a mark when so mapped.
+_PASS_DOUBLES = 1 << 13
 
 
 class Objective:
@@ -186,15 +193,26 @@ class Logistic(Objective):
     the full penalty term. `labels[i]` holds client i's labels, which
     `fedsim partition-report` counts.
 
-    Every gradient subtracts 1.0 from the softmax at each row's label. One
-    helper, `_grad`, does so for `grad_local` on the full shard and for
-    `stoch_grad_local` on the drawn rows when `minibatch > 1`. `eval_local`
-    computes the loss alone, with no gradient.
+    All clients' rows sit in one bias-extended feature matrix and one label
+    vector, client i's shard being its i-th row block; `labels[i]` is a view
+    of that block. Two helpers work on any rows split into blocks: `_losses`
+    gives each block's mean loss plus the penalty and `_grads` each block's
+    mean gradient plus the penalty's. `eval_local` and `grad_local` call them
+    on one client's block, `stoch_grad_local` with `minibatch > 1` on the
+    drawn rows as one block, and `eval_global` and `grad_global` on each
+    evaluation pass: a run of consecutive clients with at most
+    `_PASS_DOUBLES` logits, or one larger client. A pass over many blocks
+    computes one matrix of logits and one log-softmax, then reduces each
+    block as a pass over that block alone would: rows are independent, the
+    loss is `np.mean`'s own arithmetic, `np.add.reduce` over the block
+    divided by its length, and each gradient is its block's own product.
+    So the global values keep the bits of a loop over clients.
 
     With `minibatch == 1`, `stoch_grad_local` works on the drawn row as 1-D
     arrays, which skips most of the small-array overhead, and returns the
-    same bits as `_grad` on that row:
-    - the logits `w @ f` go through the same matrix-vector kernel as `f @ w.T`;
+    same bits as `_grads` on that row:
+    - the logits `w.dot(f)` go through the same matrix-vector kernel as a
+      one-row `f @ w.T`;
     - each entry of `np.multiply.outer(delta, f)` is the one exact multiply
       of the k = 1 matrix product, and `+= 0.0` turns its -0.0 into the
       product's 0.0 before any penalty is added;
@@ -212,8 +230,8 @@ class Logistic(Objective):
             raise ValueError("minibatch must be >= 1.")
         num_features = shards[0][0].shape[1]
 
-        def with_bias(name: str, feats: np.ndarray, labels: np.ndarray):
-            """The checked features with the bias column appended, and the labels as ints."""
+        def checked(name: str, feats: np.ndarray, labels: np.ndarray):
+            """The features and the labels as ints, once both are checked."""
             labels = np.asarray(labels, dtype=int)
             if len(labels) == 0:
                 raise ValueError(f"{name} has no samples.")
@@ -224,11 +242,31 @@ class Logistic(Objective):
             # predict would only ever count as a miss.
             if labels.min() < 0 or labels.max() >= num_classes:
                 raise ValueError(f"{name} has labels outside [0, {num_classes}).")
-            return np.hstack([feats, np.ones((feats.shape[0], 1))]), labels
+            return feats, labels
 
-        checked = [with_bias(f"client {idx}", *shard) for idx, shard in enumerate(shards)]
-        self._features, self.labels = map(list, zip(*checked))
-        self._test = None if test_set is None else with_bias("the test set", *test_set)
+        def with_bias(feats: np.ndarray) -> np.ndarray:
+            return np.hstack([feats, np.ones((feats.shape[0], 1))])
+
+        feats, labels = zip(*(checked(f"client {idx}", *shard) for idx, shard in enumerate(shards)))
+        bounds = [0, *itertools.accumulate(len(y) for y in labels)]
+        feats, labels = with_bias(np.vstack(feats)), np.concatenate(labels)
+        self._features = [feats[a:b] for a, b in zip(bounds, bounds[1:])]
+        self.labels = [labels[a:b] for a, b in zip(bounds, bounds[1:])]
+        # Evaluation passes: runs of consecutive clients whose logits fit
+        # _PASS_DOUBLES, a larger client alone. Each is held as its rows,
+        # their labels and its clients' bounds within it.
+        firsts = [0]
+        for i in range(1, len(shards)):
+            if (bounds[i + 1] - bounds[firsts[-1]]) * num_classes > _PASS_DOUBLES:
+                firsts.append(i)
+        self._passes = []
+        for first, stop in zip(firsts, firsts[1:] + [len(shards)]):
+            a, b = bounds[first], bounds[stop]
+            self._passes.append((feats[a:b], labels[a:b], [k - a for k in bounds[first:stop + 1]]))
+        self._test = None
+        if test_set is not None:
+            test_feats, test_labels = checked("the test set", *test_set)
+            self._test = with_bias(test_feats), test_labels
         self.num_classes = num_classes
         self.num_features = num_features
         self.l2 = l2
@@ -241,8 +279,32 @@ class Logistic(Objective):
 
     @staticmethod
     def _log_softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-        return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+        """Row-wise log-softmax of a 2-D array, computed in place."""
+        # The row max as a chain of whole-column maxima, since numpy's axis=1
+        # reduce runs one short loop per row. Max is exact, so the chain can
+        # differ from that reduce only in which of several equal values it
+        # keeps. For a tie of 0.0 and -0.0 the output hides it: both add
+        # exp(0) = 1 to the sum, whose log is then positive. Logits of a
+        # finite model hold no NaNs of two signs, the one other such case.
+        # The row sum stays the reduce, whose pairwise order sets the bits.
+        peak = logits[:, 0].copy()
+        for column in logits.T[1:]:
+            np.maximum(peak, column, out=peak)
+        logits -= peak[:, None]
+        logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
+        return logits
+
+    def _log_probs(self, w: np.ndarray, feats: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+        """Log-softmax of the logits of every row of `feats`, each row as a
+        pass over its block alone computes it."""
+        logits = feats @ w.T
+        if len(bounds) > 2:
+            # numpy multiplies a one-row matrix with its matrix-vector kernel,
+            # whose sums round otherwise than the matrix product's.
+            for a, b in zip(bounds, bounds[1:]):
+                if b - a == 1:
+                    logits[a:b] = feats[a:b] @ w.T
+        return self._log_softmax(logits)
 
     def _penalty(self, w: np.ndarray) -> float:
         if self.l2 == 0:
@@ -254,29 +316,54 @@ class Logistic(Objective):
         g[:, :-1] = self.l2 * w[:, :-1]
         return g
 
-    def _grad(self, w: np.ndarray, feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Mean cross-entropy gradient over `feats` plus the penalty, raveled.
+    def _losses(self, w: np.ndarray, feats: np.ndarray, labels: np.ndarray,
+                bounds: Sequence[int]) -> list[float]:
+        """Mean cross-entropy plus the penalty of each block of rows."""
+        picked = self._log_probs(w, feats, bounds)[np.arange(len(labels)), labels]
+        penalty = self._penalty(w)
+        return [-float(np.add.reduce(picked[a:b]) / (b - a)) + penalty
+                for a, b in zip(bounds, bounds[1:])]
 
-        `+= 0.0` turns -0.0 into 0.0 exactly as adding a zero penalty would.
+    def _grads(self, w: np.ndarray, feats: np.ndarray, labels: np.ndarray,
+               bounds: Sequence[int]) -> list[np.ndarray]:
+        """Mean cross-entropy gradient plus the penalty's of each block of
+        rows, raveled.
+
+        Adding the 0-d zero when there is no penalty turns -0.0 into 0.0
+        exactly as adding a zero penalty would.
         """
-        delta = np.exp(self._log_softmax(feats @ w.T))
+        delta = self._log_probs(w, feats, bounds)
+        np.exp(delta, out=delta)
         delta[np.arange(len(labels)), labels] -= 1.0
-        grad = delta.T @ feats / len(feats)
-        if self.l2:
-            return (grad + self._penalty_grad(w)).ravel()
-        grad += _ZERO
-        return grad.ravel()
+        penalty = self._penalty_grad(w) if self.l2 else _ZERO
+        grads = []
+        for a, b in zip(bounds, bounds[1:]):
+            grad = delta[a:b].T @ feats[a:b] / (b - a)
+            grad += penalty
+            grads.append(grad.ravel())
+        return grads
 
     def eval_local(self, client: int, x: np.ndarray) -> float:
         self._check_client(client)
-        w = self._weights(x)
-        logp = self._log_softmax(self._features[client] @ w.T)
         labels = self.labels[client]
-        return -float(logp[np.arange(len(labels)), labels].mean()) + self._penalty(w)
+        return self._losses(self._weights(x), self._features[client], labels, (0, len(labels)))[0]
 
     def grad_local(self, client: int, x: np.ndarray) -> np.ndarray:
         self._check_client(client)
-        return self._grad(self._weights(x), self._features[client], self.labels[client])
+        labels = self.labels[client]
+        return self._grads(self._weights(x), self._features[client], labels, (0, len(labels)))[0]
+
+    def eval_global(self, x: np.ndarray) -> float:
+        w = self._weights(x)
+        return float(np.mean([loss for block in self._passes for loss in self._losses(w, *block)]))
+
+    def grad_global(self, x: np.ndarray) -> np.ndarray:
+        w = self._weights(x)
+        total = np.zeros(self.dim)
+        for block in self._passes:
+            for grad in self._grads(w, *block):
+                total += grad
+        return total / self.n_clients
 
     def noise(self, u: np.ndarray) -> np.ndarray:
         # The draws pick samples, so they stay uniforms.
@@ -291,10 +378,12 @@ class Logistic(Objective):
         # catches u * n rounding up to n. Plain lists skip small-array costs.
         if self.draws > 1:
             idx = [min(int(u[k] * n), n - 1) for k in range(self.draws)]
-            return self._grad(w, self._features[client].take(idx, axis=0), labels.take(idx))
+            return self._grads(w, self._features[client].take(idx, axis=0), labels.take(idx),
+                               (0, self.draws))[0]
         i = min(int(u[0] * n), n - 1)
         f = self._features[client][i]
-        logits = w @ f
+        # `dot` calls the kernel `@` calls without the ufunc dispatch.
+        logits = w.dot(f)
         shifted = logits - np.maximum.reduce(logits)
         delta = np.exp(shifted - np.log(np.add.reduce(np.exp(shifted))))
         delta[labels[i]] -= 1.0

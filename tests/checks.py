@@ -1,10 +1,11 @@
 """Reference checks used only by the tests: a finite-difference gradient
 checker, the cyclic pattern's closed forms for the window statistics
 that `fedsim verify` does not check against a closed form, the window
-statistics in their plainest spelling, the exact window factor of
-the noiseless quadratic under full participation and scaffold's exact
-round map there with one client present, a shorthand for the scheduler a
-pattern name builds, and an IDX pair writer."""
+statistics in their plainest spelling, the logistic loss and gradient
+client by client, the exact window factor of the noiseless quadratic
+under full participation and scaffold's exact round map there with one
+client present, a shorthand for the scheduler a pattern name builds, and
+an IDX pair writer."""
 
 import struct
 from pathlib import Path
@@ -90,6 +91,49 @@ def window_stats_reference(q: np.ndarray, history: ParticipationHistory) -> Wind
         v_sq_lambda=float(v_sq_lambda),
         rho_sq_rounds=(q ** 2).sum(axis=1),
     )
+
+
+def softmax_loss_and_grad(w: np.ndarray, feats: np.ndarray, labels: np.ndarray):
+    """The softmax loss and gradient on bias-extended `feats` as first
+    written: full log-softmax, fancy-indexed label pick and label
+    subtraction. Also returns the probabilities and the label-subtracted
+    rows the gradient is built from."""
+    logits = feats @ w.T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    n = len(labels)
+    loss = -float(logp[np.arange(n), labels].mean())
+    probs = np.exp(logp)
+    delta = probs.copy()
+    delta[np.arange(n), labels] -= 1.0
+    return loss, delta.T @ feats / n, probs, delta
+
+
+def logistic_reference(shards, num_classes: int, l2: float, x: np.ndarray):
+    """`Logistic`'s per-client losses and gradients at x, each client on its
+    own rows, and the global loss and gradient as the `Objective` loops
+    combine them: `np.mean` of the losses, and the gradients added in client
+    order, then divided by the count. `Logistic.eval_global` and
+    `grad_global`, which score runs of clients in one pass each, must equal
+    these bit for bit.
+
+    Returns (losses, grads, loss, grad)."""
+    num_features = shards[0][0].shape[1]
+    w = np.asarray(x, dtype=float).reshape(num_classes, num_features + 1)
+    penalty, penalty_grad = 0.0, np.zeros_like(w)
+    if l2:
+        penalty = 0.5 * l2 * float(np.sum(w[:, :-1] ** 2))
+        penalty_grad[:, :-1] = l2 * w[:, :-1]
+    losses, grads = [], []
+    for feats, labels in shards:
+        feats = np.hstack([feats, np.ones((len(labels), 1))])
+        loss, grad, _, _ = softmax_loss_and_grad(w, feats, np.asarray(labels))
+        losses.append(loss + penalty)
+        grads.append((grad + penalty_grad).ravel())
+    total = np.zeros(w.size)
+    for grad in grads:
+        total += grad
+    return losses, grads, float(np.mean(losses)), total / len(shards)
 
 
 def full_participation_window_factor(gamma: float, eta: float, local_steps: int,

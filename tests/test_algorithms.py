@@ -363,25 +363,43 @@ def _chunked_objective(kind: str):
     return Logistic(shards, 4, l2=0.01, minibatch=3)
 
 
-@pytest.mark.parametrize("pattern", ["iid", "grouped_cyclic"])
+# Participation keys of the chunked-noise test. Under `sca` few of the
+# eligible group show up, so rounds sample from 1 to 3 clients, and
+# rounds with fewer than 3 available take them all.
+_CHUNK_PATTERNS = {
+    "iid": {},
+    "grouped_cyclic": {"k_bar": 3, "avail_rounds_g": 2},
+    "sca": {"k_bar": 3, "avail_rounds_g": 2, "p_active": 0.5, "p_inactive": 0.02},
+}
+
+
+@pytest.mark.parametrize("pattern", list(_CHUNK_PATTERNS))
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 def test_chunked_noise_equals_a_stream_per_client_round(monkeypatch, kind, pattern):
     # The golden bytes cover only one uniform per step (synthetic, and
-    # logistic with minibatch = 1); this pins draws > 1 across refills.
+    # logistic with minibatch = 1); this pins draws > 1 across refills, and
+    # that a chunk samples each of its rounds once, in order.
     objective = _chunked_objective(kind)
     cfg = _cfg(n_clients=12, s_clients=3, local_steps=4, eta=0.05, seed=9, pattern=pattern,
-               objective=kind, **({"k_bar": 3, "avail_rounds_g": 2} if pattern != "iid" else {}))
+               objective=kind, **_CHUNK_PATTERNS[pattern])
     chunk_rounds = NOISE_CHUNK // (12 * 4 * objective.draws)
     cfg.rounds = 2 * chunk_rounds + 3
     fills = []
     monkeypatch.setattr(algorithms, "stream_uniforms",
-                        lambda *args: fills.append(args[3][0]) or stream_uniforms(*args))
-    sim = Simulation(objective, make_scheduler(cfg), cfg)
+                        lambda *args: fills.append(int(args[3][0])) or stream_uniforms(*args))
     scheduler = make_scheduler(cfg)
+    sampled_rounds = []
+    sample_round = scheduler.sample_round
+    monkeypatch.setattr(scheduler, "sample_round",
+                        lambda r, seed: sampled_rounds.append(r) or sample_round(r, seed))
+    sim = Simulation(objective, scheduler, cfg)
+    reference = make_scheduler(cfg)
+    sizes = set()
     x = np.zeros(objective.dim)
     for r in range(cfg.rounds):
         sim.run_round(r)
-        sampled = scheduler.sample_round(r, cfg.seed)
+        sampled = reference.sample_round(r, cfg.seed)
+        sizes.add(len(sampled))
         new = np.zeros(objective.dim)
         for i in sampled.tolist():
             uniforms = rng_stream(cfg.seed, "gradient-noise", i, r).random(
@@ -392,6 +410,8 @@ def test_chunked_noise_equals_a_stream_per_client_round(monkeypatch, kind, patte
         x = new
         assert sim.model.tobytes() == x.tobytes()
     assert fills == [0, chunk_rounds, 2 * chunk_rounds]
+    assert sampled_rounds == list(range(cfg.rounds))
+    assert sizes == ({1, 2, 3} if pattern == "sca" else {3})
 
 
 def test_an_objective_that_overdraws_raises_instead_of_reading_the_next_stream():

@@ -157,6 +157,19 @@ def test_run_bad_inputs_exit_2(tmp_path, capsys):
     assert "missing required" in capsys.readouterr().err
 
 
+def test_run_with_nobody_available_exits_2_and_writes_no_csv(tmp_path, capsys):
+    # `sca` with both availability probabilities at 0 accepts the config,
+    # and its first round can sample nobody.
+    text = QUAD_CFG.replace("s_clients = 2", "s_clients = 1") + (
+        "pattern = sca\np_active = 0\np_inactive = 0\n")
+    out = tmp_path / "o"
+    rc = main(["run", "--config", _write(tmp_path, "sca.cfg", text), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: no clients available at round 0 after 100 availability draws.\n")
+    assert not (out / "run.csv").exists()
+
+
 # NaN passes every range check, so each of these ran to exit 0 (eta and h
 # diverging silently) until non-finite values were rejected at parsing.
 @pytest.mark.parametrize("key, value", [("mu", "nan"), ("eta", "nan"), ("h", "nan"), ("gamma", "inf")])

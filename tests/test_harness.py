@@ -124,6 +124,34 @@ def test_a_non_finite_model_diverges_even_when_its_metrics_are_finite(monkeypatc
     assert record.rounds == list(range(33))
 
 
+class _FailingScheduler:
+    """Hands every attribute on to the built scheduler, and raises at round
+    `fail_at` instead of sampling it."""
+
+    def __init__(self, inner, fail_at: int):
+        self._inner = inner
+        self.fail_at = fail_at
+
+    def sample_round(self, r, seed):
+        if r == self.fail_at:
+            raise ValueError(f"no clients at round {r}")
+        return self._inner.sample_round(r, seed)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.mark.parametrize("fail_at", [0, 5, 19])
+def test_a_scheduler_error_reaches_the_caller(monkeypatch, fail_at):
+    # Sampling is read up to one chunk ahead, so the error may come before
+    # its round runs, but it always comes.
+    make = harness.make_scheduler
+    monkeypatch.setattr(harness, "make_scheduler",
+                        lambda cfg: _FailingScheduler(make(cfg), fail_at))
+    with pytest.raises(ValueError, match=f"no clients at round {fail_at}"):
+        run_once(_quad(rounds=20, sigma=0.5))
+
+
 def test_uplink_doubles_with_control_variates():
     plain = run_once(_quad())
     cv = run_once(_quad(algorithm="scaffold", eta=0.05))

@@ -8,6 +8,8 @@ from fedsim.core import gaussians_from, rng_stream, stream_uniforms
 from fedsim.data import make_blobs, partition_by_similarity
 from fedsim.objectives import Logistic, Quadratic, SyntheticHard
 
+from checks import logistic_reference, softmax_loss_and_grad
+
 X2_STAR = math.sqrt(2.0) / 4.0
 
 
@@ -260,19 +262,17 @@ def test_logistic_minibatch_reads_exactly_its_uniforms_by_position():
         obj.stoch_grad_local(1, x, u[:2])
 
 
-def _reference_loss_and_grad(w, feats, labels):
-    """The softmax loss and gradient as first written: full log-softmax,
-    fancy-indexed label pick and label subtraction. Also returns the
-    probabilities and the label-subtracted rows the gradient is built from."""
-    logits = feats @ w.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    n = len(labels)
-    loss = -float(logp[np.arange(n), labels].mean())
-    probs = np.exp(logp)
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
-    return loss, delta.T @ feats / n, probs, delta
+def _reference_shards():
+    """Shards of 1, 2, 37 and 260 rows of four-class blobs, every fourth
+    feature row from row 3 on all zero."""
+    features, labels = make_blobs(300, 4, 5, seed=4)
+    features[3::4] = 0.0
+    return [(features[:1], labels[:1]), (features[1:3], labels[1:3]),
+            (features[3:40], labels[3:40]), (features[40:], labels[40:])]
+
+
+# Saturating scales drive probabilities to exactly 0.0.
+_REFERENCE_SCALES = (0.0, 1.0, 20.0, 1e3, 1e6)
 
 
 def test_logistic_oracle_matches_reference_math():
@@ -284,11 +284,8 @@ def test_logistic_oracle_matches_reference_math():
     the matrix product gives 0.0; some of them meet a -0.0 penalty entry
     from a zero-scaled model. The test asserts that the one-sample draws
     reach all three cases."""
-    features, labels = make_blobs(300, 4, 5, seed=4)
-    features[::4] = 0.0
-    shards = [(features[:1], labels[:1]), (features[1:3], labels[1:3]),
-              (features[3:40], labels[3:40]), (features[40:], labels[40:])]
-    scales = (0.0, 1.0, 20.0, 1e3, 1e6)
+    shards = _reference_shards()
+    scales = _REFERENCE_SCALES
     for l2 in (0.0, 0.5):
         for minibatch in (1, 3, 64):
             obj = Logistic(shards, num_classes=4, l2=l2, minibatch=minibatch)
@@ -306,7 +303,7 @@ def test_logistic_oracle_matches_reference_math():
                     penalty_grad[:, :-1] = l2 * w[:, :-1]
                     penalty = 0.5 * l2 * float(np.sum(w[:, :-1] ** 2))
 
-                loss, grad, _, _ = _reference_loss_and_grad(w, feats, ys)
+                loss, grad, _, _ = softmax_loss_and_grad(w, feats, ys)
                 assert obj.eval_local(client, x) == loss + penalty
                 assert obj.grad_local(client, x).tobytes() == (grad + penalty_grad).ravel().tobytes()
 
@@ -315,7 +312,7 @@ def test_logistic_oracle_matches_reference_math():
                 got = obj.stoch_grad_local(client, x, recorded)
                 n = len(ys)
                 idx = np.minimum((u * n).astype(np.int64), n - 1)
-                _, grad, probs, delta = _reference_loss_and_grad(w, feats[idx], ys[idx])
+                _, grad, probs, delta = softmax_loss_and_grad(w, feats[idx], ys[idx])
                 assert got.tobytes() == (grad + penalty_grad).ravel().tobytes()
                 assert recorded.read == set(range(minibatch))
 
@@ -333,6 +330,57 @@ def test_logistic_oracle_matches_reference_math():
                 if l2:
                     expected.add("-0.0 product and -0.0 penalty")
                 assert expected <= reached
+
+
+def _multi_pass_shards():
+    """Shards of 1, 2, 37, 2500, 1, 3000 and 459 rows of four-class blobs:
+    evaluation passes of the first three, then of each other one alone."""
+    features, labels = make_blobs(6000, 4, 5, seed=7)
+    features[3::4] = 0.0
+    cuts = np.cumsum([1, 2, 37, 2500, 1, 3000])
+    return list(zip(np.split(features, cuts), np.split(labels, cuts)))
+
+
+@pytest.mark.parametrize("shards, passes", [(_reference_shards, 1), (_multi_pass_shards, 5)],
+                         ids=["one-pass", "five-passes"])
+@pytest.mark.parametrize("l2", [0.0, 0.5])
+def test_logistic_global_passes_match_the_per_client_loops(shards, passes, l2):
+    """`eval_global` and `grad_global` score runs of clients in one logits
+    pass each, and `eval_local` and `grad_local` run the same code on one
+    block; all four equal the client-by-client reference bit for bit, with
+    one-row shards inside a pass and alone, all-zero feature rows and
+    saturating scales."""
+    shards = shards()
+    obj = Logistic(shards, num_classes=4, l2=l2)
+    assert len(obj._passes) == passes
+    x_rng = rng_stream(6, "init", passes)
+    for trial in range(6 * len(_REFERENCE_SCALES)):
+        x = x_rng.standard_normal(obj.dim) * _REFERENCE_SCALES[trial % len(_REFERENCE_SCALES)]
+        losses, grads, loss, grad = logistic_reference(shards, 4, l2, x)
+        got = np.array([obj.eval_local(i, x) for i in range(len(shards))])
+        assert got.tobytes() == np.array(losses).tobytes()
+        for i, want in enumerate(grads):
+            assert obj.grad_local(i, x).tobytes() == want.tobytes()
+        assert np.float64(obj.eval_global(x)).tobytes() == np.float64(loss).tobytes()
+        assert obj.grad_global(x).tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("classes", [1, 2, 3, 8, 9, 10, 11, 17])
+def test_log_softmax_equals_the_row_reduce_spelling(classes):
+    # The column chain may keep the other zero of a 0.0/-0.0 tie than
+    # numpy's row reduce does (here from 9 columns on); the output must not
+    # show it. Rows mix signed zeros, infinities, NaN of one sign, and values
+    # whose exp underflows, so that a lone zero peak leaves a sum of exactly 1.
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, -800.0, -1e300])
+    rng = rng_stream(8, "init", classes)
+    rows = values[rng.integers(0, len(values), (4000, classes))]
+    rows[::3] = np.where(rng.random((len(rows[::3]), classes)) < 0.5, 0.0, -0.0)
+    rows[1::3] = np.where(rng.random((len(rows[1::3]), classes)) < 0.7, -800.0, rows[1::3])
+    with np.errstate(invalid="ignore"):
+        shifted = rows - np.maximum.reduce(rows, axis=1, keepdims=True)
+        want = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+        got = Logistic._log_softmax(rows.copy())
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("build, draws", [

@@ -213,8 +213,10 @@ def test_returned_rounds_share_no_memory(sch):
 
 def test_sca_gives_up_when_nobody_can_show_up():
     sch = ScaScheduler(4, 2, 1, 1, p_active=0.0, p_inactive=0.0)
-    with pytest.raises(ValueError, match="100 availability draws"):
-        sch.sample_round(0, seed=0)
+    for r in (0, 7):
+        with pytest.raises(ValueError, match=f"no clients available at round {r} after 100"
+                                             " availability draws"):
+            sch.sample_round(r, seed=0)
 
 
 def test_constructor_validation():
