@@ -7,12 +7,12 @@ for bit. `rng_stream` opens one (seed, purpose, client, round) stream as a
 numpy Generator. `stream_uniforms` computes the first n uniforms of many
 such streams in one vectorized Philox pass, bit for bit equal to the
 Generators'. The run loop computes its gradient noise that way, one chunk
-of rounds for every client at a time, and maps the chunk through the
-objective's elementwise noise map. A stochastic gradient oracle never
-opens a stream: it is handed its mapped draws by position. `gaussians_from`
-maps uniforms to normal draws through `ndtri`, a port of the Cephes inverse
-normal CDF that returns the bits of `scipy.special.ndtri` without importing
-scipy.
+of rounds at a time for only the (client, round) pairs it samples, and
+maps the chunk through the objective's elementwise noise map. A stochastic
+gradient oracle never opens a stream: it is handed its mapped draws by
+position. `gaussians_from` maps uniforms to normal draws through `ndtri`,
+a port of the Cephes inverse normal CDF that returns the bits of
+`scipy.special.ndtri` without importing scipy.
 
 Configuration is a flat key = value text format with one key per line and
 # comments.
@@ -268,8 +268,6 @@ class RunConfig:
     c: float = 1.0
     mu_pl: float = 2.0
     centers: str = ""
-    l2: float = 0.0
-    minibatch: int = 1
     # data source (logistic only)
     dataset: str = "blob"
     images_path: str = ""

@@ -49,7 +49,7 @@ _DATASET_KEYS = tuple(key for keys in _DATASETS.values() for key in keys)
 _OBJECTIVES = {
     "synthetic_hard": ("h", "kappa", "sigma", "c", "mu_pl"),
     "quadratic": ("centers", "sigma"),
-    "logistic": ("l2", "minibatch", "dataset", "similarity", *_DATASET_KEYS),
+    "logistic": ("dataset", "similarity", *_DATASET_KEYS),
 }
 _OBJECTIVE_KEYS = tuple(dict.fromkeys(key for keys in _OBJECTIVES.values() for key in keys))
 OBJECTIVES = tuple(_OBJECTIVES)
@@ -68,7 +68,7 @@ def build_objective(cfg: RunConfig) -> Objective:
     train, test = load_dataset(cfg)
     shards = partition_by_similarity(train[0], train[1], cfg.n_clients, cfg.similarity, cfg.seed)
     num_classes = int(train[1].max()) + 1
-    return Logistic(shards, num_classes, cfg.l2, cfg.minibatch, test)
+    return Logistic(shards, num_classes, test)
 
 
 def load_dataset(cfg: RunConfig):

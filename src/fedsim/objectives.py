@@ -1,8 +1,9 @@
 """Client objectives with exact gradients and stochastic gradient oracles.
 
-Three families are provided. A four-dimensional two-client construction
-whose heterogeneity makes naive averaging drift, a quadratic with per-client
-centers used as a closed-form oracle in tests, and multinomial logistic
+Three families are provided. A four-dimensional two-client nonsmooth
+construction whose heterogeneity, opposing slopes on a coordinate of their
+own, never reaches the other coordinates; a quadratic with per-client
+centers used as a closed-form oracle in tests; and multinomial logistic
 regression over per-client datasets.
 """
 
@@ -187,47 +188,44 @@ class Logistic(Objective):
     """Multinomial softmax regression over per-client sample sets.
 
     Parameters are a (num_classes, num_features + 1) weight matrix stored
-    flat; the trailing column is a bias fed by a constant 1 feature. The
-    optional l2 penalty applies to weights only, never the bias. Stochastic
-    gradients average `minibatch` uniformly drawn local samples and include
-    the full penalty term. `labels[i]` holds client i's labels, which
+    flat; the trailing column is a bias fed by a constant 1 feature. A
+    stochastic gradient is the gradient on one uniformly drawn local
+    sample. `labels[i]` holds client i's labels, which
     `fedsim partition-report` counts.
 
     All clients' rows sit in one bias-extended feature matrix and one label
     vector, client i's shard being its i-th row block; `labels[i]` is a view
     of that block. Two helpers work on any rows split into blocks: `_losses`
-    gives each block's mean loss plus the penalty and `_grads` each block's
-    mean gradient plus the penalty's. `eval_local` and `grad_local` call them
-    on one client's block, `stoch_grad_local` with `minibatch > 1` on the
-    drawn rows as one block, and `eval_global` and `grad_global` on each
-    evaluation pass: a run of consecutive clients with at most
-    `_PASS_DOUBLES` logits, or one larger client. A pass over many blocks
-    computes one matrix of logits and one log-softmax, then reduces each
-    block as a pass over that block alone would: rows are independent, the
-    loss is `np.mean`'s own arithmetic, `np.add.reduce` over the block
-    divided by its length, and each gradient is its block's own product.
-    So the global values keep the bits of a loop over clients.
+    gives each block's mean loss and `_grads` each block's mean gradient.
+    `eval_local` and `grad_local` call them on one client's block, and
+    `eval_global` and `grad_global` on each evaluation pass: a run of
+    consecutive clients with at most `_PASS_DOUBLES` logits, or one larger
+    client. A pass over many blocks computes one matrix of logits and one
+    log-softmax, then reduces each block as a pass over that block alone
+    would: rows are independent, the loss is `np.mean`'s own arithmetic,
+    `np.add.reduce` over the block divided by its length, and each gradient
+    is its block's own product. So the global values keep the bits of a
+    loop over clients. Every loss and gradient adds +0.0 last, which turns
+    -0.0 into 0.0: the loss of a block the model fits exactly is 0.0, and
+    no gradient entry is -0.0.
 
-    With `minibatch == 1`, `stoch_grad_local` works on the drawn row as 1-D
-    arrays, which skips most of the small-array overhead, and returns the
-    same bits as `_grads` on that row:
+    `stoch_grad_local` works on the drawn row as 1-D arrays, which skips
+    most of the small-array overhead, and returns the same bits as `_grads`
+    on that row:
     - the logits `w.dot(f)` go through the same matrix-vector kernel as a
       one-row `f @ w.T`;
     - each entry of `np.multiply.outer(delta, f)` is the one exact multiply
       of the k = 1 matrix product, and `+= 0.0` turns its -0.0 into the
-      product's 0.0 before any penalty is added;
+      product's 0.0;
     - the mean over one row skips the divide, since `x / 1 == x`.
     """
 
+    draws = 1
+
     def __init__(self, shards: list[tuple[np.ndarray, np.ndarray]], num_classes: int,
-                 l2: float = 0.0, minibatch: int = 1,
                  test_set: tuple[np.ndarray, np.ndarray] | None = None):
         if not shards:
             raise ValueError("at least one client shard is required.")
-        if l2 < 0:
-            raise ValueError("l2 must be >= 0.")
-        if minibatch < 1:
-            raise ValueError("minibatch must be >= 1.")
         num_features = shards[0][0].shape[1]
 
         def checked(name: str, feats: np.ndarray, labels: np.ndarray):
@@ -269,8 +267,6 @@ class Logistic(Objective):
             self._test = with_bias(test_feats), test_labels
         self.num_classes = num_classes
         self.num_features = num_features
-        self.l2 = l2
-        self.draws = minibatch
         self.n_clients = len(shards)
         self.dim = num_classes * (num_features + 1)
 
@@ -306,40 +302,23 @@ class Logistic(Objective):
                     logits[a:b] = feats[a:b] @ w.T
         return self._log_softmax(logits)
 
-    def _penalty(self, w: np.ndarray) -> float:
-        if self.l2 == 0:
-            return 0.0
-        return 0.5 * self.l2 * float(np.sum(w[:, :-1] ** 2))
-
-    def _penalty_grad(self, w: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(w)
-        g[:, :-1] = self.l2 * w[:, :-1]
-        return g
-
     def _losses(self, w: np.ndarray, feats: np.ndarray, labels: np.ndarray,
                 bounds: Sequence[int]) -> list[float]:
-        """Mean cross-entropy plus the penalty of each block of rows."""
+        """Mean cross-entropy of each block of rows."""
         picked = self._log_probs(w, feats, bounds)[np.arange(len(labels)), labels]
-        penalty = self._penalty(w)
-        return [-float(np.add.reduce(picked[a:b]) / (b - a)) + penalty
+        return [-float(np.add.reduce(picked[a:b]) / (b - a)) + 0.0
                 for a, b in zip(bounds, bounds[1:])]
 
     def _grads(self, w: np.ndarray, feats: np.ndarray, labels: np.ndarray,
                bounds: Sequence[int]) -> list[np.ndarray]:
-        """Mean cross-entropy gradient plus the penalty's of each block of
-        rows, raveled.
-
-        Adding the 0-d zero when there is no penalty turns -0.0 into 0.0
-        exactly as adding a zero penalty would.
-        """
+        """Mean cross-entropy gradient of each block of rows, raveled."""
         delta = self._log_probs(w, feats, bounds)
         np.exp(delta, out=delta)
         delta[np.arange(len(labels)), labels] -= 1.0
-        penalty = self._penalty_grad(w) if self.l2 else _ZERO
         grads = []
         for a, b in zip(bounds, bounds[1:]):
             grad = delta[a:b].T @ feats[a:b] / (b - a)
-            grad += penalty
+            grad += _ZERO
             grads.append(grad.ravel())
         return grads
 
@@ -366,7 +345,7 @@ class Logistic(Objective):
         return total / self.n_clients
 
     def noise(self, u: np.ndarray) -> np.ndarray:
-        # The draws pick samples, so they stay uniforms.
+        # The draw picks a sample, so it stays a uniform.
         return u
 
     def stoch_grad_local(self, client: int, x: np.ndarray, u: Sequence[float]) -> np.ndarray:
@@ -375,11 +354,7 @@ class Logistic(Objective):
         labels = self.labels[client]
         n = len(labels)
         # int() truncates like a cast to int64, as 0 <= u * n < 2**53; min()
-        # catches u * n rounding up to n. Plain lists skip small-array costs.
-        if self.draws > 1:
-            idx = [min(int(u[k] * n), n - 1) for k in range(self.draws)]
-            return self._grads(w, self._features[client].take(idx, axis=0), labels.take(idx),
-                               (0, self.draws))[0]
+        # catches u * n rounding up to n.
         i = min(int(u[0] * n), n - 1)
         f = self._features[client][i]
         # `dot` calls the kernel `@` calls without the ufunc dispatch.
@@ -389,8 +364,6 @@ class Logistic(Objective):
         delta[labels[i]] -= 1.0
         grad = np.multiply.outer(delta, f)
         grad += _ZERO
-        if self.l2:
-            grad += self._penalty_grad(w)
         return grad.ravel()
 
     def test_metric(self, x: np.ndarray) -> float:

@@ -109,27 +109,24 @@ def softmax_loss_and_grad(w: np.ndarray, feats: np.ndarray, labels: np.ndarray):
     return loss, delta.T @ feats / n, probs, delta
 
 
-def logistic_reference(shards, num_classes: int, l2: float, x: np.ndarray):
+def logistic_reference(shards, num_classes: int, x: np.ndarray):
     """`Logistic`'s per-client losses and gradients at x, each client on its
     own rows, and the global loss and gradient as the `Objective` loops
     combine them: `np.mean` of the losses, and the gradients added in client
-    order, then divided by the count. `Logistic.eval_global` and
-    `grad_global`, which score runs of clients in one pass each, must equal
-    these bit for bit.
+    order, then divided by the count. Each loss and gradient adds +0.0,
+    which turns -0.0 into 0.0. `Logistic.eval_global` and `grad_global`,
+    which score runs of clients in one pass each, must equal these bit for
+    bit.
 
     Returns (losses, grads, loss, grad)."""
     num_features = shards[0][0].shape[1]
     w = np.asarray(x, dtype=float).reshape(num_classes, num_features + 1)
-    penalty, penalty_grad = 0.0, np.zeros_like(w)
-    if l2:
-        penalty = 0.5 * l2 * float(np.sum(w[:, :-1] ** 2))
-        penalty_grad[:, :-1] = l2 * w[:, :-1]
     losses, grads = [], []
     for feats, labels in shards:
         feats = np.hstack([feats, np.ones((len(labels), 1))])
         loss, grad, _, _ = softmax_loss_and_grad(w, feats, np.asarray(labels))
-        losses.append(loss + penalty)
-        grads.append((grad + penalty_grad).ravel())
+        losses.append(loss + 0.0)
+        grads.append((grad + 0.0).ravel())
     total = np.zeros(w.size)
     for grad in grads:
         total += grad

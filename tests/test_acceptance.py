@@ -105,7 +105,7 @@ def test_criterion_3():
     objectives = [
         SyntheticHard(),
         Quadratic(np.array([[1.0, -2.0, 0.5], [-1.0, 0.25, 2.0]])),
-        Logistic(shards, num_classes=3, l2=0.01),
+        Logistic(shards, num_classes=3),
     ]
     for objective in objectives:
         check = grad_check(objective, n_points=50, h=1e-5, tol=1e-6)

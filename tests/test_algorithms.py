@@ -357,10 +357,10 @@ def _chunked_objective(kind: str):
     if kind == "quadratic":
         # draws = dim: one Gaussian vector per step
         return Quadratic(rng_stream(2, "init").standard_normal((12, 40)), sigma=0.5)
-    # minibatch > 1: one array of uniforms per step, on the matrix path
+    # one uniform per step, which picks the sample: the desk path
     shards = [(rng_stream(2, "init", i).standard_normal((15, 3)),
                rng_stream(2, "init", i, 1).integers(0, 4, 15)) for i in range(12)]
-    return Logistic(shards, 4, l2=0.01, minibatch=3)
+    return Logistic(shards, 4)
 
 
 # Participation keys of the chunked-noise test. Under `sca` few of the
@@ -376,9 +376,9 @@ _CHUNK_PATTERNS = {
 @pytest.mark.parametrize("pattern", list(_CHUNK_PATTERNS))
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 def test_chunked_noise_equals_a_stream_per_client_round(monkeypatch, kind, pattern):
-    # The golden bytes cover only one uniform per step (synthetic, and
-    # logistic with minibatch = 1); this pins draws > 1 across refills, and
-    # that a chunk samples each of its rounds once, in order.
+    # The golden bytes cover only one uniform per step (synthetic and
+    # logistic); the quadratic cases pin draws > 1 across refills, and every
+    # case pins that a chunk samples each of its rounds once, in order.
     objective = _chunked_objective(kind)
     cfg = _cfg(n_clients=12, s_clients=3, local_steps=4, eta=0.05, seed=9, pattern=pattern,
                objective=kind, **_CHUNK_PATTERNS[pattern])
@@ -471,9 +471,9 @@ def test_local_update_rejects_uniforms_of_the_wrong_length(length):
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 def test_warm_start_equals_a_stream_per_client(kind):
-    # The golden bytes cover only one uniform per draw; this pins draws > 1:
-    # the warm start's draw k reads the k-th block of `draws` uniforms of
-    # the client's "init" stream, mapped.
+    # The warm start's draw k reads the k-th block of `draws` uniforms of
+    # the client's "init" stream, mapped. The golden bytes cover only one
+    # uniform per draw; the quadratic case pins draws > 1.
     objective = _chunked_objective(kind)
     x0 = rng_stream(3, "init", 99).standard_normal(objective.dim)
     variates = control_variate_init("warm_start", objective, x0, seed=5, local_steps=4)

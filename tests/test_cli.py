@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import re
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from fedsim import ALGORITHMS, cli, harness
 from fedsim.cli import build_parser, main
-from fedsim.core import ConfigError, build_run_config
+from fedsim.core import ConfigError, RunConfig, build_run_config
 from fedsim.data import make_blobs
 from fedsim.diagnostics import assumption_suite, checks_to_csv_rows
 from fedsim.harness import build_run
@@ -93,6 +94,24 @@ def test_docs_name_exactly_the_registered_subcommands():
     listed = cli.__doc__.split("Subcommands:", 1)[1].split("\n\n", 1)[0]
     in_docstring = re.findall(r"([\w-]+) \(", listed)
     assert sorted(in_readme) == sorted(in_docstring) == sorted(registered)
+
+
+def test_readme_config_format_names_exactly_the_run_config_fields():
+    # The section lists the required keys, the bulleted keys and "the knobs
+    # listed above", the `Knobs:` of each objective; a key removed from
+    # RunConfig must leave the docs with it.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    objectives = readme.split("\n## Objectives\n", 1)[1].split("\n## ", 1)[0]
+    knobs = {name for listed in re.findall(r"Knobs: ([^.]*)\.", objectives)
+             for name in re.findall(r"`(\w+)`", listed)}
+    section = readme.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
+    required = re.search(r"Required keys: ([^.]*)\.", section).group(1)
+    bullets = section.split("Commonly set:\n\n", 1)[1].split("\n\n", 1)[0]
+    assert "the knobs listed above" in bullets
+    named = re.findall(r"`(\w+)`", required + bullets)
+    assert len(named) == len(set(named)) and not knobs & set(named)
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    assert sorted(knobs | set(named)) == sorted(fields)
 
 
 def test_run_writes_csv_and_summary(tmp_path, capsys):
@@ -206,8 +225,10 @@ def test_run_accepts_a_nan_target_value(tmp_path, capsys):
     (LOGISTIC_CFG, "dataset=bogus", "dataset"),
     (LOGISTIC_RUN_CFG, "dataset=idx", "images_path"),
     (LOGISTIC_CFG, "similarity=101", "similarity"),
-    (LOGISTIC_CFG, "minibatch=0", "minibatch"),
-    (LOGISTIC_CFG, "l2=-1", "l2"),
+    # logistic has no penalty and draws one sample per step, so both keys
+    # are unknown, named in quotes
+    (LOGISTIC_CFG, "minibatch=1", "minibatch"),
+    (LOGISTIC_CFG, "l2=0", "l2"),
     (IDX_CFG, "test_labels_path=empty-labels.idx", "the test set has no samples"),
     # logistic never reads sigma
     (LOGISTIC_CFG, "sigma=-1", "objective logistic does not read sigma"),
@@ -234,7 +255,7 @@ def test_run_rejects_a_bad_objective_key_by_name(tmp_path, capsys, monkeypatch, 
 # and the keys each objective, and each dataset kind of logistic, reads.
 OBJECTIVE_KEY_VALUES = {
     "h": "2", "kappa": "2", "sigma": "0.5", "c": "2", "mu_pl": "3", "centers": "0; 1",
-    "l2": "0.1", "minibatch": "2", "dataset": "idx", "similarity": "50", "blob_samples": "300",
+    "dataset": "idx", "similarity": "50", "blob_samples": "300",
     "blob_classes": "3", "blob_features": "5", "blob_test_samples": "10", "images_path": "x",
     "labels_path": "x", "test_images_path": "x", "test_labels_path": "x",
 }
@@ -243,8 +264,7 @@ DATASET_READS = {"blob": ("blob_samples", "blob_classes", "blob_features", "blob
 OBJECTIVE_READS = {
     "synthetic_hard": ("h", "kappa", "sigma", "c", "mu_pl"),
     "quadratic": ("centers", "sigma"),
-    "logistic": ("l2", "minibatch", "dataset", "similarity", *DATASET_READS["blob"],
-                 *DATASET_READS["idx"]),
+    "logistic": ("dataset", "similarity", *DATASET_READS["blob"], *DATASET_READS["idx"]),
 }
 
 
@@ -555,15 +575,17 @@ def test_partition_report_needs_logistic(tmp_path, capsys):
 
 @pytest.mark.parametrize("overrides, message", [
     (["sigma=-1", "h=0"], "objective logistic does not read h; leave it unset."),
-    (["l2=-1"], "l2 must be >= 0."),
-    (["minibatch=0"], "minibatch must be >= 1."),
+    (["l2=0"], "unknown config key: 'l2'"),
+    (["minibatch=1"], "unknown config key: 'minibatch'"),
+    (["similarity=101"], "similarity is a percentage in [0, 100]."),
+    (["dataset=bogus"], "unknown dataset kind: 'bogus'"),
     (["cv_init=zero"], "algorithm fedavg does not read cv_init; leave it unset."),
-], ids=["unread_key", "l2", "minibatch", "cv_init"])
+], ids=["unread_key", "l2", "minibatch", "similarity", "dataset", "cv_init"])
 def test_partition_report_rejects_a_key_as_run_does(tmp_path, capsys, overrides, message):
     # Both commands validate the config and build the objective the same
-    # way: a logistic config that sets keys only synthetic_hard reads, an
-    # objective key out of range, or an algorithm key fedavg never reads,
-    # exits 2 with the same message.
+    # way: a logistic config that sets keys only synthetic_hard reads, a
+    # removed key, a data key out of range, or an algorithm key fedavg
+    # never reads, exits 2 with the same message.
     cfg = _write(tmp_path, "log.cfg", LOGISTIC_CFG)
     flags = [arg for item in overrides for arg in ("--override", item)]
     results = []
@@ -572,6 +594,20 @@ def test_partition_report_rejects_a_key_as_run_does(tmp_path, capsys, overrides,
         results.append((rc, capsys.readouterr().err))
     assert results[0] == results[1] == (2, f"error: {message}\n")
     assert not (tmp_path / "partition-report" / "partition.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("l2", "0"), ("minibatch", "1")])
+def test_removed_logistic_keys_are_unknown_in_a_config_file(tmp_path, capsys, key, value):
+    # Logistic has no penalty and draws one sample per step, so these keys
+    # are gone: a config line with even the old default exits 2 rather
+    # than pass silently. test_partition_report_rejects_a_key_as_run_does
+    # covers them as overrides.
+    cfg = _write(tmp_path, "log.cfg", LOGISTIC_CFG + f"{key} = {value}\n")
+    for command in ("run", "partition-report"):
+        out = tmp_path / command
+        rc = main([command, "--config", cfg, "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (2, f"error: unknown config key: {key!r}\n")
+        assert not out.exists()
 
 
 def test_run_rejects_a_negative_held_out_count(tmp_path, capsys):

@@ -373,7 +373,7 @@ def test_grad_check_synthetic_and_logistic():
     assert grad_check(SyntheticHard(), n_points=30).passed
     features, labels = make_blobs(60, 3, 4, seed=1)
     shards = partition_by_similarity(features, labels, 3, 100.0, seed=1)
-    obj = Logistic(shards, num_classes=3, l2=0.01)
+    obj = Logistic(shards, num_classes=3)
     assert grad_check(obj, n_points=30).passed
     with pytest.raises(ValueError, match="h must be > 0"):
         grad_check(obj, h=0.0)

@@ -155,11 +155,11 @@ def test_quadratic_validation():
         obj.grad_local(2, np.zeros(3))
 
 
-def _tiny_logistic(l2=0.0, minibatch=1):
+def _tiny_logistic():
     feats = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     labels = np.array([0, 1, 1, 0])
     shards = [(feats[:2], labels[:2]), (feats[2:], labels[2:])]
-    return Logistic(shards, num_classes=2, l2=l2, minibatch=minibatch)
+    return Logistic(shards, num_classes=2)
 
 
 def test_logistic_loss_at_zero_is_log_classes():
@@ -176,16 +176,6 @@ def test_logistic_single_sample_stoch_grad_equals_full_grad():
     np.testing.assert_allclose(g, obj.grad_local(0, x), atol=1e-15)
 
 
-def test_logistic_penalty_skips_bias():
-    obj = _tiny_logistic(l2=10.0)
-    # weight matrix with only the bias column set
-    w = np.zeros((2, 3))
-    w[:, -1] = 5.0
-    base = _tiny_logistic(l2=0.0)
-    assert obj.eval_local(0, w.ravel()) == base.eval_local(0, w.ravel())
-    np.testing.assert_array_equal(obj.grad_local(0, w.ravel()), base.grad_local(0, w.ravel()))
-
-
 def test_logistic_validation_errors():
     feats = np.zeros((2, 3))
     labels = np.zeros(2, dtype=int)
@@ -193,8 +183,6 @@ def test_logistic_validation_errors():
         Logistic([(np.zeros((0, 3)), np.zeros(0, dtype=int))], num_classes=2)
     with pytest.raises(ValueError, match="features"):
         Logistic([(feats, labels), (np.zeros((2, 4)), labels)], num_classes=2)
-    with pytest.raises(ValueError):
-        Logistic([(feats, labels)], num_classes=2, minibatch=0)
     # Indexing would wrap -1 to the last class; 2 would fail only at the
     # first gradient.
     for bad in ([0, -1], [0, 2]):
@@ -242,26 +230,6 @@ def test_logistic_gd_separates_blobs():
     assert accuracy >= 0.95
 
 
-def test_logistic_minibatch_indices_stay_in_range():
-    obj = _tiny_logistic(minibatch=64)
-    x = np.zeros(obj.dim)
-    for trial in range(50):
-        g = obj.stoch_grad_local(0, x, rng_stream(trial, "gradient-noise").random(64))
-        assert np.all(np.isfinite(g))
-
-
-def test_logistic_minibatch_reads_exactly_its_uniforms_by_position():
-    # A minibatch of 3 reads u[0], u[1], u[2]: extra uniforms are ignored,
-    # and too few raise as reading past the end of a list does.
-    obj = _tiny_logistic(minibatch=3)
-    x = np.full(obj.dim, 0.3)
-    u = [0.9, 0.1, 0.6, 0.2, 0.4]
-    first = obj.stoch_grad_local(1, x, u[:3])
-    assert obj.stoch_grad_local(1, x, u).tobytes() == first.tobytes()
-    with pytest.raises(IndexError):
-        obj.stoch_grad_local(1, x, u[:2])
-
-
 def _reference_shards():
     """Shards of 1, 2, 37 and 260 rows of four-class blobs, every fourth
     feature row from row 3 on all zero."""
@@ -277,59 +245,43 @@ _REFERENCE_SCALES = (0.0, 1.0, 20.0, 1e3, 1e6)
 
 def test_logistic_oracle_matches_reference_math():
     """Every oracle output equals the reference math bit for bit, and each
-    stochastic gradient reads exactly its `minibatch` uniforms.
+    stochastic gradient reads exactly its one uniform.
 
     Saturating scales drive probabilities to exactly 0.0, and all-zero
     feature rows make -0.0 products in the one-sample outer product, where
-    the matrix product gives 0.0; some of them meet a -0.0 penalty entry
-    from a zero-scaled model. The test asserts that the one-sample draws
-    reach all three cases."""
+    the matrix product gives 0.0. The test asserts that the draws reach
+    both cases."""
     shards = _reference_shards()
     scales = _REFERENCE_SCALES
-    for l2 in (0.0, 0.5):
-        for minibatch in (1, 3, 64):
-            obj = Logistic(shards, num_classes=4, l2=l2, minibatch=minibatch)
-            x_rng = rng_stream(5, "init", minibatch)
-            reached = set()
-            for trial in range(3 * len(shards) * len(scales)):
-                client = trial % len(shards)
-                x = x_rng.standard_normal(obj.dim) * scales[trial % len(scales)]
-                w = x.reshape(4, -1)
-                feats = np.hstack([shards[client][0], np.ones((len(shards[client][1]), 1))])
-                ys = shards[client][1]
-                penalty_grad = np.zeros_like(w)
-                penalty = 0.0
-                if l2:
-                    penalty_grad[:, :-1] = l2 * w[:, :-1]
-                    penalty = 0.5 * l2 * float(np.sum(w[:, :-1] ** 2))
+    obj = Logistic(shards, num_classes=4)
+    x_rng = rng_stream(5, "init", 1)
+    reached = set()
+    for trial in range(3 * len(shards) * len(scales)):
+        client = trial % len(shards)
+        x = x_rng.standard_normal(obj.dim) * scales[trial % len(scales)]
+        w = x.reshape(4, -1)
+        feats = np.hstack([shards[client][0], np.ones((len(shards[client][1]), 1))])
+        ys = shards[client][1]
 
-                loss, grad, _, _ = softmax_loss_and_grad(w, feats, ys)
-                assert obj.eval_local(client, x) == loss + penalty
-                assert obj.grad_local(client, x).tobytes() == (grad + penalty_grad).ravel().tobytes()
+        loss, grad, _, _ = softmax_loss_and_grad(w, feats, ys)
+        assert obj.eval_local(client, x) == loss + 0.0
+        assert obj.grad_local(client, x).tobytes() == (grad + 0.0).ravel().tobytes()
 
-                u = rng_stream(trial, "gradient-noise", minibatch).random(minibatch)
-                recorded = Recording(u)
-                got = obj.stoch_grad_local(client, x, recorded)
-                n = len(ys)
-                idx = np.minimum((u * n).astype(np.int64), n - 1)
-                _, grad, probs, delta = softmax_loss_and_grad(w, feats[idx], ys[idx])
-                assert got.tobytes() == (grad + penalty_grad).ravel().tobytes()
-                assert recorded.read == set(range(minibatch))
+        u = rng_stream(trial, "gradient-noise", 1).random(1)
+        recorded = Recording(u)
+        got = obj.stoch_grad_local(client, x, recorded)
+        n = len(ys)
+        idx = np.minimum((u * n).astype(np.int64), n - 1)
+        _, grad, probs, delta = softmax_loss_and_grad(w, feats[idx], ys[idx])
+        assert got.tobytes() == (grad + 0.0).ravel().tobytes()
+        assert recorded.read == {0}
 
-                if minibatch == 1:
-                    product = np.multiply.outer(delta[0], feats[idx[0]])
-                    negative_zero = (product == 0.0) & np.signbit(product)
-                    if (probs == 0.0).any():
-                        reached.add("p == 0.0")
-                    if negative_zero.any():
-                        reached.add("-0.0 product")
-                    if (negative_zero & np.signbit(penalty_grad)).any():
-                        reached.add("-0.0 product and -0.0 penalty")
-            if minibatch == 1:
-                expected = {"p == 0.0", "-0.0 product"}
-                if l2:
-                    expected.add("-0.0 product and -0.0 penalty")
-                assert expected <= reached
+        product = np.multiply.outer(delta[0], feats[idx[0]])
+        if (probs == 0.0).any():
+            reached.add("p == 0.0")
+        if ((product == 0.0) & np.signbit(product)).any():
+            reached.add("-0.0 product")
+    assert reached == {"p == 0.0", "-0.0 product"}
 
 
 def _multi_pass_shards():
@@ -343,26 +295,44 @@ def _multi_pass_shards():
 
 @pytest.mark.parametrize("shards, passes", [(_reference_shards, 1), (_multi_pass_shards, 5)],
                          ids=["one-pass", "five-passes"])
-@pytest.mark.parametrize("l2", [0.0, 0.5])
-def test_logistic_global_passes_match_the_per_client_loops(shards, passes, l2):
+def test_logistic_global_passes_match_the_per_client_loops(shards, passes):
     """`eval_global` and `grad_global` score runs of clients in one logits
     pass each, and `eval_local` and `grad_local` run the same code on one
     block; all four equal the client-by-client reference bit for bit, with
     one-row shards inside a pass and alone, all-zero feature rows and
     saturating scales."""
     shards = shards()
-    obj = Logistic(shards, num_classes=4, l2=l2)
+    obj = Logistic(shards, num_classes=4)
     assert len(obj._passes) == passes
     x_rng = rng_stream(6, "init", passes)
     for trial in range(6 * len(_REFERENCE_SCALES)):
         x = x_rng.standard_normal(obj.dim) * _REFERENCE_SCALES[trial % len(_REFERENCE_SCALES)]
-        losses, grads, loss, grad = logistic_reference(shards, 4, l2, x)
+        losses, grads, loss, grad = logistic_reference(shards, 4, x)
         got = np.array([obj.eval_local(i, x) for i in range(len(shards))])
         assert got.tobytes() == np.array(losses).tobytes()
         for i, want in enumerate(grads):
             assert obj.grad_local(i, x).tobytes() == want.tobytes()
         assert np.float64(obj.eval_global(x)).tobytes() == np.float64(loss).tobytes()
         assert obj.grad_global(x).tobytes() == grad.tobytes()
+
+
+def test_an_exactly_fitted_shard_has_no_negative_zero():
+    # Each row sits at least 500 from the boundary, on its label's side, so
+    # its label's log-probability is exactly 0.0 and the other class's
+    # probability underflows to 0.0. The loss is then a negated sum of
+    # zeros and every gradient entry a sum of 0.0 times features that are
+    # negative in the second column: -0.0 each, until the +0.0 that every
+    # loss and gradient adds.
+    feats = np.array([[-1e3, -1.0], [1e3, -2.0], [-2e3, -1.0], [5e2, -3.0]])
+    labels = np.array([0, 1, 0, 1])
+    obj = Logistic([(feats[:2], labels[:2]), (feats[2:], labels[2:])], num_classes=2)
+    x = np.array([-1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    losses = [obj.eval_local(0, x), obj.eval_local(1, x), obj.eval_global(x)]
+    assert np.array(losses).tobytes() == np.zeros(3).tobytes()
+    grads = [obj.grad_local(0, x), obj.grad_local(1, x), obj.grad_global(x)]
+    grads += [obj.stoch_grad_local(i, x, [u]) for i in range(2) for u in (0.0, 0.5)]
+    for grad in grads:
+        assert grad.tobytes() == np.zeros(obj.dim).tobytes()
 
 
 @pytest.mark.parametrize("classes", [1, 2, 3, 8, 9, 10, 11, 17])
@@ -388,9 +358,8 @@ def test_log_softmax_equals_the_row_reduce_spelling(classes):
     (lambda: SyntheticHard(sigma=1.0), 1),
     (lambda: Quadratic(np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 4.0]]), sigma=0.0), 3),
     (lambda: Quadratic(np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 4.0]]), sigma=0.5), 3),
-    (lambda: _tiny_logistic(minibatch=1), 1),
-    (lambda: _tiny_logistic(l2=0.1, minibatch=3), 3),
-], ids=["synthetic-sigma0", "synthetic", "quadratic-sigma0", "quadratic", "logistic", "logistic-minibatch3"])
+    (_tiny_logistic, 1),
+], ids=["synthetic-sigma0", "synthetic", "quadratic-sigma0", "quadratic", "logistic"])
 def test_each_call_consumes_exactly_its_declared_draws(build, draws):
     # The run loop hands each step exactly `draws` noise values by position,
     # and an oracle reads all of them, zeros included, and nothing past the
@@ -406,7 +375,7 @@ def test_each_call_consumes_exactly_its_declared_draws(build, draws):
     lambda: SyntheticHard(sigma=0.0),
     lambda: SyntheticHard(sigma=1.3),
     lambda: Quadratic(np.zeros((7, 3)), sigma=0.5),
-    lambda: _tiny_logistic(minibatch=3),
+    _tiny_logistic,
 ], ids=["synthetic-sigma0", "synthetic", "quadratic", "logistic"])
 def test_noise_is_elementwise(build):
     # The run loop maps a whole chunk of rounds at once, and the chunk's
