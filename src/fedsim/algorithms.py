@@ -16,7 +16,6 @@ average a single round's gradient mean.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -25,9 +24,9 @@ from .core import ALGORITHM_KEYS, ConfigError, RunConfig, rng_stream, stream_uni
 from .objectives import Objective
 from .participation import Scheduler
 
-# Doubles of gradient noise addressed at once (128 KB): the rounds of a
-# chunk are as many as would fit the uniforms of every client, and at least
-# one, though only the sampled clients' rows are computed.
+# Doubles of gradient noise addressed at once (128 KB): a chunk adds rounds
+# until its sampled clients' rows reach this many, so it holds at most one
+# round's rows more, and it holds at least one round.
 NOISE_CHUNK = 1 << 14
 
 
@@ -130,8 +129,9 @@ class Simulation:
 
     Client i's local steps in round r read the first `local_steps * draws`
     uniforms of the "gradient-noise" stream (seed, i, r), mapped through
-    `objective.noise`. When r falls outside the rounds held, the next chunk
-    of rounds is sampled, one `sample_round` call per round, and one
+    `objective.noise`. When r falls outside the rounds held, the rounds from
+    r on are sampled, one `sample_round` call per round and in order, until
+    their sampled rows reach `NOISE_CHUNK` doubles or the run ends; one
     `stream_uniforms` call computes the rows of the sampled (client, round)
     pairs, which one `objective.noise` call maps; so a round costs no stream
     construction and no per-step mapping, and `run_round(r)` reads its
@@ -179,16 +179,16 @@ class Simulation:
 
     def _fill_noise(self, r: int) -> None:
         per_client = self._noise.shape[1]
-        chunk = max(1, NOISE_CHUNK // (self.objective.n_clients * per_client))
-        stop = max(r + 1, min(r + chunk, self.rounds))
-        self._sets = [self.scheduler.sample_round(k, self.seed) for k in range(r, stop)]
-        sizes = [len(sampled) for sampled in self._sets]
-        self._offsets = [0, *itertools.accumulate(sizes)]
-        rounds = np.repeat(np.arange(r, stop, dtype=np.uint64), sizes)
-        uniforms = stream_uniforms(self.seed, "gradient-noise", np.concatenate(self._sets),
-                                   rounds, per_client)
+        sets = [self.scheduler.sample_round(r, self.seed)]
+        offsets = [0, len(sets[0])]
+        while offsets[-1] * per_client < NOISE_CHUNK and r + len(sets) < self.rounds:
+            sets.append(self.scheduler.sample_round(r + len(sets), self.seed))
+            offsets.append(offsets[-1] + len(sets[-1]))
+        rounds = np.repeat(np.arange(r, r + len(sets), dtype=np.uint64), np.diff(offsets))
+        uniforms = stream_uniforms(self.seed, "gradient-noise", np.concatenate(sets), rounds,
+                                   per_client)
         self._noise = self.objective.noise(uniforms)
-        self._noise_start = r
+        self._sets, self._offsets, self._noise_start = sets, offsets, r
 
     def run_round(self, r: int) -> None:
         if not 0 <= r - self._noise_start < len(self._sets):

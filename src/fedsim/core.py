@@ -346,15 +346,16 @@ def _coerce(key: str, value: str):
 
 
 def build_run_config(values: dict[str, str]) -> RunConfig:
-    """Turn raw string values into a validated RunConfig."""
+    """Turn raw string values into a RunConfig, rejecting an unknown key, a
+    missing required key and a value that does not parse. Ranges and key
+    combinations are checked when `harness.build_run` builds the run."""
     unknown = sorted(set(values) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigError(f"unknown config key: {unknown[0]!r}")
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ConfigError(f"missing required config key: {missing[0]!r}")
-    cfg = RunConfig(**{k: _coerce(k, v) for k, v in values.items()})
-    return validate_run_config(cfg)
+    return RunConfig(**{k: _coerce(k, v) for k, v in values.items()})
 
 
 def check_seed(seed: int) -> None:
@@ -364,7 +365,7 @@ def check_seed(seed: int) -> None:
 
 
 def validate_run_config(cfg: RunConfig) -> RunConfig:
-    """Check the algorithm and run-loop keys and fill derived defaults.
+    """Check the algorithm and run-loop keys.
 
     `mu`, `gamma` and `cv_init` are range-checked, then any of them that
     the algorithm does not read (`ALGORITHM_KEYS`) must be at its default.
@@ -376,7 +377,7 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
     `data.partition_indices`. `make_scheduler`, `build_objective` and
     `load_dataset` also reject any key the chosen pattern, objective or
     dataset kind never reads. `build_run` then matches `n_clients` against
-    the objective. Returns a normalized copy; the input is not modified.
+    the objective and fills the `eval_every` default. Returns `cfg` itself.
     """
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm: {cfg.algorithm!r}")
@@ -397,11 +398,7 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
     check_seed(cfg.seed)
     if cfg.eval_every < 0:
         raise ConfigError("eval_every must be >= 0.")
-
-    out = dataclasses.replace(cfg)
-    if cfg.eval_every == 0:
-        out.eval_every = 10 if cfg.objective == "logistic" else 20
-    return out
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ shortest round-trip form, which makes re-runs byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,6 +53,8 @@ _OBJECTIVES = {
 }
 _OBJECTIVE_KEYS = tuple(dict.fromkeys(key for keys in _OBJECTIVES.values() for key in keys))
 OBJECTIVES = tuple(_OBJECTIVES)
+# Rounds between evaluation marks when a config leaves `eval_every` at 0.
+_EVAL_EVERY = {"synthetic_hard": 20, "quadratic": 20, "logistic": 10}
 
 
 def build_objective(cfg: RunConfig) -> Objective:
@@ -102,13 +104,15 @@ def build_run(cfg: RunConfig) -> tuple[RunConfig, Objective, Scheduler]:
     objective. A config with several faults raises at the first of these
     steps that checks one.
 
-    Returns the normalized config, the objective and the scheduler; the
-    input is not modified.
+    Returns the config with its objective's `eval_every` default filled
+    in, the objective and the scheduler; the input is not modified.
     """
-    cfg = validate_run_config(cfg)
+    validate_run_config(cfg)
     scheduler = make_scheduler(cfg)
     objective = build_objective(cfg)
     check_n_clients(cfg, objective)
+    if cfg.eval_every == 0:
+        cfg = replace(cfg, eval_every=_EVAL_EVERY[cfg.objective])
     return cfg, objective, scheduler
 
 

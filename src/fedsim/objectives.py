@@ -200,14 +200,15 @@ class Logistic(Objective):
     `eval_local` and `grad_local` call them on one client's block, and
     `eval_global` and `grad_global` on each evaluation pass: a run of
     consecutive clients with at most `_PASS_DOUBLES` logits, or one larger
-    client. A pass over many blocks computes one matrix of logits and one
-    log-softmax, then reduces each block as a pass over that block alone
-    would: rows are independent, the loss is `np.mean`'s own arithmetic,
-    `np.add.reduce` over the block divided by its length, and each gradient
-    is its block's own product. So the global values keep the bits of a
-    loop over clients. Every loss and gradient adds +0.0 last, which turns
-    -0.0 into 0.0: the loss of a block the model fits exactly is 0.0, and
-    no gradient entry is -0.0.
+    client, or one client of a single row. A pass over many blocks computes
+    one matrix of logits and one log-softmax, then reduces each block as a
+    pass over that block alone would: rows of a matrix product are
+    independent, the loss is `np.mean`'s own arithmetic, `np.add.reduce`
+    over the block divided by its length, and each gradient is its block's
+    own product. So the global values keep the bits of a loop over clients.
+    Every loss and gradient adds +0.0 last, which turns -0.0 into 0.0: the
+    loss of a block the model fits exactly is 0.0, and no gradient entry is
+    -0.0.
 
     `stoch_grad_local` works on the drawn row as 1-D arrays, which skips
     most of the small-array overhead, and returns the same bits as `_grads`
@@ -251,11 +252,14 @@ class Logistic(Objective):
         self._features = [feats[a:b] for a, b in zip(bounds, bounds[1:])]
         self.labels = [labels[a:b] for a, b in zip(bounds, bounds[1:])]
         # Evaluation passes: runs of consecutive clients whose logits fit
-        # _PASS_DOUBLES, a larger client alone. Each is held as its rows,
-        # their labels and its clients' bounds within it.
+        # _PASS_DOUBLES, a larger client alone, and a one-row client alone:
+        # numpy multiplies a one-row matrix with its matrix-vector kernel,
+        # whose sums round otherwise than the matrix product's. Each pass is
+        # held as its rows, their labels and its clients' bounds within it.
         firsts = [0]
         for i in range(1, len(shards)):
-            if (bounds[i + 1] - bounds[firsts[-1]]) * num_classes > _PASS_DOUBLES:
+            if (1 in (bounds[i + 1] - bounds[i], bounds[i] - bounds[i - 1])
+                    or (bounds[i + 1] - bounds[firsts[-1]]) * num_classes > _PASS_DOUBLES):
                 firsts.append(i)
         self._passes = []
         for first, stop in zip(firsts, firsts[1:] + [len(shards)]):
@@ -290,34 +294,26 @@ class Logistic(Objective):
         logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
         return logits
 
-    def _log_probs(self, w: np.ndarray, feats: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
-        """Log-softmax of the logits of every row of `feats`, each row as a
-        pass over its block alone computes it."""
-        logits = feats @ w.T
-        if len(bounds) > 2:
-            # numpy multiplies a one-row matrix with its matrix-vector kernel,
-            # whose sums round otherwise than the matrix product's.
-            for a, b in zip(bounds, bounds[1:]):
-                if b - a == 1:
-                    logits[a:b] = feats[a:b] @ w.T
-        return self._log_softmax(logits)
-
     def _losses(self, w: np.ndarray, feats: np.ndarray, labels: np.ndarray,
                 bounds: Sequence[int]) -> list[float]:
         """Mean cross-entropy of each block of rows."""
-        picked = self._log_probs(w, feats, bounds)[np.arange(len(labels)), labels]
+        picked = self._log_softmax(feats @ w.T)[np.arange(len(labels)), labels]
         return [-float(np.add.reduce(picked[a:b]) / (b - a)) + 0.0
                 for a, b in zip(bounds, bounds[1:])]
 
     def _grads(self, w: np.ndarray, feats: np.ndarray, labels: np.ndarray,
                bounds: Sequence[int]) -> list[np.ndarray]:
         """Mean cross-entropy gradient of each block of rows, raveled."""
-        delta = self._log_probs(w, feats, bounds)
+        delta = self._log_softmax(feats @ w.T)
         np.exp(delta, out=delta)
         delta[np.arange(len(labels)), labels] -= 1.0
         grads = []
         for a, b in zip(bounds, bounds[1:]):
             grad = delta[a:b].T @ feats[a:b] / (b - a)
+            # OpenBLAS starts each sum of this product from +0.0, so an
+            # all-zero column of `delta` already gives 0.0; a BLAS kernel that
+            # starts from the first product would give -0.0 for a negative
+            # feature, and this add keeps the bits the same on such a kernel.
             grad += _ZERO
             grads.append(grad.ravel())
         return grads

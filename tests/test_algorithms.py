@@ -378,22 +378,32 @@ _CHUNK_PATTERNS = {
 def test_chunked_noise_equals_a_stream_per_client_round(monkeypatch, kind, pattern):
     # The golden bytes cover only one uniform per step (synthetic and
     # logistic); the quadratic cases pin draws > 1 across refills, and every
-    # case pins that a chunk samples each of its rounds once, in order.
+    # case pins that a chunk samples each of its rounds once, in order, and
+    # adds rounds until its sampled rows reach NOISE_CHUNK doubles.
     objective = _chunked_objective(kind)
     cfg = _cfg(n_clients=12, s_clients=3, local_steps=4, eta=0.05, seed=9, pattern=pattern,
                objective=kind, **_CHUNK_PATTERNS[pattern])
-    chunk_rounds = NOISE_CHUNK // (12 * 4 * objective.draws)
-    cfg.rounds = 2 * chunk_rounds + 3
+    row = cfg.local_steps * objective.draws
+    reference = make_scheduler(cfg)
+    # The first round of each of three chunks; the run ends 3 rounds into the third.
+    starts, doubles, r = [], NOISE_CHUNK, 0
+    while len(starts) < 3:
+        if doubles >= NOISE_CHUNK:
+            starts.append(r)
+            doubles = 0
+        doubles += len(reference.sample_round(r, cfg.seed)) * row
+        r += 1
+    cfg.rounds = starts[-1] + 3
     fills = []
     monkeypatch.setattr(algorithms, "stream_uniforms",
-                        lambda *args: fills.append(int(args[3][0])) or stream_uniforms(*args))
+                        lambda *args: fills.append((int(args[3][0]), len(args[2]) * row))
+                        or stream_uniforms(*args))
     scheduler = make_scheduler(cfg)
     sampled_rounds = []
     sample_round = scheduler.sample_round
     monkeypatch.setattr(scheduler, "sample_round",
                         lambda r, seed: sampled_rounds.append(r) or sample_round(r, seed))
     sim = Simulation(objective, scheduler, cfg)
-    reference = make_scheduler(cfg)
     sizes = set()
     x = np.zeros(objective.dim)
     for r in range(cfg.rounds):
@@ -409,7 +419,8 @@ def test_chunked_noise_equals_a_stream_per_client_round(monkeypatch, kind, patte
             new += (1.0 / len(sampled)) * end
         x = new
         assert sim.model.tobytes() == x.tobytes()
-    assert fills == [0, chunk_rounds, 2 * chunk_rounds]
+    assert [start for start, _ in fills] == starts
+    assert max(computed for _, computed in fills) <= NOISE_CHUNK + cfg.s_clients * row
     assert sampled_rounds == list(range(cfg.rounds))
     assert sizes == ({1, 2, 3} if pattern == "sca" else {3})
 

@@ -25,7 +25,6 @@ from fedsim.core import (
     parse_experiment_text,
     rng_stream,
     stream_uniforms,
-    validate_run_config,
 )
 from fedsim.harness import build_run
 
@@ -294,19 +293,6 @@ def test_build_run_config_errors():
         build_run_config(dict(BASE, rounds="ten"))
 
 
-def test_validation_rejects_inconsistent_combinations():
-    with pytest.raises(ConfigError):
-        validate_run_config(RunConfig(n_clients=2, rounds=1, algorithm="sgd", eta=0.1,
-                                      objective="quadratic", centers="0"))
-    with pytest.raises(ConfigError, match="algorithm scaffold does not read gamma"):
-        build_run_config(dict(BASE, algorithm="scaffold", gamma="2"))
-    with pytest.raises(ConfigError, match="algorithm fedavg does not read mu"):
-        build_run_config(dict(BASE, mu="0.5"))
-    with pytest.raises(ConfigError, match="multiple of k_bar"):
-        build_run(build_run_config(dict(BASE, n_clients="5", objective="quadratic",
-                                        centers="0;0;0;0;0", pattern="cyclic", k_bar="2")))
-
-
 # The keys the run loop itself reads. Every other RunConfig field is read by
 # the choice a table names: an algorithm, a pattern, or an objective or its
 # dataset kind.
@@ -335,15 +321,6 @@ def test_regularized_pattern_rejects_s_clients():
     assert build_run_config(values).s_clients == 1
     with pytest.raises(ConfigError, match="does not read s_clients"):
         build_run(build_run_config(dict(values, s_clients="7")))
-
-
-def test_eval_every_defaults_by_objective():
-    cfg = build_run_config(BASE)
-    assert cfg.eval_every == 20
-    logistic = build_run_config(dict(BASE, objective="logistic"))
-    assert logistic.eval_every == 10
-    explicit = build_run_config(dict(BASE, eval_every="7"))
-    assert explicit.eval_every == 7
 
 
 def test_experiment_grid_expansion_order():

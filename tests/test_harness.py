@@ -10,6 +10,7 @@ from fedsim.core import ConfigError, ExperimentSpec, RunConfig, build_run_config
 from fedsim.harness import (
     RUN_CSV_HEADER,
     build_objective,
+    build_run,
     grid_csv,
     load_dataset,
     parse_centers,
@@ -182,6 +183,33 @@ def test_parse_centers():
 def test_build_objective_errors():
     with pytest.raises(ConfigError, match="unknown objective"):
         build_objective(RunConfig(objective="nope"))
+
+
+_SYNTHETIC = {"n_clients": "2", "rounds": "10", "algorithm": "fedavg", "eta": "0.1",
+              "objective": "synthetic_hard"}
+
+
+def test_validation_rejects_inconsistent_combinations():
+    with pytest.raises(ConfigError):
+        build_run(RunConfig(n_clients=2, rounds=1, algorithm="sgd", eta=0.1,
+                            objective="quadratic", centers="0"))
+    with pytest.raises(ConfigError, match="algorithm scaffold does not read gamma"):
+        build_run(build_run_config(dict(_SYNTHETIC, algorithm="scaffold", gamma="2")))
+    with pytest.raises(ConfigError, match="algorithm fedavg does not read mu"):
+        build_run(build_run_config(dict(_SYNTHETIC, mu="0.5")))
+    with pytest.raises(ConfigError, match="multiple of k_bar"):
+        build_run(build_run_config(dict(_SYNTHETIC, n_clients="5", objective="quadratic",
+                                        centers="0;0;0;0;0", pattern="cyclic", k_bar="2")))
+
+
+def test_eval_every_defaults_by_objective():
+    cfg, _, _ = build_run(build_run_config(_SYNTHETIC))
+    assert cfg.eval_every == 20
+    logistic, _, _ = build_run(build_run_config(dict(_SYNTHETIC, objective="logistic")))
+    assert logistic.eval_every == 10
+    explicit, _, _ = build_run(build_run_config(dict(_SYNTHETIC, eval_every="7")))
+    assert explicit.eval_every == 7
+    assert set(harness._EVAL_EVERY) == set(harness.OBJECTIVES)
 
 
 def test_blob_dataset_split():

@@ -286,24 +286,28 @@ def test_logistic_oracle_matches_reference_math():
 
 def _multi_pass_shards():
     """Shards of 1, 2, 37, 2500, 1, 3000 and 459 rows of four-class blobs:
-    evaluation passes of the first three, then of each other one alone."""
+    evaluation passes of the first, of the next two, then of each other one
+    alone."""
     features, labels = make_blobs(6000, 4, 5, seed=7)
     features[3::4] = 0.0
     cuts = np.cumsum([1, 2, 37, 2500, 1, 3000])
     return list(zip(np.split(features, cuts), np.split(labels, cuts)))
 
 
-@pytest.mark.parametrize("shards, passes", [(_reference_shards, 1), (_multi_pass_shards, 5)],
-                         ids=["one-pass", "five-passes"])
+@pytest.mark.parametrize("shards, passes", [(_reference_shards, 2), (_multi_pass_shards, 6)],
+                         ids=["two-passes", "six-passes"])
 def test_logistic_global_passes_match_the_per_client_loops(shards, passes):
     """`eval_global` and `grad_global` score runs of clients in one logits
     pass each, and `eval_local` and `grad_local` run the same code on one
     block; all four equal the client-by-client reference bit for bit, with
-    one-row shards inside a pass and alone, all-zero feature rows and
-    saturating scales."""
+    one-row shards first and between larger shards, all-zero feature rows
+    and saturating scales. Every one-row shard is alone in its pass, whose
+    one-row product is the reference's."""
     shards = shards()
     obj = Logistic(shards, num_classes=4)
     assert len(obj._passes) == passes
+    for _, labels, bounds in obj._passes:
+        assert len(labels) == 1 or all(b - a > 1 for a, b in zip(bounds, bounds[1:]))
     x_rng = rng_stream(6, "init", passes)
     for trial in range(6 * len(_REFERENCE_SCALES)):
         x = x_rng.standard_normal(obj.dim) * _REFERENCE_SCALES[trial % len(_REFERENCE_SCALES)]

@@ -5,6 +5,8 @@ import collections
 import sys
 from pathlib import Path
 
+from fedsim.harness import OBJECTIVES
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "fedsim"
 
 
@@ -284,3 +286,37 @@ def test_no_module_imports_another_modules_private_names(tmp_path):
     modules = sorted(SRC.glob("*.py"))
     found = [entry for path in modules for entry in private_imports(path)]
     assert not found, f"imports of another module's private names: {found}"
+
+
+def callers(name: str, paths: list[Path]) -> list[str]:
+    """`module.definition` for each top-level function or class in `paths`
+    that calls `name`, by name or as an attribute; `module.<module>` for a
+    call outside any definition."""
+    found = []
+    for path in paths:
+        for node in parse(path).body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and name in (getattr(call.func, "id", None),
+                                                           getattr(call.func, "attr", None)):
+                    found.append(f"{path.stem}.{owner}")
+                    break
+    return found
+
+
+def test_a_config_is_validated_in_build_run_alone(tmp_path):
+    """`harness.build_run` is the one construction path of a run, so it is
+    the one place that checks a config; a second check would run twice."""
+    sample = tmp_path / "sample.py"
+    sample.write_text("def a(): core.f(1)\ndef b(): pass\nclass C:\n    def m(self): f(2)\nf(3)\n")
+    assert callers("f", [sample]) == ["sample.a", "sample.C", "sample.<module>"]
+    found = callers("validate_run_config", sorted(SRC.glob("*.py")))
+    assert found == ["harness.build_run"], f"callers of validate_run_config: {found}"
+
+
+def test_core_names_no_objective_kind():
+    """What depends on the objective kind lives with the objective table in
+    `harness`, so `core` parses and checks a config without knowing one."""
+    found = [f"core.py:{node.lineno} {node.value!r}" for node in ast.walk(parse(SRC / "core.py"))
+             if isinstance(node, ast.Constant) and node.value in OBJECTIVES]
+    assert not found, f"objective kinds named in core.py: {found}"
