@@ -20,7 +20,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import ALGORITHM_KEYS, ConfigError, RunConfig, rng_stream, stream_uniforms
+from .core import ALGORITHM_KEYS, RunConfig, rng_stream, stream_uniforms
 from .objectives import Objective
 from .participation import Scheduler
 
@@ -30,22 +30,18 @@ from .participation import Scheduler
 NOISE_CHUNK = 1 << 14
 
 
-def control_variate_init(mode: str, objective: Objective, x0: np.ndarray, seed: int,
+def control_variate_init(objective: Objective, x0: np.ndarray, seed: int,
                          local_steps: int) -> np.ndarray:
-    """Initial control variates at the starting model: an (n_clients, dim)
+    """Warm-start control variates at the starting model: an (n_clients, dim)
     array whose row i is subtracted in client i's local steps.
 
-    warm_start draws local_steps stochastic gradients per client at x0 and
-    averages them, so with zero noise each client starts at its exact local
-    gradient. Draw k of client i reads uniforms k*draws to (k+1)*draws - 1
-    of the "init" stream (seed, i, 0), mapped through `objective.noise` in
-    one call per client. zero leaves everything at 0.
+    Row i averages local_steps stochastic gradients of client i at x0, so
+    with zero noise each client starts at its exact local gradient. Draw k
+    of client i reads uniforms k*draws to (k+1)*draws - 1 of the "init"
+    stream (seed, i, 0), mapped through `objective.noise` in one call per
+    client. For `cv_init = zero` `Simulation` holds zeros instead.
     """
     variates = np.zeros((objective.n_clients, objective.dim))
-    if mode == "zero":
-        return variates
-    if mode != "warm_start":
-        raise ValueError(f"unknown cv_init mode: {mode!r}")
     d = objective.draws
     for i in range(objective.n_clients):
         noise = objective.noise(rng_stream(seed, "init", i, 0).random(local_steps * d)).tolist()
@@ -58,15 +54,15 @@ def control_variate_init(mode: str, objective: Objective, x0: np.ndarray, seed: 
 
 def client_local_update(objective: Objective, client: int, start: np.ndarray,
                         local_steps: int, eta: float, noise: Sequence[float],
-                        correction: np.ndarray | None = None, mu: float = 0.0,
-                        sum_gradients: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+                        correction: np.ndarray | None = None,
+                        mu: float = 0.0) -> tuple[np.ndarray, np.ndarray | None]:
     """Run one client's local steps from `start`.
 
     Each step moves against the stochastic gradient plus the optional fixed
     correction and the optional proximal pull toward the start point.
-    Returns the endpoint and, with `sum_gradients`, the sum of raw
+    Returns the endpoint and, when handed a `correction`, the sum of raw
     (uncorrected) stochastic gradients, else None. Only control-variate
-    refreshes read that sum, so only the control-variate methods ask for it.
+    clients get a correction, and only their refreshes read that sum.
 
     `noise` holds the client-round's `local_steps * draws` noise values,
     uniforms already mapped through `objective.noise`, and step k's oracle
@@ -80,14 +76,12 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     are only read. `eta` and `mu` enter as 0-d arrays, the same doubles,
     which numpy takes without converting a Python float on every step.
     """
-    if local_steps < 1:
-        raise ValueError("local_steps must be >= 1.")
     d = objective.draws
     if len(noise) != local_steps * d:
         raise ValueError(f"{local_steps} local steps of {d} draws need {local_steps * d}"
                          f" noise values, got {len(noise)}.")
     x = np.array(start, dtype=float)
-    grad_sum = np.zeros_like(x) if sum_gradients else None
+    grad_sum = None if correction is None else np.zeros_like(x)
     step = np.array(eta, dtype=float)
     pull = np.array(mu, dtype=float) if mu else None
     for k in range(local_steps):
@@ -103,19 +97,13 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     return x, grad_sum
 
 
-def check_n_clients(cfg: RunConfig, objective: Objective) -> None:
-    """Reject a config whose `n_clients` differs from the objective's."""
-    if cfg.n_clients != objective.n_clients:
-        raise ConfigError(f"config n_clients = {cfg.n_clients}, but the {cfg.objective}"
-                          f" objective has {objective.n_clients} clients.")
-
-
 class Simulation:
     """Mutable server state driving one run round by round.
 
     The caller owns the loop: call run_round(r) for r = 0..R-1 and read
     `model` whenever a metric evaluation is wanted. Reading the model never
-    touches any training randomness.
+    touches any training randomness. The pieces are taken as
+    `harness.build_run` checked them; nothing here checks a config.
 
     The state is plain arrays: `model`, the live server model that sampled
     clients start from, and `x_global`, the model at the last commit. With
@@ -142,7 +130,6 @@ class Simulation:
     """
 
     def __init__(self, objective: Objective, scheduler: Scheduler, cfg: RunConfig):
-        check_n_clients(cfg, objective)
         self.objective = objective
         self.scheduler = scheduler
         # An unchecked config may set a key the algorithm does not read; it is ignored.
@@ -161,8 +148,11 @@ class Simulation:
         self.x_global = self.model = np.zeros(objective.dim)
         self.variates = self.variate_mean = self.accum = self.qbar = None
         if "cv_init" in reads:
-            self.variates = control_variate_init(cfg.cv_init, objective, self.x_global,
-                                                 cfg.seed, cfg.local_steps)
+            if cfg.cv_init == "zero":
+                self.variates = np.zeros((objective.n_clients, objective.dim))
+            else:
+                self.variates = control_variate_init(objective, self.x_global, cfg.seed,
+                                                     cfg.local_steps)
             # The mean spelled out: np.add.reduce divided by the count is
             # what `mean` computes, without its dispatch.
             self.variate_mean = np.add.reduce(self.variates, axis=0) / len(self.variates)
@@ -208,8 +198,7 @@ class Simulation:
         for i, row in zip(sampled.tolist(), noise):
             correction = None if variates is None else self.variate_mean - variates[i]
             end, grad_sum = client_local_update(self.objective, i, self.model, self.local_steps,
-                                                self.eta, row, correction, self.mu,
-                                                sum_gradients=variates is not None)
+                                                self.eta, row, correction, self.mu)
             # Both arrays are this update's own, so they are weighted in place.
             end *= weight
             new_model += end

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithms import Simulation, check_n_clients
+from .algorithms import Simulation
 from .core import (ConfigError, ExperimentSpec, RunConfig, RunRecord, build_run_config, format_value,
                    reject_unread, validate_run_config)
 from .data import load_idx, make_blobs, partition_by_similarity
@@ -110,7 +110,9 @@ def build_run(cfg: RunConfig) -> tuple[RunConfig, Objective, Scheduler]:
     validate_run_config(cfg)
     scheduler = make_scheduler(cfg)
     objective = build_objective(cfg)
-    check_n_clients(cfg, objective)
+    if cfg.n_clients != objective.n_clients:
+        raise ConfigError(f"config n_clients = {cfg.n_clients}, but the {cfg.objective}"
+                          f" objective has {objective.n_clients} clients.")
     if cfg.eval_every == 0:
         cfg = replace(cfg, eval_every=_EVAL_EVERY[cfg.objective])
     return cfg, objective, scheduler

@@ -4,8 +4,9 @@ that `fedsim verify` does not check against a closed form, the window
 statistics in their plainest spelling, the logistic loss and gradient
 client by client, the exact window factor of the noiseless quadratic
 under full participation and scaffold's exact round map there with one
-client present, a shorthand for the scheduler a pattern name builds, and
-an IDX pair writer."""
+client present, a shorthand for the scheduler a pattern name builds, a
+scheduler that repeats fixed client sets in turn, and an IDX pair
+writer."""
 
 import struct
 from pathlib import Path
@@ -23,6 +24,27 @@ def pattern_scheduler(pattern: str, n_clients: int, **keys) -> Scheduler:
     """The scheduler `make_scheduler` builds for `pattern` on n_clients, with
     the given participation keys set."""
     return make_scheduler(RunConfig(n_clients=n_clients, pattern=pattern, **keys))
+
+
+class TurnsScheduler(Scheduler):
+    """Fixed client sets taking turns: round r samples `turns[r % len(turns)]`
+    whatever the seed, and the window is one pass through the turns.
+
+    Unlike the cyclic family, the turns need not give clients equal chances:
+    [[0], [1, 2, 3]] weighs client 0 by 1/2 in every window and clients 1-3
+    by 1/6, where [[0, 1], [2, 3]] weighs every client 1/4. `rho_sq` is the
+    largest round's sum of squared weights, 1 / S of its smallest set, and
+    `p_sample` is 1, since every client takes part in every window."""
+
+    def __init__(self, n_clients: int, turns):
+        self.n_clients = n_clients
+        self.turns = [np.array(sorted(turn), dtype=np.int64) for turn in turns]
+        self.window = len(self.turns)
+        self.rho_sq = 1.0 / min(len(turn) for turn in self.turns)
+        self.p_sample = 1.0
+
+    def sample_round(self, r: int, seed: int) -> np.ndarray:
+        return self.turns[r % self.window]
 
 
 def write_idx(images_path, labels_path, features, labels) -> None:

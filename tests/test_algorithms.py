@@ -12,7 +12,7 @@ from fedsim.core import RunConfig, rng_stream, stream_uniforms
 from fedsim.objectives import Logistic, Quadratic
 from fedsim.participation import make_scheduler
 
-from checks import full_participation_window_factor, scaffold_round_map
+from checks import TurnsScheduler, full_participation_window_factor, scaffold_round_map
 
 
 def _cfg(**kw) -> RunConfig:
@@ -32,10 +32,10 @@ def test_single_local_step_endpoint_and_gradient_sum():
     obj = Quadratic(np.array([[1.0]]))
     noise = obj.noise(rng_stream(0, "gradient-noise").random(1))
     end, grad_sum = client_local_update(obj, 0, np.zeros(1), local_steps=1, eta=0.1,
-                                        noise=noise, sum_gradients=True)
+                                        noise=noise, correction=np.zeros(1))
     assert end[0] == 0.1
     assert grad_sum[0] == -1.0
-    # the sum is computed only on request
+    # the sum comes only with a correction, which only control-variate clients get
     plain, no_sum = client_local_update(obj, 0, np.zeros(1), local_steps=1, eta=0.1, noise=noise)
     assert plain.tobytes() == end.tobytes() and no_sum is None
 
@@ -44,7 +44,7 @@ def test_local_steps_compound():
     obj = Quadratic(np.array([[1.0]]))
     end, grad_sum = client_local_update(obj, 0, np.zeros(1), local_steps=2, eta=0.1,
                                         noise=obj.noise(rng_stream(0, "gradient-noise").random(2)),
-                                        sum_gradients=True)
+                                        correction=np.zeros(1))
     # second step starts from 0.1, gradient is 0.1 - 1 = -0.9
     assert abs(end[0] - 0.19) < 1e-15
     assert abs(grad_sum[0] - (-1.9)) < 1e-15
@@ -68,8 +68,7 @@ def test_local_update_equals_the_out_of_place_formula(with_correction, mu):
     correction = rng_stream(1, "init", 2).standard_normal(3) if with_correction else None
     before = start.copy(), None if correction is None else correction.copy()
     noise = objective.noise(rng_stream(1, "gradient-noise", 1, 2).random(7 * 3))
-    end, grad_sum = client_local_update(objective, 1, start, 7, 0.3, noise, correction, mu,
-                                        sum_gradients=True)
+    end, grad_sum = client_local_update(objective, 1, start, 7, 0.3, noise, correction, mu)
     assert start.tobytes() == before[0].tobytes()
     if correction is not None:
         assert correction.tobytes() == before[1].tobytes()
@@ -88,10 +87,11 @@ def test_local_update_equals_the_out_of_place_formula(with_correction, mu):
             step = step + mu * (x - start)
         x = x - 0.3 * step
     assert end.tobytes() == x.tobytes()
-    assert grad_sum.tobytes() == expected_sum.tobytes()
-    # leaving the sum out moves no bit of the endpoint
-    plain, no_sum = client_local_update(objective, 1, start, 7, 0.3, noise, correction, mu)
-    assert plain.tobytes() == end.tobytes() and no_sum is None
+    # the raw-gradient sum comes exactly when a correction is handed in
+    if correction is None:
+        assert grad_sum is None
+    else:
+        assert grad_sum.tobytes() == expected_sum.tobytes()
 
 
 def test_round_aggregates_by_participation_weight():
@@ -139,19 +139,19 @@ def test_fedprox_with_zero_mu_matches_fedavg_exactly():
 
 def test_warm_start_control_variates_without_noise():
     obj = Quadratic(np.array([[1.0, 2.0], [3.0, -4.0], [0.0, 0.0]]))
-    variates = control_variate_init("warm_start", obj, np.zeros(2), seed=0, local_steps=3)
+    variates = control_variate_init(obj, np.zeros(2), seed=0, local_steps=3)
     assert variates.shape == (3, 2)
     for i in range(3):
         np.testing.assert_array_equal(variates[i], obj.grad_local(i, np.zeros(2)))
-    zero = control_variate_init("zero", obj, np.zeros(2), seed=0, local_steps=3)
-    assert zero.shape == (3, 2) and not zero.any()
-    # the engine holds the same variates and their mean
+    # the engine holds the same variates and their mean, and zeros for cv_init = zero
     cfg = _cfg(n_clients=3, algorithm="scaffold", local_steps=3)
     sim = Simulation(obj, make_scheduler(cfg), cfg)
     np.testing.assert_array_equal(sim.variates, variates)
     np.testing.assert_array_equal(sim.variate_mean, variates.mean(axis=0))
-    with pytest.raises(ValueError):
-        control_variate_init("cold", obj, np.zeros(2), 0, 1)
+    cfg.cv_init = "zero"
+    zero = Simulation(obj, make_scheduler(cfg), cfg)
+    assert zero.variates.shape == (3, 2) and not zero.variates.any()
+    assert not zero.variate_mean.any()
 
 
 def test_refresh_uses_window_average_of_raw_gradients():
@@ -161,7 +161,7 @@ def test_refresh_uses_window_average_of_raw_gradients():
     # with zero initial variates round 0 is plain local SGD for client 0
     noise = sim.objective.noise(rng_stream(0, "gradient-noise", 0, 0).random(2))
     _, grad_sum = client_local_update(sim.objective, 0, np.zeros(1), 2, 0.01, noise,
-                                      sum_gradients=True)
+                                      correction=np.zeros(1))
     sim.run_round(0)
     sim.run_round(1)
     assert sim.variates[0][0] == grad_sum[0] / 2
@@ -281,6 +281,35 @@ def test_scaffold_long_phases_follow_the_exact_round_map(eta, radius):
         assert min(map(abs, errors)) > 0.999
 
 
+# Client 0 alone in even rounds and clients 1-3 in odd ones gives client 0
+# half of every window; the equal turns {0, 1}, {2, 3} give each client a
+# quarter. The centers are 1, 0, 0, 0, so the optimum is 0.25.
+_TURNS = {"unequal": [[0], [1, 2, 3]], "equal": [[0, 1], [2, 3]]}
+
+
+@pytest.mark.parametrize("turns, fedavg_end", [("unequal", 0.474768), ("equal", 0.237384)])
+def test_control_variates_reach_the_optimum_under_unequal_turns(turns, fedavg_end):
+    ends = {}
+    for algorithm, gamma in (("fedavg", 1.0), ("scaffold", 1.0), ("amp_scaffold", 1.5)):
+        cfg = _cfg(n_clients=4, algorithm=algorithm, gamma=gamma, eta=0.02, local_steps=5,
+                   rounds=4000)
+        objective = Quadratic(np.array([[1.0], [0.0], [0.0], [0.0]]), cfg.sigma)
+        sim = Simulation(objective, TurnsScheduler(4, _TURNS[turns]), cfg)
+        for r in range(cfg.rounds):
+            sim.run_round(r)
+        ends[algorithm] = sim.x_global[0]
+    assert abs(ends["scaffold"] - 0.25) <= 1e-12
+    assert abs(ends["amp_scaffold"] - 0.25) <= 1e-12
+    # Each round maps x to rho * x + (1 - rho) * m, rho = (1 - eta)^K and m
+    # the round's mean center: 1 or 1/2 in even rounds, 0 in odd ones. The
+    # two-round map's fixed point, read after an odd round, is
+    # m * rho / (1 + rho), the participation-weighted point.
+    rho = 0.98 ** 5
+    pulled = {"unequal": 1.0, "equal": 0.5}[turns]
+    assert abs(ends["fedavg"] - pulled * rho / (1 + rho)) <= 1e-12
+    assert round(ends["fedavg"], 6) == fedavg_end
+
+
 @pytest.mark.parametrize("algorithm, key", [
     ("scaffold", dict(gamma=2.0)), ("fedavg", dict(mu=0.5)), ("fedavg", dict(cv_init="zero")),
 ], ids=["scaffold-gamma", "fedavg-mu", "fedavg-cv_init"])
@@ -324,11 +353,12 @@ def test_client_updates_do_not_depend_on_execution_order():
     objective = Quadratic(rng_stream(4, "init").random((8, 3)), cfg.sigma)
     sampled = make_scheduler(cfg).sample_round(3, cfg.seed).tolist()
     start = np.full(3, 0.5)
+    correction = np.full(3, 0.25)
 
     def update(client):
         uniforms = rng_stream(cfg.seed, "gradient-noise", client, 3).random(cfg.local_steps * 3)
         return client_local_update(objective, client, start, cfg.local_steps, cfg.eta,
-                                   objective.noise(uniforms), sum_gradients=True)
+                                   objective.noise(uniforms), correction)
 
     forward = {i: update(i) for i in sampled}
     backward = {i: update(i) for i in reversed(sampled)}
@@ -345,12 +375,6 @@ def test_uplink_accounting():
         cv.run_round(r)
     assert plain.uplink_scalars == 3 * 2 * 2
     assert cv.uplink_scalars == 3 * 2 * 2 * 2
-
-
-def test_mismatched_population_is_rejected():
-    cfg = _cfg(n_clients=3, s_clients=2)
-    with pytest.raises(ValueError, match="n_clients"):
-        _sim(cfg, [[1.0], [-1.0]])
 
 
 def _chunked_objective(kind: str):
@@ -440,7 +464,7 @@ def test_an_objective_that_overdraws_raises_instead_of_reading_the_next_stream()
     with pytest.raises(IndexError):
         sim.run_round(0)
     with pytest.raises(IndexError):
-        control_variate_init("warm_start", objective, np.zeros(1), seed=0, local_steps=3)
+        control_variate_init(objective, np.zeros(1), seed=0, local_steps=3)
 
 
 def test_each_step_reads_its_own_uniforms_whatever_the_other_steps_read():
@@ -487,7 +511,7 @@ def test_warm_start_equals_a_stream_per_client(kind):
     # uniform per draw; the quadratic case pins draws > 1.
     objective = _chunked_objective(kind)
     x0 = rng_stream(3, "init", 99).standard_normal(objective.dim)
-    variates = control_variate_init("warm_start", objective, x0, seed=5, local_steps=4)
+    variates = control_variate_init(objective, x0, seed=5, local_steps=4)
     for i in range(objective.n_clients):
         rng = rng_stream(5, "init", i, 0)
         total = np.zeros(objective.dim)

@@ -73,6 +73,11 @@ seeds = 0, 1
 """
 
 
+# The shipped desk run on 20000 clients, each group large enough to sample 4000.
+DESK_WIDE_CFG = (CONFIGS / "desk_fedavg.cfg").read_text().replace(
+    "s_clients = 10", "s_clients = 4000")
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -189,6 +194,28 @@ def test_run_with_nobody_available_exits_2_and_writes_no_csv(tmp_path, capsys):
     assert not (out / "run.csv").exists()
 
 
+# A run that diverges still exits 0: its rows stop at the last finite mark,
+# and its summary says so.
+@pytest.mark.parametrize("config, overrides, rows, line", [
+    # eta = 1 leaves the finite range before the first mark after round 0
+    (CONFIGS / "synthetic_fedavg.cfg", ["eta=1"], ["0"],
+     "warning: trajectory left the finite range and was truncated."),
+    # the start model's loss 0.5 * (1e200)^2 overflows already at round 0
+    (None, ["centers=1e200; -1e200"], [], "final: no finite evaluation"),
+], ids=["after-round-0", "at-round-0"])
+def test_run_reports_a_divergence(tmp_path, capsys, config, overrides, rows, line):
+    config = config or _write(tmp_path, "run.cfg", QUAD_CFG)
+    flags = [arg for item in overrides for arg in ("--override", item)]
+    rc = main(["run", "--config", str(config), *flags, "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert line in out
+    assert "warning: trajectory left the finite range and was truncated." in out
+    lines = (tmp_path / "o" / "run.csv").read_text().splitlines()
+    assert lines[0] == "round,grad_norm,train_loss,test_metric,uplink_scalars"
+    assert [row.split(",")[0] for row in lines[1:]] == rows
+
+
 # NaN passes every range check, so each of these ran to exit 0 (eta and h
 # diverging silently) until non-finite values were rejected at parsing.
 @pytest.mark.parametrize("key, value", [("mu", "nan"), ("eta", "nan"), ("h", "nan"), ("gamma", "inf")])
@@ -230,11 +257,13 @@ def test_run_accepts_a_nan_target_value(tmp_path, capsys):
     (LOGISTIC_CFG, "minibatch=1", "minibatch"),
     (LOGISTIC_CFG, "l2=0", "l2"),
     (IDX_CFG, "test_labels_path=empty-labels.idx", "the test set has no samples"),
+    (DESK_WIDE_CFG, "n_clients=20000", "cannot split 10000 samples across 20000 clients"),
     # logistic never reads sigma
     (LOGISTIC_CFG, "sigma=-1", "objective logistic does not read sigma"),
 ], ids=["pattern", "objective", "synthetic-n_clients", "h", "mu_pl", "kappa", "synthetic-sigma",
         "quadratic-sigma", "centers-empty", "centers-count", "centers-nan", "centers-no-coordinates",
-        "dataset", "idx-paths", "similarity", "minibatch", "l2", "empty-test-pair", "logistic-sigma"])
+        "dataset", "idx-paths", "similarity", "minibatch", "l2", "empty-test-pair",
+        "more-clients-than-samples", "logistic-sigma"])
 def test_run_rejects_a_bad_objective_key_by_name(tmp_path, capsys, monkeypatch, base, override, key):
     # IDX_CFG's files: 200 training samples and a held-out pair with none.
     monkeypatch.chdir(tmp_path)
@@ -359,6 +388,17 @@ def test_grid_without_grid_keys_exits_2(tmp_path, capsys):
     rc = main(["grid", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    (QUAD_CFG + "grid.eta = ,\n", "grid key 'eta' has no values."),
+    (GRID_CFG.replace("seeds = 0, 1", "seeds = ,"), "seeds list is empty."),
+], ids=["grid-values", "seeds"])
+def test_grid_rejects_an_empty_list(tmp_path, capsys, text, message):
+    rc = main(["grid", "--config", _write(tmp_path, "grid.cfg", text),
+               "--out", str(tmp_path / "o")])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("extra, override, key", [

@@ -25,6 +25,7 @@ from fedsim.participation import (
 )
 
 from checks import (
+    TurnsScheduler,
     cyclic_v_sq_lambda_mean,
     cyclic_w_mean,
     grad_check,
@@ -351,6 +352,17 @@ def test_assumption_suite_rejects_a_stuck_scheduler():
     checks = _by_name(assumption_suite(_StuckScheduler(4), trials=50, seed=0))
     assert not checks["window_unbiasedness"].passed
     assert not checks["p_sample_floor"].passed
+
+
+def test_assumption_suite_fails_turns_that_favour_one_client():
+    # Client 0 alone in even rounds and clients 1-3 in odd ones: every
+    # window weighs client 0 by 1/2, not 1/4, so window unbiasedness fails;
+    # the equal turns {0, 1}, {2, 3} weigh every client 1/4 and pass it.
+    unequal = _by_name(assumption_suite(TurnsScheduler(4, [[0], [1, 2, 3]]), trials=50))
+    assert not unequal["window_unbiasedness"].passed
+    assert unequal["window_unbiasedness"].observed == 0.25
+    equal = _by_name(assumption_suite(TurnsScheduler(4, [[0, 1], [2, 3]]), trials=50))
+    assert equal["window_unbiasedness"].passed
 
 
 def test_variance_check_skips_a_one_round_window():

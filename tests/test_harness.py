@@ -200,6 +200,25 @@ def test_validation_rejects_inconsistent_combinations():
     with pytest.raises(ConfigError, match="multiple of k_bar"):
         build_run(build_run_config(dict(_SYNTHETIC, n_clients="5", objective="quadratic",
                                         centers="0;0;0;0;0", pattern="cyclic", k_bar="2")))
+    # the engine takes the client count as build_run matched it
+    with pytest.raises(ConfigError) as exc:
+        build_run(_quad(n_clients=3))
+    assert str(exc.value) == "config n_clients = 3, but the quadratic objective has 2 clients."
+
+
+# After build_run's check the engine re-checks none of these keys.
+@pytest.mark.parametrize("key, value, message", [
+    ("rounds", "-1", "rounds must be >= 0."),
+    ("local_steps", "0", "local_steps must be >= 1."),
+    ("gamma", "0.5", "gamma must be >= 1."),
+    ("mu", "-1", "mu must be >= 0."),
+    ("eval_every", "-1", "eval_every must be >= 0."),
+    ("cv_init", "cold", "unknown cv_init mode: 'cold'"),
+])
+def test_build_run_rejects_a_run_loop_or_algorithm_key_out_of_range(key, value, message):
+    with pytest.raises(ConfigError) as exc:
+        build_run(_quad(**{key: value}))
+    assert str(exc.value) == message
 
 
 def test_eval_every_defaults_by_objective():

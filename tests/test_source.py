@@ -320,3 +320,14 @@ def test_core_names_no_objective_kind():
     found = [f"core.py:{node.lineno} {node.value!r}" for node in ast.walk(parse(SRC / "core.py"))
              if isinstance(node, ast.Constant) and node.value in OBJECTIVES]
     assert not found, f"objective kinds named in core.py: {found}"
+
+
+def test_the_engine_checks_no_config():
+    """`harness.build_run` checks a config before `Simulation` is built, so
+    `algorithms` neither raises nor imports a `ConfigError`."""
+    tree = parse(SRC / "algorithms.py")
+    found = [node.lineno for node in ast.walk(tree)
+             if getattr(node, "id", None) == "ConfigError"
+             or getattr(node, "attr", None) == "ConfigError"
+             or isinstance(node, ast.alias) and node.name == "ConfigError"]
+    assert not found, f"algorithms.py names ConfigError on lines {found}"
