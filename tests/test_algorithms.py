@@ -9,6 +9,7 @@ from fedsim.algorithms import (
     control_variate_init,
 )
 from fedsim.core import RunConfig, rng_stream, stream_uniforms
+from fedsim.harness import build_run
 from fedsim.objectives import Logistic, Quadratic
 from fedsim.participation import make_scheduler
 
@@ -375,6 +376,13 @@ def test_uplink_accounting():
         cv.run_round(r)
     assert plain.uplink_scalars == 3 * 2 * 2
     assert cv.uplink_scalars == 3 * 2 * 2 * 2
+
+
+def test_mismatched_population_is_rejected():
+    # build_run holds the client-count check; Simulation takes its count as given
+    cfg = _cfg(n_clients=3, s_clients=2)
+    with pytest.raises(ValueError, match="n_clients"):
+        build_run(cfg)
 
 
 def _chunked_objective(kind: str):
