@@ -100,8 +100,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check_seed(args.seed)
     scheduler = make_scheduler(RunConfig(
         n_clients=args.n, pattern=args.pattern, s_clients=args.s, k_bar=args.k_bar,
-        avail_rounds_g=args.g, window_p=args.window_p, p_active=args.p_active,
-        p_inactive=args.p_inactive))
+        avail_rounds_g=args.g, window_p=args.window_p))
     checks = assumption_suite(scheduler, args.trials, seed=args.seed)
     print(format_report(checks))
     path = _out_path(args, "verify.csv")
@@ -162,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rounds each group stays eligible")
     verify.add_argument("--window-p", type=int, default=RunConfig.window_p,
                         help="round-robin window length")
-    verify.add_argument("--p-active", type=float, default=RunConfig.p_active)
-    verify.add_argument("--p-inactive", type=float, default=RunConfig.p_inactive)
     verify.add_argument("--trials", type=int, default=10000, help="windows to sample")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--out", default=".")

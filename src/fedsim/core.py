@@ -258,8 +258,6 @@ class RunConfig:
     k_bar: int = 1
     avail_rounds_g: int = 1
     window_p: int = 0
-    p_active: float = 0.8
-    p_inactive: float = 0.05
     # objective
     objective: str = ""
     h: float = 16.0
@@ -320,14 +318,10 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def apply_overrides(values: dict[str, str], overrides: list[str]) -> dict[str, str]:
-    """Apply key=value override strings on top of parsed values; later wins."""
-    out = dict(values)
-    for item in overrides:
-        key, sep, value = item.partition("=")
-        if not sep or not key.strip():
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        out[key.strip()] = value.strip()
-    return out
+    """Apply override strings on top of parsed values; later wins. The
+    overrides are read as the lines of one more config text, so `#` starts
+    a comment and a blank override is skipped."""
+    return {**values, **parse_config_text("\n".join(overrides))}
 
 
 def _coerce(key: str, value: str):
@@ -419,7 +413,8 @@ class ExperimentSpec:
 
 
 def parse_experiment_text(text: str) -> ExperimentSpec:
-    """Parse an experiment file: run keys plus `grid.<key> = v1, v2` and `seeds`."""
+    """Parse an experiment file: run keys plus `grid.<key> = v1, v2` and `seeds`.
+    `harness.run_grid` checks base and grid keys alike when it builds the runs."""
     raw = parse_config_text(text)
     base: dict[str, str] = {}
     grid: dict[str, list[str]] = {}
@@ -427,8 +422,6 @@ def parse_experiment_text(text: str) -> ExperimentSpec:
     for key, value in raw.items():
         if key.startswith("grid."):
             name = key[len("grid."):]
-            if name not in _FIELD_TYPES:
-                raise ConfigError(f"unknown config key in grid: {name!r}")
             options = [v.strip() for v in value.split(",") if v.strip()]
             if not options:
                 raise ConfigError(f"grid key {name!r} has no values.")

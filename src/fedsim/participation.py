@@ -84,6 +84,8 @@ class ScaScheduler(CyclicScheduler):
     from the available ones. When fewer than S are available they all
     participate with weight 1/|available|; a round with nobody available is
     redrawn with a fresh sub-stream, and persistent emptiness is an error.
+    The probabilities are not config keys: runs and `verify` use these
+    defaults, and only a scheduler built directly sets others.
     """
 
     def __init__(self, n_clients: int, k_bar: int, s_clients: int, avail_rounds_g: int,
@@ -132,7 +134,7 @@ _PATTERNS = {
     "cyclic": (CyclicScheduler, ("k_bar", "s_clients")),
     "grouped_cyclic": (CyclicScheduler, ("k_bar", "s_clients", "avail_rounds_g")),
     "regularized": (_regularized, ("window_p",)),
-    "sca": (ScaScheduler, ("k_bar", "s_clients", "avail_rounds_g", "p_active", "p_inactive")),
+    "sca": (ScaScheduler, ("k_bar", "s_clients", "avail_rounds_g")),
 }
 _PARTICIPATION_KEYS = tuple(dict.fromkeys(key for _, keys in _PATTERNS.values() for key in keys))
 PATTERNS = tuple(_PATTERNS)

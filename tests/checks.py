@@ -5,14 +5,17 @@ statistics in their plainest spelling, the logistic loss and gradient
 client by client, the exact window factor of the noiseless quadratic
 under full participation and scaffold's exact round map there with one
 client present, a shorthand for the scheduler a pattern name builds, a
+patch that gives the `sca` pattern other availability probabilities, a
 scheduler that repeats fixed client sets in turn, and an IDX pair
 writer."""
 
+import functools
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from fedsim import participation
 from fedsim.core import RunConfig, gaussians_from, rng_stream
 from fedsim.data import IMAGE_MAGIC, LABEL_MAGIC
 from fedsim.diagnostics import CheckResult, ParticipationHistory, WindowStats
@@ -24,6 +27,15 @@ def pattern_scheduler(pattern: str, n_clients: int, **keys) -> Scheduler:
     """The scheduler `make_scheduler` builds for `pattern` on n_clients, with
     the given participation keys set."""
     return make_scheduler(RunConfig(n_clients=n_clients, pattern=pattern, **keys))
+
+
+def patch_sca(monkeypatch, p_active: float, p_inactive: float) -> None:
+    """Make the `sca` pattern build `ScaScheduler` with these availability
+    probabilities, for this test only. They are constructor parameters, not
+    config keys, so this is how a run or `verify` reaches other values."""
+    build, keys = participation._PATTERNS["sca"]
+    monkeypatch.setitem(participation._PATTERNS, "sca", (
+        functools.partial(build, p_active=p_active, p_inactive=p_inactive), keys))
 
 
 class TurnsScheduler(Scheduler):

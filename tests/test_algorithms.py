@@ -13,7 +13,8 @@ from fedsim.harness import build_run
 from fedsim.objectives import Logistic, Quadratic
 from fedsim.participation import make_scheduler
 
-from checks import TurnsScheduler, full_participation_window_factor, scaffold_round_map
+from checks import (TurnsScheduler, full_participation_window_factor, patch_sca,
+                    scaffold_round_map)
 
 
 def _cfg(**kw) -> RunConfig:
@@ -395,13 +396,14 @@ def _chunked_objective(kind: str):
     return Logistic(shards, 4)
 
 
-# Participation keys of the chunked-noise test. Under `sca` few of the
-# eligible group show up, so rounds sample from 1 to 3 clients, and
-# rounds with fewer than 3 available take them all.
+# Participation keys of the chunked-noise test. Its `sca` scheduler is
+# patched to availability 0.5 in the eligible group and 0.02 outside, so
+# few of the eligible group show up: rounds sample from 1 to 3 clients,
+# and rounds with fewer than 3 available take them all.
 _CHUNK_PATTERNS = {
     "iid": {},
     "grouped_cyclic": {"k_bar": 3, "avail_rounds_g": 2},
-    "sca": {"k_bar": 3, "avail_rounds_g": 2, "p_active": 0.5, "p_inactive": 0.02},
+    "sca": {"k_bar": 3, "avail_rounds_g": 2},
 }
 
 
@@ -413,6 +415,8 @@ def test_chunked_noise_equals_a_stream_per_client_round(monkeypatch, kind, patte
     # case pins that a chunk samples each of its rounds once, in order, and
     # adds rounds until its sampled rows reach NOISE_CHUNK doubles.
     objective = _chunked_objective(kind)
+    if pattern == "sca":
+        patch_sca(monkeypatch, p_active=0.5, p_inactive=0.02)
     cfg = _cfg(n_clients=12, s_clients=3, local_steps=4, eta=0.05, seed=9, pattern=pattern,
                objective=kind, **_CHUNK_PATTERNS[pattern])
     row = cfg.local_steps * objective.draws

@@ -15,7 +15,7 @@ from fedsim.harness import build_run
 from fedsim.objectives import SyntheticHard
 from fedsim.participation import CyclicScheduler, ScaScheduler
 
-from checks import pattern_scheduler, write_idx
+from checks import patch_sca, pattern_scheduler, write_idx
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -143,6 +143,25 @@ def test_run_override_changes_the_config(tmp_path, capsys):
     assert "mu=10.0" in captured.out
 
 
+# An override is read as one more config line: `#` starts a comment, a
+# blank override is skipped, and one without `=` is a malformed line.
+@pytest.mark.parametrize("override, rc, line", [
+    ("eta=0.2 # try", 0, "eta=0.2"),
+    ("", 0, "eta=0.1"),
+    ("eta0.2", 2, "error: line 1: expected 'key = value', got 'eta0.2'"),
+], ids=["comment", "blank", "malformed"])
+def test_run_reads_an_override_as_a_config_line(tmp_path, capsys, override, rc, line):
+    cfg = _write(tmp_path, "run.cfg", QUAD_CFG)
+    assert main(["run", "--config", cfg, "--override", override,
+                 "--out", str(tmp_path / "o")]) == rc
+    captured = capsys.readouterr()
+    if rc:
+        assert captured.err == line + "\n"
+        assert not (tmp_path / "o" / "run.csv").exists()
+    else:
+        assert f" {line} " in captured.out.splitlines()[0]
+
+
 def test_run_seed_flag_changes_the_bytes(tmp_path):
     cfg = _write(tmp_path, "run.cfg", QUAD_CFG)
     for seed, name in ((0, "a"), (0, "b"), (1, "c")):
@@ -181,16 +200,18 @@ def test_run_bad_inputs_exit_2(tmp_path, capsys):
     assert "missing required" in capsys.readouterr().err
 
 
-def test_run_with_nobody_available_exits_2_and_writes_no_csv(tmp_path, capsys):
-    # `sca` with both availability probabilities at 0 accepts the config,
-    # and its first round can sample nobody.
-    text = QUAD_CFG.replace("s_clients = 2", "s_clients = 1") + (
-        "pattern = sca\np_active = 0\np_inactive = 0\n")
+NOBODY_AVAILABLE = "error: no clients available at round 0 after 100 availability draws.\n"
+
+
+def test_run_with_nobody_available_exits_2_and_writes_no_csv(monkeypatch, tmp_path, capsys):
+    # `sca` with both availability probabilities at 0 builds, and its first
+    # round can sample nobody.
+    patch_sca(monkeypatch, p_active=0.0, p_inactive=0.0)
+    text = QUAD_CFG.replace("s_clients = 2", "s_clients = 1") + "pattern = sca\n"
     out = tmp_path / "o"
     rc = main(["run", "--config", _write(tmp_path, "sca.cfg", text), "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err == (
-        "error: no clients available at round 0 after 100 availability draws.\n")
+    assert capsys.readouterr().err == NOBODY_AVAILABLE
     assert not (out / "run.csv").exists()
 
 
@@ -470,8 +491,8 @@ def test_verify_passes_on_iid(tmp_path, capsys):
      CyclicScheduler(12, 3, 2, avail_rounds_g=2)),
     (["--pattern", "regularized", "--n", "12", "--window-p", "4"],
      pattern_scheduler("regularized", 12, window_p=4)),
-    (["--pattern", "sca", "--n", "12", "--k-bar", "3", "--s", "2", "--g", "2",
-      "--p-active", "0.7", "--p-inactive", "0.1"], ScaScheduler(12, 3, 2, 2, 0.7, 0.1)),
+    (["--pattern", "sca", "--n", "12", "--k-bar", "3", "--s", "2", "--g", "2"],
+     ScaScheduler(12, 3, 2, 2)),
 ], ids=["iid", "cyclic", "grouped_cyclic", "regularized", "sca"])
 def test_verify_flags_build_the_named_scheduler(tmp_path, capsys, flags, scheduler):
     rc = main(["verify", *flags, "--trials", "60", "--seed", "5", "--out", str(tmp_path)])
@@ -517,7 +538,7 @@ def test_verify_exit_1_on_failed_check(tmp_path, capsys):
     assert (tmp_path / "v" / "verify.csv").exists()
 
 
-def test_verify_bad_arguments_exit_2(tmp_path, capsys):
+def test_verify_bad_arguments_exit_2(monkeypatch, tmp_path, capsys):
     rc = main(["verify", "--pattern", "cyclic", "--n", "5", "--k-bar", "2",
                "--s", "1", "--trials", "10", "--out", str(tmp_path / "v")])
     assert rc == 2
@@ -526,21 +547,20 @@ def test_verify_bad_arguments_exit_2(tmp_path, capsys):
                "--trials", "0", "--out", str(tmp_path / "v")])
     assert rc == 2
     capsys.readouterr()
+    patch_sca(monkeypatch, p_active=0.0, p_inactive=0.0)
     rc = main(["verify", "--pattern", "sca", "--n", "8", "--k-bar", "2", "--s", "1",
-               "--g", "1", "--p-active", "0", "--p-inactive", "0",
-               "--trials", "10", "--out", str(tmp_path / "v")])
+               "--g", "1", "--trials", "10", "--out", str(tmp_path / "v")])
     assert rc == 2
-    assert "availability draws" in capsys.readouterr().err
+    assert capsys.readouterr().err == NOBODY_AVAILABLE
 
 
 VERIFY_FLAGS = {"n_clients": "--n", "s_clients": "--s", "k_bar": "--k-bar",
-                "avail_rounds_g": "--g", "window_p": "--window-p", "p_active": "--p-active"}
+                "avail_rounds_g": "--g", "window_p": "--window-p"}
 
 
 @pytest.mark.parametrize("pattern, keys, reason", [
     ("cyclic", {"n_clients": "6", "k_bar": "4"}, "multiple of k_bar"),
     ("grouped_cyclic", {"n_clients": "6", "k_bar": "3", "avail_rounds_g": "0"}, "avail_rounds_g"),
-    ("sca", {"n_clients": "6", "k_bar": "3", "p_active": "1.5"}, "probabilities"),
     ("regularized", {"n_clients": "5", "window_p": "2"}, "multiple of window_p"),
     ("iid", {"n_clients": "6", "s_clients": "7"}, "s_clients must be in"),
     ("iid", {"n_clients": "0"}, "n_clients must be >= 1"),
@@ -548,13 +568,12 @@ VERIFY_FLAGS = {"n_clients": "--n", "s_clients": "--s", "k_bar": "--k-bar",
     ("grouped_cyclic", {"n_clients": "6", "k_bar": "3", "window_p": "3"}, "does not read window_p"),
     ("cyclic", {"n_clients": "6", "k_bar": "3", "avail_rounds_g": "2"},
      "does not read avail_rounds_g"),
-    ("iid", {"n_clients": "6", "p_active": "0.5"}, "does not read p_active"),
     ("regularized", {"n_clients": "6", "window_p": "3", "k_bar": "2"}, "does not read k_bar"),
     ("regularized", {"n_clients": "6", "window_p": "3", "s_clients": "2"},
      "does not read s_clients"),
-], ids=["cyclic", "grouped_cyclic", "sca", "regularized", "iid", "iid-n_clients",
+], ids=["cyclic", "grouped_cyclic", "regularized", "iid", "iid-n_clients",
         "grouped_cyclic-window_p",
-        "cyclic-avail_rounds_g", "iid-p_active", "regularized-k_bar", "regularized-s_clients"])
+        "cyclic-avail_rounds_g", "regularized-k_bar", "regularized-s_clients"])
 def test_run_config_and_verify_reject_bad_participation_alike(tmp_path, capsys, pattern, keys,
                                                               reason):
     flags = [arg for key, value in keys.items() for arg in (VERIFY_FLAGS[key], value)]

@@ -7,7 +7,9 @@ windows), the desk_fedavg client shards go through `partition-report`,
 the two benchmark verify cases run at 200 trials, and one small verify
 case per pattern (12 clients, 300 trials): about 15 s on a 2-CPU host. A refactor must keep every digest. A deliberate change to the
 numerics re-records the digests it moves, in the same change, with the
-reason.
+reason. verify_sca_small was re-recorded when `fedsim verify` lost its
+`--p-active` and `--p-inactive` flags: the case had set 0.7 and 0.1, and
+now runs at ScaScheduler's defaults, 0.8 and 0.05.
 
 The digests are per seed on one CPU's math kernels: they were recorded
 with OpenBLAS's SkylakeX kernel and numpy's AVX-512 dispatch on an
@@ -52,8 +54,7 @@ CASES = {
            ("cyclic", ["--k-bar", "3", "--s", "2"]),
            ("grouped_cyclic", ["--k-bar", "3", "--s", "2", "--g", "2"]),
            ("regularized", ["--window-p", "4"]),
-           ("sca", ["--k-bar", "3", "--s", "2", "--g", "2", "--p-active", "0.7",
-                    "--p-inactive", "0.1"]))},
+           ("sca", ["--k-bar", "3", "--s", "2", "--g", "2"]))},
 }
 
 # case -> (exit code, sha256 of the file written). Both sca cases exit 1:
@@ -81,7 +82,7 @@ EXPECTED = {
         0, "90f24d81997027102eeaf156a67d649e75bf887067173e7df1a988775f6a293e"),
     "verify_regularized_small": (
         0, "87e60bb8311698cf119353b13a8e9df5c0a7672a8f07d9e85e74634e265f8418"),
-    "verify_sca_small": (1, "e196a51c0d1eb4d90e46c1eb328ab66b46b63fe2458d498688b118dfeb5ce9e8"),
+    "verify_sca_small": (1, "7d151842d1878087255a2858d31d5397e59682011e48111ada3ce8069283eea8"),
 }
 
 

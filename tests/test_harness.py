@@ -302,7 +302,8 @@ def test_grid_expands_in_key_order_and_aggregates():
     ({"eta": ["0.1", "-1"]}, ConfigError, "eta must be > 0"),
     ({"sigma": ["0", "-1"]}, ValueError, "sigma must be >= 0"),
     ({"n_clients": ["2", "3"]}, ConfigError, "n_clients = 3"),
-], ids=["run-key", "objective-key", "n-clients"])
+    ({"bogus": ["1"]}, ConfigError, "unknown config key: 'bogus'"),
+], ids=["run-key", "objective-key", "n-clients", "unknown-key"])
 def test_grid_checks_every_config_before_the_first_run(monkeypatch, grid, error, message):
     calls = []
     monkeypatch.setattr(harness, "simulate", lambda *run: calls.append(run))

@@ -2,9 +2,11 @@
 
 import ast
 import collections
+import dataclasses
 import sys
 from pathlib import Path
 
+from fedsim.core import RunConfig
 from fedsim.harness import OBJECTIVES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fedsim"
@@ -331,3 +333,30 @@ def test_the_engine_checks_no_config():
              or getattr(node, "attr", None) == "ConfigError"
              or isinstance(node, ast.alias) and node.name == "ConfigError"]
     assert not found, f"algorithms.py names ConfigError on lines {found}"
+
+
+def unread_fields(fields: list[str], paths: list[Path]) -> list[str]:
+    """The names in `fields` that no module in `paths` names, either as an
+    attribute such as `cfg.eta` or as a string such as a key table's
+    "window_p"."""
+    named = set()
+    for path in paths:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return [name for name in fields if name not in named]
+
+
+def test_every_run_config_key_has_a_reader(tmp_path):
+    """A RunConfig field that no module but `core` names is a config key
+    that nothing reads: it parses and passes every check, whatever its
+    value, so a key cannot outlive its last reader."""
+    sample = tmp_path / "sample.py"
+    sample.write_text('KEYS = ("k_bar",)\ndef f(cfg): return cfg.eta\n')
+    assert unread_fields(["eta", "k_bar", "unread"], [sample]) == ["unread"]
+    fields = [field.name for field in dataclasses.fields(RunConfig)]
+    readers = [path for path in sorted(SRC.glob("*.py")) if path.name != "core.py"]
+    found = unread_fields(fields, readers)
+    assert not found, f"RunConfig fields that nothing outside core.py names: {found}"
