@@ -67,8 +67,8 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     `noise` holds the client-round's `local_steps * draws` noise values,
     uniforms already mapped through `objective.noise`, and step k's oracle
     call gets `noise[k*draws:(k+1)*draws]`, so each step's noise is fixed
-    by its position whatever the other steps read. A sequence of any other
-    length raises ValueError.
+    by its position whatever the other steps read. Like the oracle, the
+    update trusts its caller for that length, `client` and `start`.
 
     Each step is written into the oracle's fresh gradient and the private
     copy of the start, in the order `x - eta * (g + correction + prox)`
@@ -77,9 +77,6 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     which numpy takes without converting a Python float on every step.
     """
     d = objective.draws
-    if len(noise) != local_steps * d:
-        raise ValueError(f"{local_steps} local steps of {d} draws need {local_steps * d}"
-                         f" noise values, got {len(noise)}.")
     x = np.array(start, dtype=float)
     grad_sum = None if correction is None else np.zeros_like(x)
     step = np.array(eta, dtype=float)

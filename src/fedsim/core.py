@@ -222,9 +222,7 @@ def ndtri(y) -> np.ndarray:
 
 def gaussians_from(u, sigma: float) -> np.ndarray:
     """Map the uniforms `u` elementwise to draws from N(0, sigma^2), in an
-    array of u's shape; sigma=0 gives exact zeros."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0.")
+    array of u's shape; sigma=0 gives exact zeros and sigma < 0 is unchecked."""
     if sigma == 0:
         return np.zeros(np.shape(u))
     return sigma * ndtri(np.maximum(u, _MIN_UNIFORM))

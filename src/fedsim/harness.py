@@ -69,7 +69,7 @@ def build_objective(cfg: RunConfig) -> Objective:
         return Quadratic(parse_centers(cfg.centers), cfg.sigma)
     train, test = load_dataset(cfg)
     shards = partition_by_similarity(train[0], train[1], cfg.n_clients, cfg.similarity, cfg.seed)
-    num_classes = int(train[1].max()) + 1
+    num_classes = cfg.blob_classes if cfg.dataset == "blob" else int(train[1].max()) + 1
     return Logistic(shards, num_classes, test)
 
 
@@ -210,8 +210,8 @@ def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
     """Run every grid cell for every seed; cells expand in key order.
 
     Each run's seed comes from `spec.seeds`, so a `seed` key in the base
-    config (from the file or an override) or in the grid is rejected
-    rather than silently replaced.
+    config (file or override) or in the grid is rejected rather than
+    silently replaced, as is a key set in both the base and the grid.
 
     Every (cell, seed) run is built by `build_run`, and so checked, before
     the first run starts, so a bad cell fails before any run's time is
@@ -221,14 +221,15 @@ def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
     for key, where in (("seed", spec.base), ("grid.seed", spec.grid)):
         if "seed" in where:
             raise ConfigError(f"a grid takes its seeds from 'seeds' or --seed, not from {key}.")
+    twice = sorted(spec.base.keys() & spec.grid.keys())
+    if twice:
+        raise ConfigError(f"{twice[0]} is set both in the base config and in grid.{twice[0]}.")
     cells = spec.cells()
     runs = [[build_run(build_run_config({**spec.base, **cell, "seed": str(seed)}))
              for seed in spec.seeds] for cell in cells]
     results = []
     for cell_id, (cell, cell_runs) in enumerate(zip(cells, runs)):
-        finals = []
-        reached = []
-        diverged = 0
+        finals, reached, diverged = [], [], 0
         for cfg, objective, scheduler in cell_runs:
             record = simulate(cfg, objective, scheduler)
             finals.append(record.final_loss)

@@ -54,10 +54,10 @@ class Objective:
     def stoch_grad_local(self, client: int, x: np.ndarray, z: Sequence[float]) -> np.ndarray:
         """One stochastic gradient draw from the noise values `z`.
 
-        `z` is a sequence of exactly `draws` floats, the uniforms the caller
-        addressed to this call mapped through `noise`; the oracle reads them
-        by position and never opens a stream, so reading `z[draws]` raises
-        IndexError.
+        `z` holds exactly `draws` floats, the uniforms the caller addressed to
+        this call mapped through `noise`, read by position: the oracle opens no
+        stream, and reading `z[draws]` raises IndexError. The caller ensures,
+        unchecked, a `client` in [0, n_clients) and a float64 `x` of shape (dim,).
 
         Returns a new array that shares memory with nothing else, so the
         caller may overwrite it (the local step does, in place).
@@ -128,17 +128,17 @@ class SyntheticHard(Objective):
         return float(value + sign * self.kappa * x[3])
 
     def grad_local(self, client: int, x: np.ndarray) -> np.ndarray:
+        self._check_client(client)
         # Adding -0.0 returns every double unchanged, -0.0 included.
-        return self.stoch_grad_local(client, x, (-0.0,))
+        return self.stoch_grad_local(client, self._check_x(x), (-0.0,))
 
     def noise(self, u: np.ndarray) -> np.ndarray:
         return gaussians_from(u, self.sigma)
 
     def stoch_grad_local(self, client: int, x: np.ndarray, z: Sequence[float]) -> np.ndarray:
-        self._check_client(client)
         # Python floats are the same IEEE doubles as numpy scalars and much
         # cheaper to operate on one at a time.
-        x0, x1, x2, _ = self._check_x(x).tolist()
+        x0, x1, x2, _ = x.tolist()
         # The one-sided square is differentiable at 0 with derivative 0, so
         # the strict inequality handles the kink.
         g2 = 0.25 * self.h * x2
@@ -181,7 +181,7 @@ class Quadratic(Objective):
         return gaussians_from(u, self.sigma)
 
     def stoch_grad_local(self, client: int, x: np.ndarray, z: Sequence[float]) -> np.ndarray:
-        return self.grad_local(client, x) + z
+        return x - self.centers[client] + z
 
 
 class Logistic(Objective):
@@ -345,8 +345,7 @@ class Logistic(Objective):
         return u
 
     def stoch_grad_local(self, client: int, x: np.ndarray, u: Sequence[float]) -> np.ndarray:
-        self._check_client(client)
-        w = self._weights(x)
+        w = x.reshape(self.num_classes, self.num_features + 1)
         labels = self.labels[client]
         n = len(labels)
         # int() truncates like a cast to int64, as 0 <= u * n < 2**53; min()

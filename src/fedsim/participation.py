@@ -43,7 +43,9 @@ class CyclicScheduler(Scheduler):
     participation, whose window-averaged weight is exactly 1/N."""
 
     def __init__(self, n_clients: int, k_bar: int, s_clients: int, avail_rounds_g: int = 1):
-        if k_bar < 1 or n_clients % k_bar != 0:
+        if k_bar < 1:
+            raise ConfigError("k_bar must be >= 1.")
+        if n_clients % k_bar != 0:
             raise ConfigError("n_clients must be a multiple of k_bar.")
         if not 1 <= s_clients <= n_clients // k_bar:
             raise ConfigError("s_clients must be in [1, n_clients / k_bar].")
@@ -120,7 +122,9 @@ class ScaScheduler(CyclicScheduler):
 def _regularized(n_clients: int, window_p: int) -> CyclicScheduler:
     """Round-robin over window_p slots: every client of the eligible slot
     takes part, so slot r mod window_p participates at round r."""
-    if window_p < 1 or n_clients % window_p != 0:
+    if window_p < 1:
+        raise ConfigError("window_p must be >= 1.")
+    if n_clients % window_p != 0:
         raise ConfigError("n_clients must be a multiple of window_p.")
     return CyclicScheduler(n_clients, window_p, n_clients // window_p)
 

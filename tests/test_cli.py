@@ -67,7 +67,10 @@ eta = 0.1
 objective = synthetic_hard
 """
 
-GRID_CFG = QUAD_CFG + """\
+# The quadratic run without its eta, for grids that sweep eta.
+QUAD_GRID_BASE = QUAD_CFG.replace("eta = 0.1\n", "")
+
+GRID_CFG = QUAD_GRID_BASE + """\
 grid.eta = 0.05, 0.2
 seeds = 0, 1
 """
@@ -388,7 +391,8 @@ def test_grid_writes_csv_and_one_line_per_cell(tmp_path, capsys):
 def test_grid_prints_how_many_runs_of_a_cell_diverged(tmp_path, capsys):
     # eta = 1e8 multiplies the distance to the center by about 1e8 a step,
     # so the loss overflows within the 6 rounds of 30 steps.
-    cfg = _write(tmp_path, "grid.cfg", QUAD_CFG + "local_steps = 30\ngrid.eta = 0.05, 1e8\nseeds = 0, 1, 2\n")
+    cfg = _write(tmp_path, "grid.cfg",
+                 QUAD_GRID_BASE + "local_steps = 30\ngrid.eta = 0.05, 1e8\nseeds = 0, 1, 2\n")
     out = tmp_path / "out"
     assert main(["grid", "--config", cfg, "--out", str(out)]) == 0
     cells = capsys.readouterr().out.splitlines()[1:3]
@@ -437,6 +441,26 @@ def test_grid_rejects_a_seed_key_before_any_cell(tmp_path, capsys, monkeypatch, 
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: a grid takes its seeds from 'seeds' or --seed, not from {key}.\n")
+    assert not (tmp_path / "o" / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("config, override", [
+    (GRID_CFG + "eta = 0.5\n", []),
+    (GRID_CFG, ["--override", "eta=0.5"]),
+    ((CONFIGS / "grid_synthetic_scaffold.cfg").read_text(),
+     ["--override", "eta=0.5", "--override", "rounds=40", "--seed", "0"]),
+], ids=["file", "override", "shipped"])
+def test_grid_rejects_a_key_set_in_the_base_and_the_grid(tmp_path, capsys, monkeypatch, config,
+                                                         override):
+    # Every cell would replace the base's eta without a word.
+    def never(*run):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(harness, "simulate", never)
+    rc = main(["grid", "--config", _write(tmp_path, "grid.cfg", config), *override,
+               "--out", str(tmp_path / "o")])
+    assert (rc, capsys.readouterr().err) == (
+        2, "error: eta is set both in the base config and in grid.eta.\n")
     assert not (tmp_path / "o" / "grid.csv").exists()
 
 
@@ -564,6 +588,10 @@ VERIFY_FLAGS = {"n_clients": "--n", "s_clients": "--s", "k_bar": "--k-bar",
     ("regularized", {"n_clients": "5", "window_p": "2"}, "multiple of window_p"),
     ("iid", {"n_clients": "6", "s_clients": "7"}, "s_clients must be in"),
     ("iid", {"n_clients": "0"}, "n_clients must be >= 1"),
+    ("regularized", {"n_clients": "12"}, "window_p must be >= 1."),
+    ("regularized", {"n_clients": "12", "window_p": "-2"}, "window_p must be >= 1."),
+    ("cyclic", {"n_clients": "12", "k_bar": "0"}, "k_bar must be >= 1."),
+    ("cyclic", {"n_clients": "12", "k_bar": "-3"}, "k_bar must be >= 1."),
     # keys the pattern does not read
     ("grouped_cyclic", {"n_clients": "6", "k_bar": "3", "window_p": "3"}, "does not read window_p"),
     ("cyclic", {"n_clients": "6", "k_bar": "3", "avail_rounds_g": "2"},
@@ -572,7 +600,8 @@ VERIFY_FLAGS = {"n_clients": "--n", "s_clients": "--s", "k_bar": "--k-bar",
     ("regularized", {"n_clients": "6", "window_p": "3", "s_clients": "2"},
      "does not read s_clients"),
 ], ids=["cyclic", "grouped_cyclic", "regularized", "iid", "iid-n_clients",
-        "grouped_cyclic-window_p",
+        "regularized-window_p-unset", "regularized-window_p-negative", "cyclic-k_bar-0",
+        "cyclic-k_bar-negative", "grouped_cyclic-window_p",
         "cyclic-avail_rounds_g", "regularized-k_bar", "regularized-s_clients"])
 def test_run_config_and_verify_reject_bad_participation_alike(tmp_path, capsys, pattern, keys,
                                                               reason):

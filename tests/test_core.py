@@ -110,11 +110,6 @@ def test_gaussian_sigma_zero_is_exact():
     assert z.tobytes() == np.zeros(6).tobytes()
 
 
-def test_gaussian_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        gaussians_from(rng_stream(0, "gradient-noise").random(1), -0.5)
-
-
 def test_ndtri_returns_the_bits_of_scipy():
     from scipy.special import ndtri as scipy_ndtri
 

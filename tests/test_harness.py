@@ -249,6 +249,19 @@ def test_blob_dataset_split():
     assert load_dataset(cfg_no_test)[1] is None
 
 
+@pytest.mark.parametrize("test_samples", ["0", "100"])
+def test_a_blob_run_trains_the_classes_its_config_sets(test_samples):
+    # make_blobs labels sample k with k % blob_classes, so 8 training samples
+    # hold only 8 of the 10 classes, while a held-out set of 100 holds all 10.
+    cfg, objective, _ = build_run(build_run_config({
+        "n_clients": "2", "s_clients": "2", "rounds": "1", "algorithm": "fedavg", "eta": "0.1",
+        "objective": "logistic", "dataset": "blob", "blob_samples": "8", "blob_classes": "10",
+        "blob_features": "8", "blob_test_samples": test_samples,
+    }))
+    assert (objective.num_classes, objective.dim) == (10, 90)
+    assert run_once(cfg).rounds == [0, 1]
+
+
 def test_idx_dataset_needs_both_held_out_paths(tmp_path):
     paths = {name: str(tmp_path / f"{name}.idx") for name in ("images", "labels", "ti", "tl")}
     test = make_blobs(10, 2, 3, seed=0, stream_index=2)
@@ -268,8 +281,7 @@ def test_idx_dataset_needs_both_held_out_paths(tmp_path):
 
 def _grid_spec(**base_extra) -> ExperimentSpec:
     base = {"n_clients": "2", "s_clients": "2", "rounds": "5", "algorithm": "fedavg",
-            "eta": "0.1", "objective": "quadratic", "centers": "1; 3", "sigma": "0",
-            "eval_every": "5"}
+            "objective": "quadratic", "centers": "1; 3", "sigma": "0", "eval_every": "5"}
     base.update({k: str(v) for k, v in base_extra.items()})
     return ExperimentSpec(
         base=base,
@@ -307,7 +319,9 @@ def test_grid_expands_in_key_order_and_aggregates():
 def test_grid_checks_every_config_before_the_first_run(monkeypatch, grid, error, message):
     calls = []
     monkeypatch.setattr(harness, "simulate", lambda *run: calls.append(run))
-    spec = ExperimentSpec(base=_grid_spec().base, grid=grid, seeds=[0, 1])
+    # The base leaves the grid's key to the grid: a key set in both is an error.
+    base = {key: value for key, value in _grid_spec(eta=0.1).base.items() if key not in grid}
+    spec = ExperimentSpec(base=base, grid=grid, seeds=[0, 1])
     with pytest.raises(error, match=message):
         run_grid(spec)
     assert calls == []

@@ -145,6 +145,23 @@ def test_quadratic_closed_form():
     np.testing.assert_array_equal(obj.grad_local(1, x0), [1.0])
 
 
+def test_quadratic_oracle_pins_the_bits_of_gradient_plus_noise():
+    # No golden digest runs quadratic. The oracle computes (x - b_i) + z
+    # itself; zero centers and -0.0 entries pin the sign of each zero.
+    rng = rng_stream(8, "init")
+    obj = Quadratic(np.hstack([np.zeros((5, 3)), rng.standard_normal((5, 4))]), sigma=0.7)
+    for i in range(obj.n_clients):
+        x = rng.standard_normal(obj.dim)
+        x[[0, 1, 3]] = -0.0
+        z = obj.noise(rng.random(obj.draws))
+        z[[0, 2, 3]] = -0.0
+        z[1] = 0.0
+        z = z.tolist()
+        want = (x - obj.centers[i]) + np.asarray(z)
+        assert obj.stoch_grad_local(i, x, z).tobytes() == want.tobytes()
+        assert math.copysign(1.0, want[0]) == -1.0 and math.copysign(1.0, want[1]) == 1.0
+
+
 def test_quadratic_validation():
     with pytest.raises(ValueError):
         Quadratic(np.zeros((2, 2)), sigma=-1.0)

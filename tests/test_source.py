@@ -360,3 +360,27 @@ def test_every_run_config_key_has_a_reader(tmp_path):
     readers = [path for path in sorted(SRC.glob("*.py")) if path.name != "core.py"]
     found = unread_fields(fields, readers)
     assert not found, f"RunConfig fields that nothing outside core.py names: {found}"
+
+
+def functions_named(path: Path, name: str) -> list[ast.FunctionDef]:
+    """Every function or method called `name` in `path`."""
+    return [node for node in ast.walk(parse(path))
+            if isinstance(node, ast.FunctionDef) and node.name == name]
+
+
+def test_the_run_loop_checks_none_of_its_inputs():
+    """Input is checked where it enters: `harness.build_run` for a config,
+    the constructors and `eval_local`/`grad_local` for pieces built by hand.
+    The per-step code the run loop calls only does arithmetic: no oracle
+    names an input check, and neither the local update nor the noise map
+    raises."""
+    oracles = functions_named(SRC / "objectives.py", "stoch_grad_local")
+    assert len(oracles) == 4, "the check no longer sees every oracle"
+    checks = {"_check_client", "_check_x", "_weights"}
+    found = [f"objectives.py:{node.lineno} {node.attr}" for oracle in oracles
+             for node in ast.walk(oracle) if getattr(node, "attr", None) in checks]
+    assert not found, f"oracles that check their inputs: {found}"
+    for module, name in (("algorithms.py", "client_local_update"), ("core.py", "gaussians_from")):
+        [function] = functions_named(SRC / module, name)
+        raises = [node.lineno for node in ast.walk(function) if isinstance(node, ast.Raise)]
+        assert not raises, f"{module}:{name} raises on lines {raises}"
