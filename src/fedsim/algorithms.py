@@ -100,7 +100,12 @@ class Simulation:
     The caller owns the loop: call run_round(r) for r = 0..R-1 and read
     `model` whenever a metric evaluation is wanted. Reading the model never
     touches any training randomness. The pieces are taken as
-    `harness.build_run` checked them; nothing here checks a config.
+    `harness.build_run` checked them; nothing here checks a config. Every
+    run setting is read from `cfg` as given, so a hand-built config runs
+    what it says: `mu` set on `fedavg` runs the proximal pull. Only the
+    switches come from `ALGORITHM_KEYS`: control variates for an algorithm
+    that reads `cv_init`, and `window_len`, the pattern's window for one
+    that reads `gamma` and 1 otherwise.
 
     The state is plain arrays: `model`, the live server model that sampled
     clients start from, and `x_global`, the model at the last commit. With
@@ -129,19 +134,9 @@ class Simulation:
     def __init__(self, objective: Objective, scheduler: Scheduler, cfg: RunConfig):
         self.objective = objective
         self.scheduler = scheduler
-        # An unchecked config may set a key the algorithm does not read; it is ignored.
+        self.cfg = cfg
         reads = ALGORITHM_KEYS[cfg.algorithm]
-        self.eta = cfg.eta
-        self.mu = cfg.mu if "mu" in reads else 0.0
-        self.local_steps = cfg.local_steps
-        self.seed = cfg.seed
-        self.rounds = cfg.rounds
-        if "gamma" in reads:
-            self.window_len = scheduler.window
-            self.gamma = cfg.gamma
-        else:
-            self.window_len = 1
-            self.gamma = 1.0
+        self.window_len = scheduler.window if "gamma" in reads else 1
         self.x_global = self.model = np.zeros(objective.dim)
         self.variates = self.variate_mean = self.accum = self.qbar = None
         if "cv_init" in reads:
@@ -166,13 +161,14 @@ class Simulation:
 
     def _fill_noise(self, r: int) -> None:
         per_client = self._noise.shape[1]
-        sets = [self.scheduler.sample_round(r, self.seed)]
+        seed = self.cfg.seed
+        sets = [self.scheduler.sample_round(r, seed)]
         offsets = [0, len(sets[0])]
-        while offsets[-1] * per_client < NOISE_CHUNK and r + len(sets) < self.rounds:
-            sets.append(self.scheduler.sample_round(r + len(sets), self.seed))
+        while offsets[-1] * per_client < NOISE_CHUNK and r + len(sets) < self.cfg.rounds:
+            sets.append(self.scheduler.sample_round(r + len(sets), seed))
             offsets.append(offsets[-1] + len(sets[-1]))
         rounds = np.repeat(np.arange(r, r + len(sets), dtype=np.uint64), np.diff(offsets))
-        uniforms = stream_uniforms(self.seed, "gradient-noise", np.concatenate(sets), rounds,
+        uniforms = stream_uniforms(seed, "gradient-noise", np.concatenate(sets), rounds,
                                    per_client)
         self._noise = self.objective.noise(uniforms)
         self._sets, self._offsets, self._noise_start = sets, offsets, r
@@ -185,7 +181,7 @@ class Simulation:
         # Python floats are the same doubles and much cheaper to hand out
         # one at a time.
         noise = self._noise[self._offsets[k]:self._offsets[k + 1]].tolist()
-        variates = self.variates
+        cfg, variates = self.cfg, self.variates
         # Every sampled client weighs 1/S. `sampled` is sorted, so the
         # floating-point reduction always walks clients in index order.
         q = 1.0 / len(sampled)
@@ -194,8 +190,8 @@ class Simulation:
         new_model = np.zeros(self.objective.dim)
         for i, row in zip(sampled.tolist(), noise):
             correction = None if variates is None else self.variate_mean - variates[i]
-            end, grad_sum = client_local_update(self.objective, i, self.model, self.local_steps,
-                                                self.eta, row, correction, self.mu)
+            end, grad_sum = client_local_update(self.objective, i, self.model, cfg.local_steps,
+                                                cfg.eta, row, correction, cfg.mu)
             # Both arrays are this update's own, so they are weighted in place.
             end *= weight
             new_model += end
@@ -210,13 +206,13 @@ class Simulation:
             return
         # Both model arrays are only ever rebound, never written in place,
         # so the live and committed models may share one array.
-        if self.gamma != 1.0:
-            self.model = self.x_global + self.gamma * (self.model - self.x_global)
+        if cfg.gamma != 1.0:
+            self.model = self.x_global + cfg.gamma * (self.model - self.x_global)
         self.x_global = self.model
         if variates is None:
             return
         seen = self.qbar > 0
-        denom = self.window_len * self.qbar[seen] * self.local_steps
+        denom = self.window_len * self.qbar[seen] * cfg.local_steps
         variates[seen] = self.accum[seen] / denom[:, None]
         # Clients absent for the whole window keep their previous estimate.
         self.variate_mean = np.add.reduce(variates, axis=0) / len(variates)

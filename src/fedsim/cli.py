@@ -15,20 +15,20 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .core import (
     ConfigError,
     RunConfig,
     apply_overrides,
+    build_experiment_spec,
     build_run_config,
     check_seed,
+    csv_text,
     format_value,
     parse_config_text,
-    parse_experiment_text,
 )
 from .data import atomic_write, label_histogram
-from .diagnostics import assumption_suite, checks_to_csv_rows, format_report
+from .diagnostics import assumption_suite, checks_csv, format_report
 from .harness import build_run, grid_csv, rounds_to_target, run_grid, run_once, run_record_csv
 from .participation import PATTERNS, make_scheduler
 
@@ -73,12 +73,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        spec = parse_experiment_text(fh.read())
-    if args.override:
-        spec = replace(spec, base=apply_overrides(spec.base, args.override))
+    values = _load_values(args)
     if args.seed is not None:
-        spec = replace(spec, seeds=[args.seed])
+        values["seeds"] = str(args.seed)
+    spec = build_experiment_spec(values)
     results = run_grid(spec)
     grid_keys = list(spec.grid)
     path = _out_path(args, "grid.csv")
@@ -104,7 +102,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = assumption_suite(scheduler, args.trials, seed=args.seed)
     print(format_report(checks))
     path = _out_path(args, "verify.csv")
-    atomic_write(path, ("\n".join(checks_to_csv_rows(checks)) + "\n").encode())
+    atomic_write(path, checks_csv(checks).encode())
     print(f"wrote {path}")
     return 0 if all(c.passed for c in checks) else 1
 
@@ -116,8 +114,7 @@ def cmd_partition_report(args: argparse.Namespace) -> int:
     labels = objective.labels
     rows = label_histogram(labels)
     path = _out_path(args, "partition.csv")
-    lines = ["client,label,count"] + [f"{c},{label},{n}" for c, label, n in rows]
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, csv_text("client,label,count", rows).encode())
 
     sizes = [len(shard) for shard in labels]
     print(f"partition: {cfg.n_clients} clients, {sum(sizes)} samples,"

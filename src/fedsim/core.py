@@ -410,14 +410,14 @@ class ExperimentSpec:
         return [dict(zip(self.grid, combo)) for combo in itertools.product(*self.grid.values())]
 
 
-def parse_experiment_text(text: str) -> ExperimentSpec:
-    """Parse an experiment file: run keys plus `grid.<key> = v1, v2` and `seeds`.
-    `harness.run_grid` checks base and grid keys alike when it builds the runs."""
-    raw = parse_config_text(text)
+def build_experiment_spec(values: dict[str, str]) -> ExperimentSpec:
+    """Split the raw values of an experiment file, overrides applied, into
+    run keys, `grid.<key> = v1, v2` lists and `seeds`. `harness.run_grid`
+    checks base and grid keys alike when it builds the runs."""
     base: dict[str, str] = {}
     grid: dict[str, list[str]] = {}
     seeds = [0]
-    for key, value in raw.items():
+    for key, value in values.items():
         if key.startswith("grid."):
             name = key[len("grid."):]
             options = [v.strip() for v in value.split(",") if v.strip()]
@@ -478,3 +478,13 @@ def format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
+
+
+def csv_text(header: str, rows) -> str:
+    """The text of a CSV file: `header`, then each row's fields joined by
+    ','. A str field is written as given and any number by `format_value`;
+    every line ends in a newline."""
+    lines = [header]
+    lines.extend(",".join(v if isinstance(v, str) else format_value(v) for v in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import format_value
+from .core import csv_text, format_value
 from .participation import CyclicScheduler, ScaScheduler, Scheduler
 
 _EXACT_TOL = 1e-12
@@ -322,9 +322,6 @@ def format_report(checks: list[CheckResult]) -> str:
     return "\n".join(lines)
 
 
-def checks_to_csv_rows(checks: list[CheckResult]) -> list[str]:
-    rows = ["check,statistic,expected,observed,pass"]
-    for c in checks:
-        rows.append(",".join([c.check, format_value(c.statistic), format_value(c.expected),
-                              format_value(c.observed), str(c.passed)]))
-    return rows
+def checks_csv(checks: list[CheckResult]) -> str:
+    return csv_text("check,statistic,expected,observed,pass",
+                    ([c.check, c.statistic, c.expected, c.observed, str(c.passed)] for c in checks))

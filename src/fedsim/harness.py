@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algorithms import Simulation
-from .core import (ConfigError, ExperimentSpec, RunConfig, RunRecord, build_run_config, format_value,
+from .core import (ConfigError, ExperimentSpec, RunConfig, RunRecord, build_run_config, csv_text,
                    reject_unread, validate_run_config)
 from .data import load_idx, make_blobs, partition_by_similarity
 from .objectives import Logistic, Objective, Quadratic, SyntheticHard
@@ -25,10 +25,14 @@ RUN_CSV_HEADER = "round,grad_norm,train_loss,test_metric,uplink_scalars"
 
 
 def parse_centers(text: str) -> np.ndarray:
-    """Parse per-client center vectors: clients split by ';', coordinates by ','."""
+    """Parse per-client center vectors: clients split by ';', coordinates by
+    ','. A trailing ';' ends the last client; any other empty field is an
+    error."""
+    clients = text.split(";")
+    if not clients[-1].strip():
+        clients.pop()
     try:
-        rows = [[float(v) for v in part.split(",") if v.strip()]
-                for part in text.split(";") if part.strip()]
+        rows = [[float(v) for v in part.split(",")] for part in clients]
     except ValueError:
         raise ConfigError(f"cannot parse centers: {text!r}") from None
     if not rows:
@@ -180,16 +184,8 @@ def rounds_to_target(record: RunRecord, target: float) -> int | None:
 
 
 def run_record_csv(record: RunRecord) -> str:
-    lines = [RUN_CSV_HEADER]
-    for i in range(len(record.rounds)):
-        lines.append(",".join([
-            str(record.rounds[i]),
-            format_value(record.grad_norms[i]),
-            format_value(record.train_losses[i]),
-            format_value(record.test_metrics[i]),
-            str(record.uplink_scalars[i]),
-        ]))
-    return "\n".join(lines) + "\n"
+    return csv_text(RUN_CSV_HEADER, zip(record.rounds, record.grad_norms, record.train_losses,
+                                        record.test_metrics, record.uplink_scalars))
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +247,7 @@ def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
 
 
 def grid_csv(results: list[GridCellResult], grid_keys: list[str]) -> str:
-    lines = ["cell_id," + ",".join(grid_keys) + ",mean_final_loss,std_final_loss,mean_rounds_to_target"]
-    for cell in results:
-        fields = [str(cell.cell_id)]
-        fields.extend(cell.overrides[k] for k in grid_keys)
-        fields.append(format_value(cell.mean_final_loss))
-        fields.append(format_value(cell.std_final_loss))
-        fields.append(format_value(cell.mean_rounds_to_target))
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    header = "cell_id," + ",".join(grid_keys) + ",mean_final_loss,std_final_loss,mean_rounds_to_target"
+    return csv_text(header, ([cell.cell_id, *(cell.overrides[k] for k in grid_keys),
+                              cell.mean_final_loss, cell.std_final_loss,
+                              cell.mean_rounds_to_target] for cell in results))

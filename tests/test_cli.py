@@ -10,7 +10,7 @@ from fedsim import ALGORITHMS, cli, harness
 from fedsim.cli import build_parser, main
 from fedsim.core import ConfigError, RunConfig, build_run_config
 from fedsim.data import make_blobs
-from fedsim.diagnostics import assumption_suite, checks_to_csv_rows
+from fedsim.diagnostics import assumption_suite, checks_csv
 from fedsim.harness import build_run
 from fedsim.objectives import SyntheticHard
 from fedsim.participation import CyclicScheduler, ScaScheduler
@@ -464,6 +464,20 @@ def test_grid_rejects_a_key_set_in_the_base_and_the_grid(tmp_path, capsys, monke
     assert not (tmp_path / "o" / "grid.csv").exists()
 
 
+@pytest.mark.parametrize("override, header, etas", [
+    (["seeds=3"], "grid: 4 cells x 1 seeds", ["1e-06", "1e-05", "0.0001", "0.001"]),
+    (["grid.eta=0.001"], "grid: 1 cells x 2 seeds", ["0.001"]),
+], ids=["seeds", "grid-key"])
+def test_grid_reads_an_override_as_a_line_of_the_experiment_file(tmp_path, capsys, override,
+                                                                 header, etas):
+    out = tmp_path / "o"
+    rc = main(["grid", "--config", str(CONFIGS / "grid_synthetic_scaffold.cfg"),
+               *(arg for value in override for arg in ("--override", value)),
+               "--override", "rounds=40", "--out", str(out)])
+    assert (rc, capsys.readouterr().out.splitlines()[0]) == (0, header)
+    assert [line.split(",")[1] for line in (out / "grid.csv").read_text().splitlines()[1:]] == etas
+
+
 def _count_inits(monkeypatch, *classes) -> collections.Counter:
     """Count the instances of each class built from here on, however the
     builder reached the class."""
@@ -522,8 +536,8 @@ def test_verify_flags_build_the_named_scheduler(tmp_path, capsys, flags, schedul
     rc = main(["verify", *flags, "--trials", "60", "--seed", "5", "--out", str(tmp_path)])
     capsys.readouterr()
     assert rc in (0, 1)
-    expected = checks_to_csv_rows(assumption_suite(scheduler, 60, seed=5))
-    assert (tmp_path / "verify.csv").read_text() == "\n".join(expected) + "\n"
+    expected = checks_csv(assumption_suite(scheduler, 60, seed=5))
+    assert (tmp_path / "verify.csv").read_text() == expected
 
 
 @pytest.mark.parametrize("flags, same_process", [

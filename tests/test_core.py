@@ -17,12 +17,13 @@ from fedsim.core import (
     RunConfig,
     RunRecord,
     apply_overrides,
+    build_experiment_spec,
     build_run_config,
+    csv_text,
     format_value,
     gaussians_from,
     ndtri,
     parse_config_text,
-    parse_experiment_text,
     rng_stream,
     stream_uniforms,
 )
@@ -329,14 +330,17 @@ def test_experiment_grid_expansion_order():
 
 
 def test_parse_experiment_text():
-    spec = parse_experiment_text("eta = 0.1\ngrid.gamma = 1, 2\nseeds = 0, 3\n")
+    def parse(text):
+        return build_experiment_spec(parse_config_text(text))
+
+    spec = parse("eta = 0.1\ngrid.gamma = 1, 2\nseeds = 0, 3\n")
     assert spec.base == {"eta": "0.1"}
     assert spec.grid == {"gamma": ["1", "2"]}
     assert spec.seeds == [0, 3]
     with pytest.raises(ConfigError, match="no grid"):
-        parse_experiment_text("eta = 0.1")
+        parse("eta = 0.1")
     with pytest.raises(ConfigError, match="seeds"):
-        parse_experiment_text("grid.eta = 1\nseeds = x")
+        parse("grid.eta = 1\nseeds = x")
 
 
 def test_run_record_validation():
@@ -357,3 +361,10 @@ def test_format_value_round_trips():
     assert format_value(1e-05) == "1e-05"
     assert format_value(float("nan")) == "nan"
     assert float(format_value(1 / 3)) == 1 / 3
+
+
+def test_csv_text_writes_strings_as_given_and_numbers_in_round_trip_form():
+    assert csv_text("h", []) == "h\n"
+    rows = [["0.10", 3, np.int64(4), 1 / 3], ["x", 0.1, float("nan"), float("inf")]]
+    assert csv_text("a,b,c,d", rows) == (
+        "a,b,c,d\n0.10,3,4,0.3333333333333333\nx,0.1,nan,inf\n")

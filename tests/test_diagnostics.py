@@ -10,7 +10,7 @@ from fedsim.diagnostics import (
     BURN_IN,
     ParticipationHistory,
     assumption_suite,
-    checks_to_csv_rows,
+    checks_csv,
     cyclic_qbar_variance,
     format_report,
     monte_carlo_stats,
@@ -404,8 +404,12 @@ def test_report_and_csv_formats():
     report = format_report(checks)
     assert "PASS" in report
     assert report.strip().endswith("checks passed.")
-    rows = checks_to_csv_rows(checks)
+    text = checks_csv(checks)
+    assert text.endswith("\n")
+    rows = text.splitlines()
     assert rows[0] == "check,statistic,expected,observed,pass"
     assert len(rows) == len(checks) + 1
     assert all(row.count(",") == 4 for row in rows[1:])
     assert rows[1].split(",")[0] == checks[0].check
+    # The pass column reads True or False, not the 1 or 0 a number would.
+    assert [row.split(",")[4] for row in rows[1:]] == [str(c.passed) for c in checks]

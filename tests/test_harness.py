@@ -172,8 +172,9 @@ def test_run_csv_format():
 def test_parse_centers():
     np.testing.assert_array_equal(parse_centers("1,2; 3,4"), [[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(parse_centers("1; 2;"), [[1.0], [2.0]])
-    with pytest.raises(ConfigError, match="cannot parse centers"):
-        parse_centers("a,b")
+    for text in ("a,b", "1,,2; 3,4", "1,2;;3,4"):
+        with pytest.raises(ConfigError, match="cannot parse centers"):
+            parse_centers(text)
     with pytest.raises(ConfigError, match="same number of coordinates"):
         parse_centers("1,2; 3")
     with pytest.raises(ConfigError, match="requires centers"):

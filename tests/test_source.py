@@ -335,6 +335,42 @@ def test_the_engine_checks_no_config():
     assert not found, f"algorithms.py names ConfigError on lines {found}"
 
 
+def copied_config_fields(tree: ast.Module) -> list[int]:
+    """The lines that assign a `self.<name>` a value that may be a config
+    field itself, `cfg.<field>` or `self.cfg.<field>`, as a whole or as a
+    branch of a conditional: a copy of a setting rather than state computed
+    from it."""
+
+    def is_config(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "cfg"
+                or isinstance(node, ast.Attribute) and node.attr == "cfg"
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    def copies_a_field(node: ast.AST) -> bool:
+        if isinstance(node, ast.IfExp):
+            return copies_a_field(node.body) or copies_a_field(node.orelse)
+        if isinstance(node, ast.BoolOp):
+            return any(map(copies_a_field, node.values))
+        return isinstance(node, ast.Attribute) and is_config(node.value)
+
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                    and t.value.id == "self" for t in node.targets)
+            and copies_a_field(node.value)]
+
+
+def test_the_engine_keeps_one_copy_of_its_settings():
+    """`Simulation` reads its settings from the config `harness.build_run`
+    settled, `self.cfg = cfg`, and holds no copy of a field that could
+    drift from it."""
+    sample = ast.parse("class S:\n def __init__(self, cfg):\n  self.cfg = cfg\n"
+                       "  self.eta = cfg.eta\n  self.mu = cfg.mu if cfg.algorithm else 0.0\n"
+                       "  self.seed = self.cfg.seed\n  self.v = f(cfg.seed) * cfg.gamma\n")
+    assert copied_config_fields(sample) == [4, 5, 6]
+    found = copied_config_fields(parse(SRC / "algorithms.py"))
+    assert not found, f"algorithms.py copies config fields on lines {found}"
+
+
 def unread_fields(fields: list[str], paths: list[Path]) -> list[str]:
     """The names in `fields` that no module in `paths` names, either as an
     attribute such as `cfg.eta` or as a string such as a key table's
