@@ -94,18 +94,48 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     return x, grad_sum
 
 
+def sampled_rounds(objective: Objective, scheduler: Scheduler, cfg: RunConfig):
+    """Yield round 0, 1, ... in order: its sorted sampled clients and, per
+    client i, its noise row as Python floats: the first `local_steps * draws`
+    uniforms of the "gradient-noise" stream (seed, i, r), mapped through
+    `objective.noise`. A chunk samples rounds in order, one `sample_round`
+    call each, until their rows reach `NOISE_CHUNK` doubles or the run ends
+    (past `cfg.rounds`, one round a chunk); one `stream_uniforms` and one
+    `objective.noise` call fill it. So a scheduler's error at any round of a
+    chunk is raised when the chunk is filled. A module function holds no
+    reference to its `Simulation`, which is then freed without the cyclic
+    collector.
+    """
+    per_client = cfg.local_steps * objective.draws
+    r = 0
+    while True:
+        sets = [scheduler.sample_round(r, cfg.seed)]
+        offsets = [0, len(sets[0])]
+        while offsets[-1] * per_client < NOISE_CHUNK and r + len(sets) < cfg.rounds:
+            sets.append(scheduler.sample_round(r + len(sets), cfg.seed))
+            offsets.append(offsets[-1] + len(sets[-1]))
+        rounds = np.repeat(np.arange(r, r + len(sets), dtype=np.uint64), np.diff(offsets))
+        uniforms = stream_uniforms(cfg.seed, "gradient-noise", np.concatenate(sets), rounds,
+                                   per_client)
+        noise = objective.noise(uniforms)
+        for sampled, start, stop in zip(sets, offsets, offsets[1:]):
+            # Python floats are the same doubles, and cheaper to hand out one at a time.
+            yield sampled, noise[start:stop].tolist()
+        r += len(sets)
+
+
 class Simulation:
     """Mutable server state driving one run round by round.
 
-    The caller owns the loop: call run_round(r) for r = 0..R-1 and read
-    `model` whenever a metric evaluation is wanted. Reading the model never
-    touches any training randomness. The pieces are taken as
-    `harness.build_run` checked them; nothing here checks a config. Every
-    run setting is read from `cfg` as given, so a hand-built config runs
-    what it says: `mu` set on `fedavg` runs the proximal pull. Only the
-    switches come from `ALGORITHM_KEYS`: control variates for an algorithm
-    that reads `cv_init`, and `window_len`, the pattern's window for one
-    that reads `gamma` and 1 otherwise.
+    The caller owns the loop: call run_round(r) for r = 0..R-1, in order,
+    and read `model` whenever a metric evaluation is wanted. Reading the
+    model never touches any training randomness. A built run is
+    `Simulation(*harness.build_run(cfg), cfg)`; nothing here checks a
+    config. Every run setting is read from `cfg` as given, so a hand-built
+    config runs what it says: `mu` set on `fedavg` runs the proximal pull.
+    Only the switches come from `ALGORITHM_KEYS`: control variates for an
+    algorithm that reads `cv_init`, and `window_len`, the pattern's window
+    for one that reads `gamma` and 1 otherwise.
 
     The state is plain arrays: `model`, the live server model that sampled
     clients start from, and `x_global`, the model at the last commit. With
@@ -116,24 +146,10 @@ class Simulation:
     control variates all four are None. Every `window_len` rounds the commit
     moves `x_global` gamma times the window's movement of `model`, rebases
     `model` there and refreshes the variates of the clients seen.
-
-    Client i's local steps in round r read the first `local_steps * draws`
-    uniforms of the "gradient-noise" stream (seed, i, r), mapped through
-    `objective.noise`. When r falls outside the rounds held, the rounds from
-    r on are sampled, one `sample_round` call per round and in order, until
-    their sampled rows reach `NOISE_CHUNK` doubles or the run ends; one
-    `stream_uniforms` call computes the rows of the sampled (client, round)
-    pairs, which one `objective.noise` call maps; so a round costs no stream
-    construction and no per-step mapping, and `run_round(r)` reads its
-    sampled set and rows. Sampling is thus read up to one chunk ahead, and a
-    scheduler's error at any round of a chunk is raised when the chunk is
-    filled: a run that diverges at a mark can still raise the error of a
-    later round of its chunk.
     """
 
     def __init__(self, objective: Objective, scheduler: Scheduler, cfg: RunConfig):
         self.objective = objective
-        self.scheduler = scheduler
         self.cfg = cfg
         reads = ALGORITHM_KEYS[cfg.algorithm]
         self.window_len = scheduler.window if "gamma" in reads else 1
@@ -151,36 +167,11 @@ class Simulation:
             self.accum = np.zeros_like(self.variates)
             self.qbar = np.zeros(objective.n_clients)
         self.uplink_scalars = 0
-        # Rounds [noise_start, noise_start + len(sets)): each round's sampled
-        # set, and from row `offsets[k]` the sampled clients' mapped noise of
-        # round noise_start + k, one row per client in the set's order.
-        self._sets: list[np.ndarray] = []
-        self._offsets: list[int] = []
-        self._noise = np.empty((0, cfg.local_steps * objective.draws))
-        self._noise_start = 0
-
-    def _fill_noise(self, r: int) -> None:
-        per_client = self._noise.shape[1]
-        seed = self.cfg.seed
-        sets = [self.scheduler.sample_round(r, seed)]
-        offsets = [0, len(sets[0])]
-        while offsets[-1] * per_client < NOISE_CHUNK and r + len(sets) < self.cfg.rounds:
-            sets.append(self.scheduler.sample_round(r + len(sets), seed))
-            offsets.append(offsets[-1] + len(sets[-1]))
-        rounds = np.repeat(np.arange(r, r + len(sets), dtype=np.uint64), np.diff(offsets))
-        uniforms = stream_uniforms(seed, "gradient-noise", np.concatenate(sets), rounds,
-                                   per_client)
-        self._noise = self.objective.noise(uniforms)
-        self._sets, self._offsets, self._noise_start = sets, offsets, r
+        self._rounds = sampled_rounds(objective, scheduler, cfg)
 
     def run_round(self, r: int) -> None:
-        if not 0 <= r - self._noise_start < len(self._sets):
-            self._fill_noise(r)
-        k = r - self._noise_start
-        sampled = self._sets[k]
-        # Python floats are the same doubles and much cheaper to hand out
-        # one at a time.
-        noise = self._noise[self._offsets[k]:self._offsets[k + 1]].tolist()
+        """Run round `r`, which must follow the last round run (or be 0)."""
+        sampled, noise = next(self._rounds)
         cfg, variates = self.cfg, self.variates
         # Every sampled client weighs 1/S. `sampled` is sorted, so the
         # floating-point reduction always walks clients in index order.

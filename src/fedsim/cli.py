@@ -45,10 +45,7 @@ def _out_path(args: argparse.Namespace, name: str) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    values = _load_values(args)
-    if args.seed is not None:
-        values["seed"] = str(args.seed)
-    cfg = build_run_config(values)
+    cfg = build_run_config(_load_values(args))
     record = run_once(cfg)
     path = _out_path(args, "run.csv")
     atomic_write(path, run_record_csv(record).encode())
@@ -73,10 +70,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    values = _load_values(args)
-    if args.seed is not None:
-        values["seeds"] = str(args.seed)
-    spec = build_experiment_spec(values)
+    spec = build_experiment_spec(_load_values(args))
     results = run_grid(spec)
     grid_keys = list(spec.grid)
     path = _out_path(args, "grid.csv")
@@ -108,7 +102,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_partition_report(args: argparse.Namespace) -> int:
-    cfg, objective, _ = build_run(build_run_config(_load_values(args)))
+    cfg = build_run_config(_load_values(args))
+    objective, _ = build_run(cfg)
     if cfg.objective != "logistic":
         raise ConfigError("partition-report needs a config with objective = logistic.")
     labels = objective.labels
@@ -139,12 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subs.add_parser("run", help="execute one seeded run and write run.csv")
     _add_common(run)
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.set_defaults(func=cmd_run)
 
     grid = subs.add_parser("grid", help="run an experiment grid and write grid.csv")
     _add_common(grid)
-    grid.add_argument("--seed", type=int, default=None, help="replace the seed list with one seed")
     grid.set_defaults(func=cmd_grid)
 
     verify = subs.add_parser("verify", help="participation diagnostics; exit 1 on a failed check")

@@ -277,7 +277,7 @@ class RunConfig:
     blob_test_samples: int = 0
     # bookkeeping
     seed: int = 0
-    eval_every: int = 0
+    eval_every: int = 20
     target_value: float = float("nan")
 
 
@@ -369,7 +369,7 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
     `data.partition_indices`. `make_scheduler`, `build_objective` and
     `load_dataset` also reject any key the chosen pattern, objective or
     dataset kind never reads. `build_run` then matches `n_clients` against
-    the objective and fills the `eval_every` default. Returns `cfg` itself.
+    the objective; nothing fills a default. Returns `cfg` itself.
     """
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm: {cfg.algorithm!r}")
@@ -388,8 +388,8 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
     reject_unread(cfg, f"algorithm {cfg.algorithm}", ALGORITHM_KEYS[cfg.algorithm],
                   ("mu", "gamma", "cv_init"))
     check_seed(cfg.seed)
-    if cfg.eval_every < 0:
-        raise ConfigError("eval_every must be >= 0.")
+    if cfg.eval_every < 1:
+        raise ConfigError("eval_every must be >= 1.")
     return cfg
 
 
@@ -410,27 +410,39 @@ class ExperimentSpec:
         return [dict(zip(self.grid, combo)) for combo in itertools.product(*self.grid.values())]
 
 
+def _list_fields(value: str, what: str, empty: str) -> list[str]:
+    """The fields of a comma-separated list, raising `empty` when all are
+    empty. A trailing ',' ends the list; any other empty field is an error."""
+    fields = [v.strip() for v in value.split(",")]
+    fields = fields if fields[-1] else fields[:-1]
+    if not any(fields):
+        raise ConfigError(empty)
+    if not all(fields):
+        raise ConfigError(f"{what} has an empty field: {value!r}")
+    return fields
+
+
 def build_experiment_spec(values: dict[str, str]) -> ExperimentSpec:
     """Split the raw values of an experiment file, overrides applied, into
-    run keys, `grid.<key> = v1, v2` lists and `seeds`. `harness.run_grid`
-    checks base and grid keys alike when it builds the runs."""
+    run keys, `grid.<key> = v1, v2` lists and `seeds`, rejecting an empty
+    field and a repeated seed. `harness.run_grid` checks base and grid keys
+    alike when it builds the runs, and rejects two equal cells."""
     base: dict[str, str] = {}
     grid: dict[str, list[str]] = {}
     seeds = [0]
     for key, value in values.items():
         if key.startswith("grid."):
             name = key[len("grid."):]
-            options = [v.strip() for v in value.split(",") if v.strip()]
-            if not options:
-                raise ConfigError(f"grid key {name!r} has no values.")
-            grid[name] = options
+            grid[name] = _list_fields(value, f"grid key {name!r}",
+                                      f"grid key {name!r} has no values.")
         elif key == "seeds":
+            fields = _list_fields(value, "seeds list", "seeds list is empty.")
             try:
-                seeds = [int(v) for v in value.split(",") if v.strip()]
+                seeds = [int(v) for v in fields]
             except ValueError:
                 raise ConfigError(f"cannot parse seeds list: {value!r}") from None
-            if not seeds:
-                raise ConfigError("seeds list is empty.")
+            if len(set(seeds)) < len(seeds):
+                raise ConfigError(f"seeds list repeats a seed: {value!r}")
         else:
             base[key] = value
     if not grid:

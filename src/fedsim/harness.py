@@ -10,7 +10,7 @@ shortest round-trip form, which makes re-runs byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +57,6 @@ _OBJECTIVES = {
 }
 _OBJECTIVE_KEYS = tuple(dict.fromkeys(key for keys in _OBJECTIVES.values() for key in keys))
 OBJECTIVES = tuple(_OBJECTIVES)
-# Rounds between evaluation marks when a config leaves `eval_every` at 0.
-_EVAL_EVERY = {"synthetic_hard": 20, "quadratic": 20, "logistic": 10}
 
 
 def build_objective(cfg: RunConfig) -> Objective:
@@ -102,14 +100,14 @@ def load_dataset(cfg: RunConfig):
     return train, test
 
 
-def build_run(cfg: RunConfig) -> tuple[RunConfig, Objective, Scheduler]:
+def build_run(cfg: RunConfig) -> tuple[Objective, Scheduler]:
     """The one construction path of a run: validate `cfg`, build its
     scheduler, build its objective, then match `n_clients` against the
     objective. A config with several faults raises at the first of these
     steps that checks one.
 
-    Returns the config with its objective's `eval_every` default filled
-    in, the objective and the scheduler; the input is not modified.
+    Returns the objective and the scheduler, which run `cfg` as written:
+    `Simulation(*build_run(cfg), cfg)`.
     """
     validate_run_config(cfg)
     scheduler = make_scheduler(cfg)
@@ -117,20 +115,18 @@ def build_run(cfg: RunConfig) -> tuple[RunConfig, Objective, Scheduler]:
     if cfg.n_clients != objective.n_clients:
         raise ConfigError(f"config n_clients = {cfg.n_clients}, but the {cfg.objective}"
                           f" objective has {objective.n_clients} clients.")
-    if cfg.eval_every == 0:
-        cfg = replace(cfg, eval_every=_EVAL_EVERY[cfg.objective])
-    return cfg, objective, scheduler
+    return objective, scheduler
 
 
 def run_once(cfg: RunConfig) -> RunRecord:
     """Execute one seeded run and return its metric record: `simulate` on
-    the pieces `build_run` makes."""
-    return simulate(*build_run(cfg))
+    `cfg` and the pieces `build_run` makes of it."""
+    return simulate(cfg, *build_run(cfg))
 
 
 def simulate(cfg: RunConfig, objective: Objective, scheduler: Scheduler) -> RunRecord:
-    """Run the rounds of a built run, recording a row at round 0, every
-    `eval_every` rounds and the last round.
+    """Run `cfg`'s rounds in order on the pieces `build_run(cfg)` made,
+    recording a row at round 0, every `eval_every` rounds and the last round.
 
     The run diverges at the first evaluation mark where the model, the
     train loss or the gradient norm is non-finite. Its rows then stop at
@@ -207,7 +203,8 @@ def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
 
     Each run's seed comes from `spec.seeds`, so a `seed` key in the base
     config (file or override) or in the grid is rejected rather than
-    silently replaced, as is a key set in both the base and the grid.
+    silently replaced, as is a key set in both the base and the grid, and
+    two cells whose configs are equal (`0.1` and `1e-1` are one value).
 
     Every (cell, seed) run is built by `build_run`, and so checked, before
     the first run starts, so a bad cell fails before any run's time is
@@ -216,13 +213,19 @@ def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
     """
     for key, where in (("seed", spec.base), ("grid.seed", spec.grid)):
         if "seed" in where:
-            raise ConfigError(f"a grid takes its seeds from 'seeds' or --seed, not from {key}.")
+            raise ConfigError(f"a grid takes its seeds from 'seeds', not from {key}.")
     twice = sorted(spec.base.keys() & spec.grid.keys())
     if twice:
         raise ConfigError(f"{twice[0]} is set both in the base config and in grid.{twice[0]}.")
     cells = spec.cells()
-    runs = [[build_run(build_run_config({**spec.base, **cell, "seed": str(seed)}))
-             for seed in spec.seeds] for cell in cells]
+    configs = [[build_run_config({**spec.base, **cell, "seed": str(seed)}) for seed in spec.seeds]
+               for cell in cells]
+    # Equal values have one repr (0.1 and 1e-1, NaN and NaN), so equal cells do too.
+    reprs = [repr(cell_configs[0]) for cell_configs in configs]
+    twins = [(reprs.index(text), k) for k, text in enumerate(reprs) if reprs.index(text) != k]
+    if twins:
+        raise ConfigError(f"grid cells {twins[0][0]} and {twins[0][1]} run the same config.")
+    runs = [[(cfg, *build_run(cfg)) for cfg in cell_configs] for cell_configs in configs]
     results = []
     for cell_id, (cell, cell_runs) in enumerate(zip(cells, runs)):
         finals, reached, diverged = [], [], 0
@@ -234,15 +237,10 @@ def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
                 hit = rounds_to_target(record, cfg.target_value)
                 if hit is not None:
                     reached.append(hit)
-        finals_arr = np.array(finals, dtype=float)
         results.append(GridCellResult(
-            cell_id=cell_id,
-            overrides=cell,
-            mean_final_loss=float(np.mean(finals_arr)),
-            std_final_loss=float(np.std(finals_arr)),
-            mean_rounds_to_target=float(np.mean(reached)) if reached else float("nan"),
-            diverged_runs=diverged,
-        ))
+            cell_id=cell_id, overrides=cell, mean_final_loss=float(np.mean(finals)),
+            std_final_loss=float(np.std(finals)), diverged_runs=diverged,
+            mean_rounds_to_target=float(np.mean(reached)) if reached else float("nan")))
     return results
 
 

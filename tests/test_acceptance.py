@@ -83,8 +83,7 @@ def test_criterion_2():
         "local_steps": "1", "objective": "quadratic",
         "centers": "1,0,-2; -1,2,0.5; 0.25,-0.75,1.5", "sigma": "0",
     })
-    cfg, objective, scheduler = build_run(cfg)
-    sim = Simulation(objective, scheduler, cfg)
+    sim = Simulation(*build_run(cfg), cfg)
     x = np.zeros(3)
     mean_center = centers.mean(axis=0)
     worst = 0.0
@@ -168,8 +167,8 @@ def test_criterion_6():
         "synthetic_fedavg.cfg", "algorithm=fedprox", "mu=0.0", *trim)))
     assert prox == plain
 
-    cfg, objective, scheduler = build_run(_config("synthetic_amp_scaffold.cfg", "rounds=960"))
-    sim = Simulation(objective, scheduler, cfg)
+    cfg = _config("synthetic_amp_scaffold.cfg", "rounds=960")
+    sim = Simulation(*build_run(cfg), cfg)
     refreshes = 0
     for r in range(cfg.rounds):
         sim.run_round(r)

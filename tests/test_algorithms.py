@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -526,3 +529,19 @@ def test_warm_start_equals_a_stream_per_client(kind):
     cfg = _cfg(n_clients=12, algorithm="scaffold", local_steps=4, seed=5, objective=kind)
     sim = Simulation(objective, make_scheduler(cfg), cfg)
     assert sim.variate_mean.tobytes() == sim.variates.mean(axis=0).tobytes()
+
+
+def test_a_finished_run_is_freed_without_the_cyclic_collector():
+    # A noise feed that referred back to its Simulation would make a cycle
+    # and keep each finished run's last chunk alive until a collection.
+    cfg = _cfg(sigma=1.0, rounds=5)
+    gc.disable()
+    try:
+        sim = _sim(cfg, [[1.0], [-1.0]])
+        for r in range(3):
+            sim.run_round(r)
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()

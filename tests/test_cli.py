@@ -169,7 +169,7 @@ def test_run_seed_flag_changes_the_bytes(tmp_path):
     cfg = _write(tmp_path, "run.cfg", QUAD_CFG)
     for seed, name in ((0, "a"), (0, "b"), (1, "c")):
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / name),
-                   "--override", "sigma=1.0", "--seed", str(seed)])
+                   "--override", "sigma=1.0", "--override", f"seed={seed}"])
         assert rc == 0
     a = (tmp_path / "a" / "run.csv").read_bytes()
     assert a == (tmp_path / "b" / "run.csv").read_bytes()
@@ -401,11 +401,15 @@ def test_grid_prints_how_many_runs_of_a_cell_diverged(tmp_path, capsys):
         "cell_id,eta,mean_final_loss,std_final_loss,mean_rounds_to_target")
 
 
-def test_grid_seed_flag_replaces_the_seed_list(tmp_path, capsys):
-    cfg = _write(tmp_path, "grid.cfg", GRID_CFG)
-    rc = main(["grid", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "7"])
-    assert rc == 0
-    assert "2 cells x 1 seeds" in capsys.readouterr().out
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_the_seed_is_set_only_through_the_config(tmp_path, capsys, command):
+    # `--override seed=N` (run) and `--override seeds=N` (grid) set it.
+    cfg = _write(tmp_path, "grid.cfg", GRID_CFG if command == "grid" else QUAD_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_grid_without_grid_keys_exits_2(tmp_path, capsys):
@@ -426,6 +430,36 @@ def test_grid_rejects_an_empty_list(tmp_path, capsys, text, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("grid.eta = 0.1,,0.2", "grid key 'eta' has an empty field: '0.1,,0.2'"),
+    ("grid.eta = , 0.1", "grid key 'eta' has an empty field: ', 0.1'"),
+    ("seeds = 0,,1", "seeds list has an empty field: '0,,1'"),
+    ("seeds = 0, 0", "seeds list repeats a seed: '0, 0'"),
+    ("grid.eta = 0.1, 0.1", "grid cells 0 and 1 run the same config."),
+    ("grid.eta = 0.2, 0.1, 1e-1", "grid cells 1 and 2 run the same config."),
+], ids=["grid-empty-field", "grid-leading-empty", "seeds-empty-field", "seeds-repeat",
+        "grid-repeat", "grid-equal-values"])
+def test_grid_rejects_an_empty_field_or_a_repeat_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                                  line, message):
+    # An empty field is not dropped and a repeat is not run twice without a word.
+    def never(*run):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(harness, "simulate", never)
+    text = QUAD_GRID_BASE + line + "\n" + ("" if "grid." in line else "grid.eta = 0.1\n")
+    rc = main(["grid", "--config", _write(tmp_path, "grid.cfg", text),
+               "--out", str(tmp_path / "o")])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_trailing_comma_ends_a_grid_list(tmp_path, capsys):
+    text = QUAD_GRID_BASE + "grid.eta = 0.05, 0.2,\nseeds = 0, 1,\n"
+    rc = main(["grid", "--config", _write(tmp_path, "grid.cfg", text),
+               "--out", str(tmp_path / "o")])
+    assert (rc, capsys.readouterr().out.splitlines()[0]) == (0, "grid: 2 cells x 2 seeds")
+
+
 @pytest.mark.parametrize("extra, override, key", [
     ("seed = 7\n", [], "seed"),
     ("grid.seed = 3, 4\n", [], "grid.seed"),
@@ -440,7 +474,7 @@ def test_grid_rejects_a_seed_key_before_any_cell(tmp_path, capsys, monkeypatch, 
     rc = main(["grid", "--config", cfg, *override, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err == (
-        f"error: a grid takes its seeds from 'seeds' or --seed, not from {key}.\n")
+        f"error: a grid takes its seeds from 'seeds', not from {key}.\n")
     assert not (tmp_path / "o" / "grid.csv").exists()
 
 
@@ -448,7 +482,7 @@ def test_grid_rejects_a_seed_key_before_any_cell(tmp_path, capsys, monkeypatch, 
     (GRID_CFG + "eta = 0.5\n", []),
     (GRID_CFG, ["--override", "eta=0.5"]),
     ((CONFIGS / "grid_synthetic_scaffold.cfg").read_text(),
-     ["--override", "eta=0.5", "--override", "rounds=40", "--seed", "0"]),
+     ["--override", "eta=0.5", "--override", "rounds=40"]),
 ], ids=["file", "override", "shipped"])
 def test_grid_rejects_a_key_set_in_the_base_and_the_grid(tmp_path, capsys, monkeypatch, config,
                                                          override):
@@ -718,3 +752,11 @@ def test_run_rejects_a_negative_held_out_count(tmp_path, capsys):
     assert rc == 2
     assert "held-out sample count" in capsys.readouterr().err
     assert not (tmp_path / "run.csv").exists()
+
+
+def test_run_rejects_an_eval_every_of_0(tmp_path, capsys):
+    # The schedule records a row every eval_every rounds; there is no 0 meaning "a default".
+    rc = main(["run", "--config", _write(tmp_path, "run.cfg", QUAD_CFG), "--override",
+               "eval_every=0", "--out", str(tmp_path / "o")])
+    assert (rc, capsys.readouterr().err) == (2, "error: eval_every must be >= 1.\n")
+    assert not (tmp_path / "o").exists()

@@ -213,7 +213,8 @@ def test_validation_rejects_inconsistent_combinations():
     ("local_steps", "0", "local_steps must be >= 1."),
     ("gamma", "0.5", "gamma must be >= 1."),
     ("mu", "-1", "mu must be >= 0."),
-    ("eval_every", "-1", "eval_every must be >= 0."),
+    ("eval_every", "-1", "eval_every must be >= 1."),
+    ("eval_every", "0", "eval_every must be >= 1."),
     ("cv_init", "cold", "unknown cv_init mode: 'cold'"),
 ])
 def test_build_run_rejects_a_run_loop_or_algorithm_key_out_of_range(key, value, message):
@@ -222,14 +223,15 @@ def test_build_run_rejects_a_run_loop_or_algorithm_key_out_of_range(key, value, 
     assert str(exc.value) == message
 
 
-def test_eval_every_defaults_by_objective():
-    cfg, _, _ = build_run(build_run_config(_SYNTHETIC))
-    assert cfg.eval_every == 20
-    logistic, _, _ = build_run(build_run_config(dict(_SYNTHETIC, objective="logistic")))
-    assert logistic.eval_every == 10
-    explicit, _, _ = build_run(build_run_config(dict(_SYNTHETIC, eval_every="7")))
-    assert explicit.eval_every == 7
-    assert set(harness._EVAL_EVERY) == set(harness.OBJECTIVES)
+def test_eval_every_defaults_to_20_for_every_objective():
+    # build_run fills nothing in: a run reads its config as written.
+    for objective in ({"objective": "synthetic_hard"},
+                      {"objective": "quadratic", "centers": "1; 3"},
+                      {"objective": "logistic", "blob_samples": "40", "blob_classes": "3",
+                       "blob_features": "4"}):
+        cfg = build_run_config(dict(_SYNTHETIC, rounds="45", **objective))
+        assert run_once(cfg).rounds == [0, 20, 40, 45], objective["objective"]
+    assert set(harness.OBJECTIVES) == {"synthetic_hard", "quadratic", "logistic"}
 
 
 def test_blob_dataset_split():
@@ -254,11 +256,12 @@ def test_blob_dataset_split():
 def test_a_blob_run_trains_the_classes_its_config_sets(test_samples):
     # make_blobs labels sample k with k % blob_classes, so 8 training samples
     # hold only 8 of the 10 classes, while a held-out set of 100 holds all 10.
-    cfg, objective, _ = build_run(build_run_config({
+    cfg = build_run_config({
         "n_clients": "2", "s_clients": "2", "rounds": "1", "algorithm": "fedavg", "eta": "0.1",
         "objective": "logistic", "dataset": "blob", "blob_samples": "8", "blob_classes": "10",
         "blob_features": "8", "blob_test_samples": test_samples,
-    }))
+    })
+    objective, _ = build_run(cfg)
     assert (objective.num_classes, objective.dim) == (10, 90)
     assert run_once(cfg).rounds == [0, 1]
 

@@ -371,6 +371,33 @@ def test_the_engine_keeps_one_copy_of_its_settings():
     assert not found, f"algorithms.py copies config fields on lines {found}"
 
 
+def replace_uses(tree: ast.Module) -> list[int]:
+    """The lines that import or call `dataclasses.replace`: `from
+    dataclasses import replace`, `replace(...)` or `dataclasses.replace(...)`."""
+    def is_replace(func: ast.AST) -> bool:
+        return (isinstance(func, ast.Name) and func.id == "replace"
+                or isinstance(func, ast.Attribute) and func.attr == "replace"
+                and isinstance(func.value, ast.Name) and func.value.id == "dataclasses")
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+            and "replace" in [alias.name for alias in node.names]
+            or isinstance(node, ast.Call) and is_replace(node.func)]
+
+
+def test_no_module_rewrites_a_config():
+    """A built run reads its config exactly as written: no module in the
+    package imports or calls `dataclasses.replace` to copy a config with
+    changed fields."""
+    sample = ast.parse("from dataclasses import dataclass, replace\nimport dataclasses\n"
+                       "a = replace(cfg, eta=1)\nb = dataclasses.replace(cfg)\n"
+                       "c = text.replace('a', 'b')\n")
+    assert sorted(replace_uses(sample)) == [1, 3, 4]
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in replace_uses(parse(path))]
+    assert not found, f"dataclasses.replace imported or called at {found}"
+
+
 def unread_fields(fields: list[str], paths: list[Path]) -> list[str]:
     """The names in `fields` that no module in `paths` names, either as an
     attribute such as `cfg.eta` or as a string such as a key table's
