@@ -258,11 +258,8 @@ class RunConfig:
     window_p: int = 0
     # objective
     objective: str = ""
-    h: float = 16.0
     kappa: float = 16.0
     sigma: float = 1.0
-    c: float = 1.0
-    mu_pl: float = 2.0
     centers: str = ""
     # data source (logistic only)
     dataset: str = "blob"

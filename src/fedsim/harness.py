@@ -51,7 +51,7 @@ _DATASETS = {
 }
 _DATASET_KEYS = tuple(key for keys in _DATASETS.values() for key in keys)
 _OBJECTIVES = {
-    "synthetic_hard": ("h", "kappa", "sigma", "c", "mu_pl"),
+    "synthetic_hard": ("kappa", "sigma"),
     "quadratic": ("centers", "sigma"),
     "logistic": ("dataset", "similarity", *_DATASET_KEYS),
 }
@@ -66,7 +66,7 @@ def build_objective(cfg: RunConfig) -> Objective:
         raise ConfigError(f"unknown objective: {cfg.objective!r}")
     reject_unread(cfg, f"objective {cfg.objective}", _OBJECTIVES[cfg.objective], _OBJECTIVE_KEYS)
     if cfg.objective == "synthetic_hard":
-        return SyntheticHard(cfg.h, cfg.kappa, cfg.sigma, cfg.c, cfg.mu_pl)
+        return SyntheticHard(cfg.kappa, cfg.sigma)
     if cfg.objective == "quadratic":
         return Quadratic(parse_centers(cfg.centers), cfg.sigma)
     train, test = load_dataset(cfg)
@@ -204,7 +204,8 @@ def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
     Each run's seed comes from `spec.seeds`, so a `seed` key in the base
     config (file or override) or in the grid is rejected rather than
     silently replaced, as is a key set in both the base and the grid, and
-    two cells whose configs are equal (`0.1` and `1e-1` are one value).
+    two cells whose configs are equal (`0.1` and `1e-1` are one value, as
+    are the centers `1;3` and `1.0; 3.0`).
 
     Every (cell, seed) run is built by `build_run`, and so checked, before
     the first run starts, so a bad cell fails before any run's time is
@@ -220,12 +221,14 @@ def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
     cells = spec.cells()
     configs = [[build_run_config({**spec.base, **cell, "seed": str(seed)}) for seed in spec.seeds]
                for cell in cells]
-    # Equal values have one repr (0.1 and 1e-1, NaN and NaN), so equal cells do too.
-    reprs = [repr(cell_configs[0]) for cell_configs in configs]
+    runs = [[(cfg, *build_run(cfg)) for cfg in cell_configs] for cell_configs in configs]
+    # Equal values have one repr (0.1 and 1e-1, NaN and NaN), so equal cells do
+    # too once centers is parsed: a built run's centers parse, or are unset.
+    reprs = [repr({**vars(cfg), "centers": cfg.centers and parse_centers(cfg.centers).tolist()})
+             for cfg, *_ in configs]
     twins = [(reprs.index(text), k) for k, text in enumerate(reprs) if reprs.index(text) != k]
     if twins:
         raise ConfigError(f"grid cells {twins[0][0]} and {twins[0][1]} run the same config.")
-    runs = [[(cfg, *build_run(cfg)) for cfg in cell_configs] for cell_configs in configs]
     results = []
     for cell_id, (cell, cell_runs) in enumerate(zip(cells, runs)):
         finals, reached, diverged = [], [], 0

@@ -47,9 +47,11 @@ class Objective:
 
     def noise(self, u: np.ndarray) -> np.ndarray:
         """Map an array of uniforms in [0, 1) elementwise, keeping its shape,
-        to the noise values `stoch_grad_local` reads. Elementwise means a
-        block maps to the same bits whatever else is mapped with it."""
-        raise NotImplementedError
+        to the noise values `stoch_grad_local` reads: N(0, sigma^2) draws with
+        the objective's `sigma`, unless an objective overrides this map.
+        Elementwise means a block maps to the same bits whatever else is
+        mapped with it."""
+        return gaussians_from(u, self.sigma)
 
     def stoch_grad_local(self, client: int, x: np.ndarray, z: Sequence[float]) -> np.ndarray:
         """One stochastic gradient draw from the noise values `z`.
@@ -96,24 +98,24 @@ class SyntheticHard(Objective):
     s_1 = -1 and x1* = c * sqrt(mu_pl / h); all gradient noise is on x[2].
     The +-kappa slopes on x[3] make the global objective flat there but
     enter no other coordinate's gradient, so heterogeneity never reaches
-    the loss."""
+    the loss. h = 16, c = 1 and mu_pl = 2 are fixed constants; ROADMAP
+    item 1 changes them in code, with the derivation that chooses them."""
 
     dim = 4
     n_clients = 2
     draws = 1
 
-    def __init__(self, h: float = 16.0, kappa: float = 16.0, sigma: float = 1.0,
-                 c: float = 1.0, mu_pl: float = 2.0):
-        if h <= 0 or mu_pl <= 0:
-            raise ValueError("h and mu_pl must be > 0.")
+    def __init__(self, kappa: float = 16.0, sigma: float = 1.0):
         if sigma < 0 or kappa < 0:
             raise ValueError("sigma and kappa must be >= 0.")
-        self.h = h
         self.kappa = kappa
         self.sigma = sigma
-        self.c = c
-        self.mu_pl = mu_pl
-        self._x2_star = float(np.sqrt(mu_pl) * c / np.sqrt(h))
+        # Instance attributes: the oracle reads them every call, and CPython
+        # 3.11 reads a class attribute through `self` more slowly.
+        self.h = 16.0
+        self.c = 1.0
+        self.mu_pl = 2.0
+        self._x2_star = float(np.sqrt(self.mu_pl) * self.c / np.sqrt(self.h))
 
     def eval_local(self, client: int, x: np.ndarray) -> float:
         self._check_client(client)
@@ -131,9 +133,6 @@ class SyntheticHard(Objective):
         self._check_client(client)
         # Adding -0.0 returns every double unchanged, -0.0 included.
         return self.stoch_grad_local(client, self._check_x(x), (-0.0,))
-
-    def noise(self, u: np.ndarray) -> np.ndarray:
-        return gaussians_from(u, self.sigma)
 
     def stoch_grad_local(self, client: int, x: np.ndarray, z: Sequence[float]) -> np.ndarray:
         # Python floats are the same IEEE doubles as numpy scalars and much
@@ -176,9 +175,6 @@ class Quadratic(Objective):
         self._check_client(client)
         x = self._check_x(x)
         return x - self.centers[client]
-
-    def noise(self, u: np.ndarray) -> np.ndarray:
-        return gaussians_from(u, self.sigma)
 
     def stoch_grad_local(self, client: int, x: np.ndarray, z: Sequence[float]) -> np.ndarray:
         return x - self.centers[client] + z

@@ -240,9 +240,10 @@ def test_run_reports_a_divergence(tmp_path, capsys, config, overrides, rows, lin
     assert [row.split(",")[0] for row in lines[1:]] == rows
 
 
-# NaN passes every range check, so each of these ran to exit 0 (eta and h
-# diverging silently) until non-finite values were rejected at parsing.
-@pytest.mark.parametrize("key, value", [("mu", "nan"), ("eta", "nan"), ("h", "nan"), ("gamma", "inf")])
+# NaN passes every range check, so each of these ran to exit 0 (eta and
+# kappa diverging silently) until non-finite values were rejected at parsing.
+@pytest.mark.parametrize("key, value", [("mu", "nan"), ("eta", "nan"), ("kappa", "nan"),
+                                        ("gamma", "inf")])
 def test_run_rejects_a_non_finite_value_by_name(tmp_path, capsys, key, value):
     rc = main(["run", "--config", str(CONFIGS / "synthetic_amp_scaffold.cfg"), "--override", "rounds=40",
                "--override", f"{key}={value}", "--out", str(tmp_path / "o")])
@@ -264,8 +265,6 @@ def test_run_accepts_a_nan_target_value(tmp_path, capsys):
     (SYNTHETIC_CFG, "pattern=bogus", "pattern"),
     (SYNTHETIC_CFG, "objective=bogus", "objective"),
     (SYNTHETIC_CFG, "n_clients=4", "n_clients = 4, but the synthetic_hard objective has 2 clients"),
-    (SYNTHETIC_CFG, "h=0", "h"),
-    (SYNTHETIC_CFG, "mu_pl=0", "mu_pl"),
     (SYNTHETIC_CFG, "kappa=-1", "kappa"),
     (SYNTHETIC_CFG, "sigma=-1", "sigma"),
     (QUAD_CFG, "sigma=-1", "sigma"),
@@ -276,18 +275,21 @@ def test_run_accepts_a_nan_target_value(tmp_path, capsys):
     (LOGISTIC_CFG, "dataset=bogus", "dataset"),
     (LOGISTIC_RUN_CFG, "dataset=idx", "images_path"),
     (LOGISTIC_CFG, "similarity=101", "similarity"),
-    # logistic has no penalty and draws one sample per step, so both keys
-    # are unknown, named in quotes
-    (LOGISTIC_CFG, "minibatch=1", "minibatch"),
-    (LOGISTIC_CFG, "l2=0", "l2"),
+    # keys that no longer exist: logistic has no penalty and draws one
+    # sample per step, and synthetic_hard's h, c and mu_pl are constants
+    (LOGISTIC_CFG, "minibatch=1", "unknown config key: 'minibatch'"),
+    (LOGISTIC_CFG, "l2=0", "unknown config key: 'l2'"),
+    (SYNTHETIC_CFG, "h=0", "unknown config key: 'h'"),
+    (SYNTHETIC_CFG, "c=0", "unknown config key: 'c'"),
+    (SYNTHETIC_CFG, "mu_pl=0", "unknown config key: 'mu_pl'"),
     (IDX_CFG, "test_labels_path=empty-labels.idx", "the test set has no samples"),
     (DESK_WIDE_CFG, "n_clients=20000", "cannot split 10000 samples across 20000 clients"),
     # logistic never reads sigma
     (LOGISTIC_CFG, "sigma=-1", "objective logistic does not read sigma"),
-], ids=["pattern", "objective", "synthetic-n_clients", "h", "mu_pl", "kappa", "synthetic-sigma",
+], ids=["pattern", "objective", "synthetic-n_clients", "kappa", "synthetic-sigma",
         "quadratic-sigma", "centers-empty", "centers-count", "centers-nan", "centers-no-coordinates",
-        "dataset", "idx-paths", "similarity", "minibatch", "l2", "empty-test-pair",
-        "more-clients-than-samples", "logistic-sigma"])
+        "dataset", "idx-paths", "similarity", "minibatch", "l2", "h", "c", "mu_pl",
+        "empty-test-pair", "more-clients-than-samples", "logistic-sigma"])
 def test_run_rejects_a_bad_objective_key_by_name(tmp_path, capsys, monkeypatch, base, override, key):
     # IDX_CFG's files: 200 training samples and a held-out pair with none.
     monkeypatch.chdir(tmp_path)
@@ -301,13 +303,13 @@ def test_run_rejects_a_bad_objective_key_by_name(tmp_path, capsys, monkeypatch, 
         return
     assert rc == 2
     assert err.startswith("error:")
-    assert re.search(rf"\b{re.escape(key)}\b", err)
+    assert re.search(rf"(?<!\w){re.escape(key)}(?!\w)", err)
 
 
 # A value other than the RunConfig default for every objective and data key,
 # and the keys each objective, and each dataset kind of logistic, reads.
 OBJECTIVE_KEY_VALUES = {
-    "h": "2", "kappa": "2", "sigma": "0.5", "c": "2", "mu_pl": "3", "centers": "0; 1",
+    "kappa": "2", "sigma": "0.5", "centers": "0; 1",
     "dataset": "idx", "similarity": "50", "blob_samples": "300",
     "blob_classes": "3", "blob_features": "5", "blob_test_samples": "10", "images_path": "x",
     "labels_path": "x", "test_images_path": "x", "test_labels_path": "x",
@@ -315,7 +317,7 @@ OBJECTIVE_KEY_VALUES = {
 DATASET_READS = {"blob": ("blob_samples", "blob_classes", "blob_features", "blob_test_samples"),
                  "idx": ("images_path", "labels_path", "test_images_path", "test_labels_path")}
 OBJECTIVE_READS = {
-    "synthetic_hard": ("h", "kappa", "sigma", "c", "mu_pl"),
+    "synthetic_hard": ("kappa", "sigma"),
     "quadratic": ("centers", "sigma"),
     "logistic": ("dataset", "similarity", *DATASET_READS["blob"], *DATASET_READS["idx"]),
 }
@@ -437,8 +439,9 @@ def test_grid_rejects_an_empty_list(tmp_path, capsys, text, message):
     ("seeds = 0, 0", "seeds list repeats a seed: '0, 0'"),
     ("grid.eta = 0.1, 0.1", "grid cells 0 and 1 run the same config."),
     ("grid.eta = 0.2, 0.1, 1e-1", "grid cells 1 and 2 run the same config."),
+    ("grid.centers = 1; 3, 1;3, 1.0; 3.0", "grid cells 0 and 1 run the same config."),
 ], ids=["grid-empty-field", "grid-leading-empty", "seeds-empty-field", "seeds-repeat",
-        "grid-repeat", "grid-equal-values"])
+        "grid-repeat", "grid-equal-values", "grid-equal-centers"])
 def test_grid_rejects_an_empty_field_or_a_repeat_before_any_cell(tmp_path, capsys, monkeypatch,
                                                                   line, message):
     # An empty field is not dropped and a repeat is not run twice without a word.
@@ -447,6 +450,9 @@ def test_grid_rejects_an_empty_field_or_a_repeat_before_any_cell(tmp_path, capsy
 
     monkeypatch.setattr(harness, "simulate", never)
     text = QUAD_GRID_BASE + line + "\n" + ("" if "grid." in line else "grid.eta = 0.1\n")
+    if "grid.centers" in line:
+        # centers moves from the base into the grid, and eta into the base
+        text = text.replace("centers = 1; 3\n", "eta = 0.1\n", 1)
     rc = main(["grid", "--config", _write(tmp_path, "grid.cfg", text),
                "--out", str(tmp_path / "o")])
     assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
@@ -710,7 +716,7 @@ def test_partition_report_needs_logistic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides, message", [
-    (["sigma=-1", "h=0"], "objective logistic does not read h; leave it unset."),
+    (["sigma=-1", "kappa=0"], "objective logistic does not read kappa; leave it unset."),
     (["l2=0"], "unknown config key: 'l2'"),
     (["minibatch=1"], "unknown config key: 'minibatch'"),
     (["similarity=101"], "similarity is a percentage in [0, 100]."),

@@ -5,7 +5,8 @@ Every synthetic config runs at full length, every desk config for 40
 rounds (two 20-round windows), the grid for 960 rounds (two 480-round
 windows), the desk_fedavg client shards go through `partition-report`,
 the two benchmark verify cases run at 200 trials, and one small verify
-case per pattern (12 clients, 300 trials): about 15 s on a 2-CPU host. A refactor must keep every digest. A deliberate change to the
+case per pattern (12 clients, 300 trials): about 3.3 s on a 2-CPU host.
+A refactor must keep every digest. A deliberate change to the
 numerics re-records the digests it moves, in the same change, with the
 reason. verify_sca_small was re-recorded when `fedsim verify` lost its
 `--p-active` and `--p-inactive` flags: the case had set 0.7 and 0.1, and
