@@ -88,7 +88,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # A full-group pattern opens no sampling stream, which would reject the seed.
+    # The one seed check on every pattern: the streams check no key.
     check_seed(args.seed)
     scheduler = make_scheduler(RunConfig(
         n_clients=args.n, pattern=args.pattern, s_clients=args.s, k_bar=args.k_bar,

@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,15 +82,12 @@ def rng_stream(seed: int, purpose: str, client: int = 0, round_idx: int = 0) -> 
     [0, round_idx, client, purpose], the words `stream_uniforms` counts
     with. Given a Python int, Philox splits it into those words itself,
     which takes longer than building the array here; the state is the same.
+
+    The caller ensures, unchecked, that every key is an int in [0, 2**64):
+    `check_seed` checks each seed, and clients, rounds and retries are loop
+    indices. numpy raises OverflowError outside that range and KeyError for
+    an unknown purpose, but truncates a float: client 3.5 is client 3.
     """
-    if purpose not in PURPOSES:
-        raise ValueError(f"unknown rng purpose: {purpose!r}")
-    # operator.index turns numpy integers into Python ints and rejects
-    # floats, so the range checks below see exact values.
-    seed, client, round_idx = map(operator.index, (seed, client, round_idx))
-    for name, value in (("seed", seed), ("client", client), ("round_idx", round_idx)):
-        if not 0 <= value < _U64:
-            raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
     counter = np.array((0, round_idx, client, PURPOSES[purpose]), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_PhiloxKey(seed), counter=counter))
 
@@ -99,11 +95,19 @@ def rng_stream(seed: int, purpose: str, client: int = 0, round_idx: int = 0) -> 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
 # 3", SC'11), numpy's `Philox`: the multipliers of counter words 0 and 2,
 # and the Weyl increments that bump the two key words between rounds.
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_M0, _PHILOX_M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
-_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
+
+
+def _mulhi(m: np.uint64, x: np.ndarray) -> np.ndarray:
+    """The high half of each 128-bit m * x, from 32-bit limbs: numpy has no wide multiply."""
+    m_lo, m_hi = m & _LO32, m >> _S32
+    x_lo, x_hi = x & _LO32, x >> _S32
+    low_cross = m_hi * x_lo + ((m_lo * x_lo) >> _S32)
+    mid = (low_cross & _LO32) + m_lo * x_hi
+    return m_hi * x_hi + (low_cross >> _S32) + (mid >> _S32)
 
 
 def stream_uniforms(seed: int, purpose: str, clients, rounds, n: int) -> np.ndarray:
@@ -113,35 +117,23 @@ def stream_uniforms(seed: int, purpose: str, clients, rounds, n: int) -> np.ndar
     bit for bit. The Generator's k-th double is `(word >> 11) * 2**-53` of
     word k % 4 of the Philox block whose counter words, low first, are
     (1 + k // 4, round, client, purpose) under the key (seed, 0); here all
-    blocks of all rows go through the ten rounds together. The high half of
-    each 64x64-bit product is built from 32-bit limbs, since numpy has no
-    wide multiply.
+    blocks of all rows go through the ten rounds together, an array a word.
+
+    The caller ensures, unchecked, that `clients` and `rounds` are 1-D and
+    of equal length, with keys as `rng_stream` wants them: its one caller,
+    `algorithms.sampled_rounds`, builds them so from a checked seed.
     """
-    if purpose not in PURPOSES:
-        raise ValueError(f"unknown rng purpose: {purpose!r}")
-    seed = operator.index(seed)
-    if not 0 <= seed < _U64:
-        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    clients = np.asarray(clients, dtype=np.uint64)
-    rounds = np.asarray(rounds, dtype=np.uint64)
-    if clients.shape != rounds.shape or clients.ndim != 1:
-        raise ValueError("clients and rounds must be 1-D and of equal length.")
-    shape = (len(clients), -(-n // 4))
-    # x holds counter words 0 and 2, the multiplied ones; y words 1 and 3.
-    x = np.stack([np.broadcast_to(np.arange(1, shape[1] + 1, dtype=np.uint64), shape),
-                  np.broadcast_to(clients[:, None], shape)])
-    y = np.stack([np.broadcast_to(rounds[:, None], shape),
-                  np.full(shape, PURPOSES[purpose], dtype=np.uint64)])
-    key = [seed, 0]
+    blocks = -(-n // 4)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
+    c1 = np.asarray(rounds, dtype=np.uint64)[:, None]
+    c2 = np.asarray(clients, dtype=np.uint64)[:, None]
+    c3 = PURPOSES[purpose]
+    key = [int(seed), 0]  # Python ints: a numpy seed would overflow in the schedule
     for _ in range(10):
-        x_lo, x_hi = x & _LO32, x >> _S32
-        low_cross = _M_HI * x_lo + ((_M_LO * x_lo) >> _S32)
-        mid = (low_cross & _LO32) + _M_LO * x_hi
-        hi = _M_HI * x_hi + (low_cross >> _S32) + (mid >> _S32)
-        # out = (hi1 ^ y0 ^ key0, lo1, hi0 ^ y1 ^ key1, lo0)
-        x, y = hi[::-1] ^ y ^ np.array(key, dtype=np.uint64).reshape(2, 1, 1), (_PHILOX_M * x)[::-1]
+        c0, c1, c2, c3 = (_mulhi(_PHILOX_M1, c2) ^ c1 ^ key[0], _PHILOX_M1 * c2,
+                          _mulhi(_PHILOX_M0, c0) ^ c3 ^ key[1], _PHILOX_M0 * c0)
         key = [(k + w) % _U64 for k, w in zip(key, _PHILOX_W)]
-    words = np.stack((x[0], y[0], x[1], y[1]), axis=-1).reshape(shape[0], 4 * shape[1])[:, :n]
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(len(c0), 4 * blocks)[:, :n]
     return (words >> np.uint64(11)) * 2.0 ** -53
 
 

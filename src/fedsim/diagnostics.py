@@ -53,9 +53,8 @@ class ParticipationHistory:
         self.z = np.zeros((n_clients, window_len))
 
     def observe(self, q: np.ndarray) -> None:
-        """Record a (rounds, clients) weight matrix."""
-        if q.shape != (self.z.shape[1], self.z.shape[0]):
-            raise ValueError("window shape does not match the history tracker.")
+        """Record a (rounds, clients) weight matrix. The caller ensures, unchecked, that
+        it has the history's transposed shape: `monte_carlo_stats` builds both alike."""
         participated = np.add.reduce(q, axis=0) > 0
         self.z[participated] = q[:, participated].T
 
@@ -67,10 +66,10 @@ def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
     ratio: the weight column of its most recent participated window. A
     client whose history row is all zero is excluded from that term. The
     regularity statistic v_sq_lambda adds the per-client terms one at a
-    time, in client order.
+    time, in client order. The caller ensures, unchecked, that q is 2-D with
+    the history's shape transposed: its one caller, `monte_carlo_stats`,
+    builds both alike.
     """
-    if q.ndim != 2:
-        raise ValueError("window matrix must be two dimensional.")
     window_len, n_clients = q.shape
     # A mean is np.add.reduce over the axis divided by the count, and a
     # float square is the product with itself; spelled out, they skip
@@ -86,8 +85,6 @@ def window_stats(q: np.ndarray, history: ParticipationHistory) -> WindowStats:
     w = overlap @ coef / n_clients
 
     z = history.z
-    if z.shape != (n_clients, window_len):
-        raise ValueError("history shape does not match the window.")
     z_mean = np.add.reduce(z, axis=1) / window_len
     use = z_mean > 0
     v = qbar[use] - 1.0 / n_clients

@@ -217,20 +217,22 @@ def test_stream_uniforms_of_an_empty_batch():
 
 
 def test_stream_uniforms_key_checks():
-    with pytest.raises(ValueError):
+    # numpy raises for an int key outside [0, 2**64), so none silently
+    # addresses another stream.
+    for bad in (-1, 1 << 64):
+        for seed, clients, rounds in ((bad, [0], [0]), (0, [bad], [0]), (0, [0], [bad])):
+            with pytest.raises(OverflowError):
+                stream_uniforms(seed, "sampling", clients, rounds, 1)
+    with pytest.raises(KeyError):
         stream_uniforms(0, "no-such-purpose", [0], [0], 1)
-    with pytest.raises(ValueError):
-        stream_uniforms(1 << 64, "sampling", [0], [0], 1)
-    with pytest.raises(ValueError):
-        stream_uniforms(0, "sampling", [0, 1], [0], 1)
 
 
 def test_stream_key_range_checks():
-    with pytest.raises(ValueError):
-        rng_stream(-1, "sampling")
-    with pytest.raises(ValueError):
-        rng_stream(0, "sampling", client=1 << 64)
-    with pytest.raises(ValueError):
+    for bad in (-1, 1 << 64):
+        for seed, client, round_idx in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+            with pytest.raises(OverflowError):
+                rng_stream(seed, "sampling", client, round_idx)
+    with pytest.raises(KeyError):
         rng_stream(0, "no-such-purpose")
 
 
@@ -238,8 +240,11 @@ def test_numpy_integer_keys_address_the_same_stream():
     want = rng_stream(0, "gradient-noise", 3, 7).random(4)
     got = rng_stream(np.uint64(0), "gradient-noise", np.int64(3), np.int64(7)).random(4)
     assert np.array_equal(got, want)
-    with pytest.raises(TypeError):
-        rng_stream(0, "gradient-noise", 3.0, 7)
+    # The key schedule runs on Python ints: a numpy seed near 2**64 must
+    # not overflow, or warn, as a numpy scalar.
+    want = stream_uniforms(2**63 + 5, "gradient-noise", [3, 4], [7, 8], 6)
+    got = stream_uniforms(np.uint64(2**63 + 5), "gradient-noise", [3, 4], [7, 8], 6)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

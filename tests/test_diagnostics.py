@@ -54,15 +54,10 @@ class _StuckScheduler(Scheduler):
         return np.array([0])
 
 
-def test_window_stats_wants_a_two_dimensional_window():
-    q = np.eye(2)
-    np.testing.assert_array_equal(window_stats(q, ParticipationHistory(2, 2)).qbar, [0.5, 0.5])
-    for bad in (np.zeros(2), np.zeros((2, 2, 2))):
-        with pytest.raises(ValueError, match="two dimensional"):
-            window_stats(bad, ParticipationHistory(2, 2))
-
-
 def test_uniform_window_is_perfectly_regular():
+    # One client a round, in turn, weighs each client as evenly as a full window.
+    eye = window_stats(np.eye(2), ParticipationHistory(2, 2))
+    np.testing.assert_array_equal(eye.qbar, [0.5, 0.5])
     q = np.full((2, 2), 0.5)
     stats = window_stats(q, ParticipationHistory(2, 2))
     np.testing.assert_array_equal(stats.qbar, [0.5, 0.5])
@@ -249,13 +244,6 @@ def test_monte_carlo_makes_one_window_stats_call_per_window(monkeypatch):
     assert counts == {"window_stats": 20, "sample_round": 20 * 5}
 
 
-def test_window_stats_rejects_a_history_of_another_shape():
-    q = _one_hot_window(0, 2)
-    for n_clients, window_len in ((4, 3), (3, 2), (2, 4)):
-        with pytest.raises(ValueError, match="history shape"):
-            window_stats(q, ParticipationHistory(n_clients, window_len))
-
-
 def test_history_tracker_keeps_the_latest_participated_window():
     history = ParticipationHistory(3, 2)
     assert not history.z.any()
@@ -267,8 +255,6 @@ def test_history_tracker_keeps_the_latest_participated_window():
     np.testing.assert_array_equal(history.z[0], [0.5, 0.5])
     np.testing.assert_array_equal(history.z[1], [0.5, 0.0])
     np.testing.assert_array_equal(history.z[2], [0.5, 1.0])
-    with pytest.raises(ValueError, match="window shape"):
-        history.observe(np.zeros((3, 3)))
 
 
 def test_sample_window_is_aligned_and_deterministic():

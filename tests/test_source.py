@@ -433,17 +433,21 @@ def functions_named(path: Path, name: str) -> list[ast.FunctionDef]:
 
 def test_the_run_loop_checks_none_of_its_inputs():
     """Input is checked where it enters: `harness.build_run` for a config,
-    the constructors and `eval_local`/`grad_local` for pieces built by hand.
-    The per-step code the run loop calls only does arithmetic: no oracle
-    names an input check, and neither the local update nor the noise map
-    raises."""
+    `check_seed` for a run's or `fedsim verify`'s seed, the constructors and
+    `eval_local`/`grad_local` for pieces built by hand. The per-step code
+    the run loop and verify's Monte Carlo call only does arithmetic: no
+    oracle names an input check, and neither the local update, the noise
+    map, the two stream constructors, `window_stats` nor
+    `ParticipationHistory.observe` raises."""
     oracles = functions_named(SRC / "objectives.py", "stoch_grad_local")
     assert len(oracles) == 4, "the check no longer sees every oracle"
     checks = {"_check_client", "_check_x", "_weights"}
     found = [f"objectives.py:{node.lineno} {node.attr}" for oracle in oracles
              for node in ast.walk(oracle) if getattr(node, "attr", None) in checks]
     assert not found, f"oracles that check their inputs: {found}"
-    for module, name in (("algorithms.py", "client_local_update"), ("core.py", "gaussians_from")):
+    for module, name in (("algorithms.py", "client_local_update"), ("core.py", "gaussians_from"),
+                         ("core.py", "rng_stream"), ("core.py", "stream_uniforms"),
+                         ("diagnostics.py", "window_stats"), ("diagnostics.py", "observe")):
         [function] = functions_named(SRC / module, name)
         raises = [node.lineno for node in ast.walk(function) if isinstance(node, ast.Raise)]
         assert not raises, f"{module}:{name} raises on lines {raises}"
