@@ -4,7 +4,6 @@ client participation."""
 from .core import (
     ALGORITHMS,
     ConfigError,
-    ExperimentSpec,
     RunConfig,
     RunRecord,
     build_run_config,
@@ -17,7 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "ConfigError",
-    "ExperimentSpec",
     "OBJECTIVES",
     "PATTERNS",
     "RunConfig",

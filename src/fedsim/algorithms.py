@@ -83,9 +83,8 @@ def client_local_update(objective: Objective, client: int, start: np.ndarray,
     pull = np.array(mu, dtype=float) if mu else None
     for k in range(local_steps):
         g = objective.stoch_grad_local(client, x, noise[k * d:(k + 1) * d])
-        if grad_sum is not None:
-            grad_sum += g
         if correction is not None:
+            grad_sum += g
             g += correction
         if pull is not None:
             g += pull * (x - start)

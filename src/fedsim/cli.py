@@ -20,7 +20,6 @@ from .core import (
     ConfigError,
     RunConfig,
     apply_overrides,
-    build_experiment_spec,
     build_run_config,
     check_seed,
     csv_text,
@@ -70,19 +69,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    spec = build_experiment_spec(_load_values(args))
-    results = run_grid(spec)
-    grid_keys = list(spec.grid)
+    seeds, results = run_grid(_load_values(args))
     path = _out_path(args, "grid.csv")
-    atomic_write(path, grid_csv(results, grid_keys).encode())
+    atomic_write(path, grid_csv(results).encode())
 
-    print(f"grid: {len(results)} cells x {len(spec.seeds)} seeds")
-    for cell in results:
-        desc = " ".join(f"{k}={cell.overrides[k]}" for k in grid_keys)
-        print(f"cell {cell.cell_id}: {desc} mean_final_loss={format_value(cell.mean_final_loss)}"
+    print(f"grid: {len(results)} cells x {len(seeds)} seeds")
+    for cell_id, cell in enumerate(results):
+        desc = " ".join(f"{k}={v}" for k, v in cell.overrides.items())
+        print(f"cell {cell_id}: {desc} mean_final_loss={format_value(cell.mean_final_loss)}"
               f" std={format_value(cell.std_final_loss)}"
               f" mean_rounds_to_target={format_value(cell.mean_rounds_to_target)}"
-              f" diverged={cell.diverged_runs}/{len(spec.seeds)}")
+              f" diverged={cell.diverged_runs}/{len(seeds)}")
     print(f"wrote {path}")
     return 0
 

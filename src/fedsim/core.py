@@ -21,7 +21,6 @@ Configuration is a flat key = value text format with one key per line and
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -380,63 +379,6 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
     if cfg.eval_every < 1:
         raise ConfigError("eval_every must be >= 1.")
     return cfg
-
-
-# ---------------------------------------------------------------------------
-# Experiment (grid) configuration
-
-
-@dataclass
-class ExperimentSpec:
-    """A base configuration plus a Cartesian grid of key overrides and seeds."""
-
-    base: dict[str, str]
-    grid: dict[str, list[str]]
-    seeds: list[int]
-
-    def cells(self) -> list[dict[str, str]]:
-        """Expand the grid to the full Cartesian product, in key order."""
-        return [dict(zip(self.grid, combo)) for combo in itertools.product(*self.grid.values())]
-
-
-def _list_fields(value: str, what: str, empty: str) -> list[str]:
-    """The fields of a comma-separated list, raising `empty` when all are
-    empty. A trailing ',' ends the list; any other empty field is an error."""
-    fields = [v.strip() for v in value.split(",")]
-    fields = fields if fields[-1] else fields[:-1]
-    if not any(fields):
-        raise ConfigError(empty)
-    if not all(fields):
-        raise ConfigError(f"{what} has an empty field: {value!r}")
-    return fields
-
-
-def build_experiment_spec(values: dict[str, str]) -> ExperimentSpec:
-    """Split the raw values of an experiment file, overrides applied, into
-    run keys, `grid.<key> = v1, v2` lists and `seeds`, rejecting an empty
-    field and a repeated seed. `harness.run_grid` checks base and grid keys
-    alike when it builds the runs, and rejects two equal cells."""
-    base: dict[str, str] = {}
-    grid: dict[str, list[str]] = {}
-    seeds = [0]
-    for key, value in values.items():
-        if key.startswith("grid."):
-            name = key[len("grid."):]
-            grid[name] = _list_fields(value, f"grid key {name!r}",
-                                      f"grid key {name!r} has no values.")
-        elif key == "seeds":
-            fields = _list_fields(value, "seeds list", "seeds list is empty.")
-            try:
-                seeds = [int(v) for v in fields]
-            except ValueError:
-                raise ConfigError(f"cannot parse seeds list: {value!r}") from None
-            if len(set(seeds)) < len(seeds):
-                raise ConfigError(f"seeds list repeats a seed: {value!r}")
-        else:
-            base[key] = value
-    if not grid:
-        raise ConfigError("experiment file defines no grid.* keys.")
-    return ExperimentSpec(base=base, grid=grid, seeds=seeds)
 
 
 # ---------------------------------------------------------------------------

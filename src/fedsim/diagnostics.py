@@ -141,9 +141,11 @@ class MonteCarloStats:
     fallback_rounds: int
 
 
-def sample_window(scheduler: Scheduler, window_index: int, seed: int, window_len: int) -> np.ndarray:
-    """Weight matrix of the aligned window [t*P, (t+1)*P): each client
-    sampled in a round weighs 1/S there, S the round's sample size."""
+def sample_window(scheduler: Scheduler, window_index: int, seed: int) -> np.ndarray:
+    """Weight matrix of the aligned window [t*P, (t+1)*P), P the scheduler's
+    window: each client sampled in a round weighs 1/S there, S the round's
+    sample size."""
+    window_len = scheduler.window
     q = np.zeros((window_len, scheduler.n_clients))
     for row in range(window_len):
         idx = scheduler.sample_round(window_index * window_len + row, seed)
@@ -176,7 +178,7 @@ def monte_carlo_stats(scheduler: Scheduler, trials: int, seed: int) -> MonteCarl
     fallback = 0
 
     for t in range(trials):
-        q = sample_window(scheduler, t, seed, window_len)
+        q = sample_window(scheduler, t, seed)
         stats = window_stats(q, history)
         history.observe(q)
 

@@ -1,5 +1,6 @@
 """End-to-end runs: build the pieces from a config, loop over rounds,
-record metrics, and serialize results as CSV.
+record metrics, run the grid an experiment file describes, and serialize
+results as CSV.
 
 Evaluation never consumes training randomness (metric computation is
 deterministic and the random streams are purpose-tagged), so changing the
@@ -9,13 +10,14 @@ shortest round-trip form, which makes re-runs byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algorithms import Simulation
-from .core import (ConfigError, ExperimentSpec, RunConfig, RunRecord, build_run_config, csv_text,
+from .core import (ConfigError, RunConfig, RunRecord, build_run_config, csv_text,
                    reject_unread, validate_run_config)
 from .data import load_idx, make_blobs, partition_by_similarity
 from .objectives import Logistic, Objective, Quadratic, SyntheticHard
@@ -185,12 +187,11 @@ def run_record_csv(record: RunRecord) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Grid runner
+# Experiment files and the grid runner
 
 
 @dataclass
 class GridCellResult:
-    cell_id: int
     overrides: dict[str, str]
     mean_final_loss: float
     std_final_loss: float
@@ -198,28 +199,63 @@ class GridCellResult:
     diverged_runs: int
 
 
-def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
-    """Run every grid cell for every seed; cells expand in key order.
+def _list_fields(value: str, what: str, empty: str) -> list[str]:
+    """The fields of a comma-separated list, raising `empty` when all are
+    empty. A trailing ',' ends the list; any other empty field is an error."""
+    fields = [v.strip() for v in value.split(",")]
+    fields = fields if fields[-1] else fields[:-1]
+    if not any(fields):
+        raise ConfigError(empty)
+    if not all(fields):
+        raise ConfigError(f"{what} has an empty field: {value!r}")
+    return fields
 
-    Each run's seed comes from `spec.seeds`, so a `seed` key in the base
-    config (file or override) or in the grid is rejected rather than
-    silently replaced, as is a key set in both the base and the grid, and
-    two cells whose configs are equal (`0.1` and `1e-1` are one value, as
-    are the centers `1;3` and `1.0; 3.0`).
+
+def run_grid(values: dict[str, str]) -> tuple[list[int], list[GridCellResult]]:
+    """Run the experiment file whose raw values, overrides applied, are
+    `values`: run keys, `grid.<key> = v1, v2` lists and `seeds` (default 0).
+    Returns the seeds and one result per cell, with the cells expanded to
+    the Cartesian product of the grid lists in key order.
+
+    Each run's seed comes from `seeds`, so a `seed` key in the base config
+    (file or override) or in the grid is rejected rather than silently
+    replaced, as are an empty list field, a repeated seed, a key set in both
+    the base and the grid, and two cells whose configs are equal (`0.1` and
+    `1e-1` are one value, as are the centers `1;3` and `1.0; 3.0`).
 
     Every (cell, seed) run is built by `build_run`, and so checked, before
     the first run starts, so a bad cell fails before any run's time is
     spent. Every built objective is held until its run, which for the
     logistic objective means every run's data shards at once.
     """
-    for key, where in (("seed", spec.base), ("grid.seed", spec.grid)):
-        if "seed" in where:
+    base: dict[str, str] = {}
+    grid: dict[str, list[str]] = {}
+    seeds = [0]
+    for key, value in values.items():
+        if key.startswith("grid."):
+            name = key[len("grid."):]
+            grid[name] = _list_fields(value, f"grid key {name!r}",
+                                      f"grid key {name!r} has no values.")
+        elif key == "seeds":
+            fields = _list_fields(value, "seeds list", "seeds list is empty.")
+            try:
+                seeds = [int(v) for v in fields]
+            except ValueError:
+                raise ConfigError(f"cannot parse seeds list: {value!r}") from None
+            if len(set(seeds)) < len(seeds):
+                raise ConfigError(f"seeds list repeats a seed: {value!r}")
+        else:
+            base[key] = value
+    if not grid:
+        raise ConfigError("experiment file defines no grid.* keys.")
+    for key in ("seed", "grid.seed"):
+        if key in values:
             raise ConfigError(f"a grid takes its seeds from 'seeds', not from {key}.")
-    twice = sorted(spec.base.keys() & spec.grid.keys())
+    twice = sorted(base.keys() & grid.keys())
     if twice:
         raise ConfigError(f"{twice[0]} is set both in the base config and in grid.{twice[0]}.")
-    cells = spec.cells()
-    configs = [[build_run_config({**spec.base, **cell, "seed": str(seed)}) for seed in spec.seeds]
+    cells = [dict(zip(grid, combo)) for combo in itertools.product(*grid.values())]
+    configs = [[build_run_config({**base, **cell, "seed": str(seed)}) for seed in seeds]
                for cell in cells]
     runs = [[(cfg, *build_run(cfg)) for cfg in cell_configs] for cell_configs in configs]
     # Equal values have one repr (0.1 and 1e-1, NaN and NaN), so equal cells do
@@ -230,25 +266,26 @@ def run_grid(spec: ExperimentSpec) -> list[GridCellResult]:
     if twins:
         raise ConfigError(f"grid cells {twins[0][0]} and {twins[0][1]} run the same config.")
     results = []
-    for cell_id, (cell, cell_runs) in enumerate(zip(cells, runs)):
+    for cell, cell_runs in zip(cells, runs):
         finals, reached, diverged = [], [], 0
         for cfg, objective, scheduler in cell_runs:
             record = simulate(cfg, objective, scheduler)
             finals.append(record.final_loss)
             diverged += int(record.diverged)
-            if not math.isnan(cfg.target_value):
-                hit = rounds_to_target(record, cfg.target_value)
-                if hit is not None:
-                    reached.append(hit)
+            hit = rounds_to_target(record, cfg.target_value)
+            if hit is not None:
+                reached.append(hit)
         results.append(GridCellResult(
-            cell_id=cell_id, overrides=cell, mean_final_loss=float(np.mean(finals)),
+            overrides=cell, mean_final_loss=float(np.mean(finals)),
             std_final_loss=float(np.std(finals)), diverged_runs=diverged,
             mean_rounds_to_target=float(np.mean(reached)) if reached else float("nan")))
-    return results
+    return seeds, results
 
 
-def grid_csv(results: list[GridCellResult], grid_keys: list[str]) -> str:
-    header = "cell_id," + ",".join(grid_keys) + ",mean_final_loss,std_final_loss,mean_rounds_to_target"
-    return csv_text(header, ([cell.cell_id, *(cell.overrides[k] for k in grid_keys),
-                              cell.mean_final_loss, cell.std_final_loss,
-                              cell.mean_rounds_to_target] for cell in results))
+def grid_csv(results: list[GridCellResult]) -> str:
+    """grid.csv: one row per cell, numbered from 0, its grid values in key order."""
+    keys = list(results[0].overrides)
+    header = "cell_id," + ",".join(keys) + ",mean_final_loss,std_final_loss,mean_rounds_to_target"
+    return csv_text(header, ([cell_id, *cell.overrides.values(), cell.mean_final_loss,
+                              cell.std_final_loss, cell.mean_rounds_to_target]
+                             for cell_id, cell in enumerate(results)))

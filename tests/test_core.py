@@ -13,11 +13,9 @@ from fedsim.core import (
     ALGORITHM_KEYS,
     PURPOSES,
     ConfigError,
-    ExperimentSpec,
     RunConfig,
     RunRecord,
     apply_overrides,
-    build_experiment_spec,
     build_run_config,
     csv_text,
     format_value,
@@ -322,30 +320,6 @@ def test_regularized_pattern_rejects_s_clients():
     assert build_run_config(values).s_clients == 1
     with pytest.raises(ConfigError, match="does not read s_clients"):
         build_run(build_run_config(dict(values, s_clients="7")))
-
-
-def test_experiment_grid_expansion_order():
-    spec = ExperimentSpec(base={}, grid={"eta": ["a", "b"], "gamma": ["1", "2", "3"]},
-                          seeds=[0])
-    cells = spec.cells()
-    assert len(cells) == 6
-    assert cells[0] == {"eta": "a", "gamma": "1"}
-    assert cells[1] == {"eta": "a", "gamma": "2"}
-    assert cells[-1] == {"eta": "b", "gamma": "3"}
-
-
-def test_parse_experiment_text():
-    def parse(text):
-        return build_experiment_spec(parse_config_text(text))
-
-    spec = parse("eta = 0.1\ngrid.gamma = 1, 2\nseeds = 0, 3\n")
-    assert spec.base == {"eta": "0.1"}
-    assert spec.grid == {"gamma": ["1", "2"]}
-    assert spec.seeds == [0, 3]
-    with pytest.raises(ConfigError, match="no grid"):
-        parse("eta = 0.1")
-    with pytest.raises(ConfigError, match="seeds"):
-        parse("grid.eta = 1\nseeds = x")
 
 
 def test_run_record_validation():

@@ -141,7 +141,7 @@ def test_cyclic_windows_enumerated_exactly():
         assert abs(mean_v - closed) <= 1e-12
         # the enumeration covers what the scheduler actually draws
         for t in range(10):
-            drawn = sample_window(sched, t, 0, sched.k_bar)
+            drawn = sample_window(sched, t, 0)
             assert any(np.array_equal(drawn, q) for q in windows)
 
 
@@ -209,7 +209,7 @@ def test_window_stats_matches_its_reference_bit_for_bit(sched):
     unseen_counts = set()
     fallback_rounds = 0
     for t in range(40):
-        q = sample_window(sched, t, 0, window_len)
+        q = sample_window(sched, t, 0)
         got = window_stats(q, history)
         want = window_stats_reference(q, history)
         for field in ("qbar", "w", "rho_sq_rounds"):
@@ -259,18 +259,18 @@ def test_history_tracker_keeps_the_latest_participated_window():
 
 def test_sample_window_is_aligned_and_deterministic():
     sched = CyclicScheduler(6, 3, 1)
-    q = sample_window(sched, 2, seed=9, window_len=3)
+    q = sample_window(sched, 2, seed=9)
     # one client per round, at weight 1
     manual = np.zeros((3, 6))
     for row, r in enumerate((6, 7, 8)):
         manual[row, sched.sample_round(r, 9)] = 1.0
     np.testing.assert_array_equal(q, manual)
-    np.testing.assert_array_equal(q, sample_window(sched, 2, 9, 3))
+    np.testing.assert_array_equal(q, sample_window(sched, 2, 9))
 
 
 def test_regularized_windows_are_exactly_uniform():
     sched = pattern_scheduler("regularized", 4, window_p=2)
-    q = sample_window(sched, 0, seed=0, window_len=2)
+    q = sample_window(sched, 0, seed=0)
     stats = window_stats(q, ParticipationHistory(4, 2))
     np.testing.assert_array_equal(stats.qbar, np.full(4, 0.25))
     np.testing.assert_allclose(stats.w, np.full(4, 0.25))

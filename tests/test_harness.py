@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fedsim import algorithms, harness
-from fedsim.core import ConfigError, ExperimentSpec, RunConfig, build_run_config, parse_config_text
+from fedsim.cli import main
+from fedsim.core import ConfigError, RunConfig, build_run_config, parse_config_text
 from fedsim.harness import (
     RUN_CSV_HEADER,
     build_objective,
@@ -283,25 +284,24 @@ def test_idx_dataset_needs_both_held_out_paths(tmp_path):
             load_dataset(half)
 
 
-def _grid_spec(**base_extra) -> ExperimentSpec:
-    base = {"n_clients": "2", "s_clients": "2", "rounds": "5", "algorithm": "fedavg",
-            "objective": "quadratic", "centers": "1; 3", "sigma": "0", "eval_every": "5"}
-    base.update({k: str(v) for k, v in base_extra.items()})
-    return ExperimentSpec(
-        base=base,
-        grid={"eta": ["0.05", "0.2"], "local_steps": ["1", "2"]},
-        seeds=[0, 1],
-    )
+def _grid_values(**base_extra) -> dict[str, str]:
+    values = {"n_clients": "2", "s_clients": "2", "rounds": "5", "algorithm": "fedavg",
+              "objective": "quadratic", "centers": "1; 3", "sigma": "0", "eval_every": "5",
+              "grid.eta": "0.05, 0.2", "grid.local_steps": "1, 2, 3", "seeds": "0, 1"}
+    values.update({k: str(v) for k, v in base_extra.items()})
+    return values
 
 
 def test_grid_expands_in_key_order_and_aggregates():
-    results = run_grid(_grid_spec())
-    assert [c.cell_id for c in results] == [0, 1, 2, 3]
+    seeds, results = run_grid(_grid_values())
+    assert seeds == [0, 1]
     assert [c.overrides for c in results] == [
         {"eta": "0.05", "local_steps": "1"},
         {"eta": "0.05", "local_steps": "2"},
+        {"eta": "0.05", "local_steps": "3"},
         {"eta": "0.2", "local_steps": "1"},
         {"eta": "0.2", "local_steps": "2"},
+        {"eta": "0.2", "local_steps": "3"},
     ]
     for cell in results:
         # no noise, so the two seeds coincide
@@ -311,37 +311,69 @@ def test_grid_expands_in_key_order_and_aggregates():
     # The largest step and the most local steps end lowest on the noiseless
     # quadratic.
     assert min(results, key=lambda c: c.mean_final_loss).overrides == {"eta": "0.2",
-                                                                       "local_steps": "2"}
+                                                                       "local_steps": "3"}
+
+
+def test_an_experiment_file_splits_into_run_keys_grid_lists_and_seeds(monkeypatch):
+    configs = []
+    simulate = harness.simulate
+
+    def recorded(cfg, *run):
+        configs.append(cfg)
+        return simulate(cfg, *run)
+
+    monkeypatch.setattr(harness, "simulate", recorded)
+    values = {key: value for key, value in _grid_values().items() if not key.startswith("grid.")}
+    text = "eta = 0.1\ngrid.local_steps = 1, 2\nseeds = 0, 3\n"
+    seeds, results = run_grid({**values, **parse_config_text(text)})
+    assert seeds == [0, 3]
+    assert [c.overrides for c in results] == [{"local_steps": "1"}, {"local_steps": "2"}]
+    assert [(c.eta, c.local_steps, c.seed) for c in configs] == [
+        (0.1, 1, 0), (0.1, 1, 3), (0.1, 2, 0), (0.1, 2, 3)]
+    with pytest.raises(ConfigError, match="no grid"):
+        run_grid(parse_config_text("eta = 0.1"))
+    with pytest.raises(ConfigError, match="seeds"):
+        run_grid(parse_config_text("grid.eta = 1\nseeds = x"))
 
 
 @pytest.mark.parametrize("grid, error, message", [
-    ({"eta": ["0.1", "-1"]}, ConfigError, "eta must be > 0"),
-    ({"sigma": ["0", "-1"]}, ValueError, "sigma must be >= 0"),
-    ({"n_clients": ["2", "3"]}, ConfigError, "n_clients = 3"),
-    ({"bogus": ["1"]}, ConfigError, "unknown config key: 'bogus'"),
+    ({"eta": "0.1, -1"}, ConfigError, "eta must be > 0"),
+    ({"sigma": "0, -1"}, ValueError, "sigma must be >= 0"),
+    ({"n_clients": "2, 3"}, ConfigError, "n_clients = 3"),
+    ({"bogus": "1"}, ConfigError, "unknown config key: 'bogus'"),
 ], ids=["run-key", "objective-key", "n-clients", "unknown-key"])
 def test_grid_checks_every_config_before_the_first_run(monkeypatch, grid, error, message):
     calls = []
     monkeypatch.setattr(harness, "simulate", lambda *run: calls.append(run))
     # The base leaves the grid's key to the grid: a key set in both is an error.
-    base = {key: value for key, value in _grid_spec(eta=0.1).base.items() if key not in grid}
-    spec = ExperimentSpec(base=base, grid=grid, seeds=[0, 1])
+    values = {key: value for key, value in _grid_values(eta=0.1).items()
+              if not key.startswith("grid.") and key not in grid}
+    values.update({f"grid.{key}": value for key, value in grid.items()})
     with pytest.raises(error, match=message):
-        run_grid(spec)
+        run_grid(values)
     assert calls == []
 
 
 def test_grid_records_rounds_to_target():
-    spec = _grid_spec(target_value=2.0, eval_every=1)
-    results = run_grid(spec)
+    _, results = run_grid(_grid_values(target_value=2.0, eval_every=1))
     hit = [c for c in results if not math.isnan(c.mean_rounds_to_target)]
     assert hit
     assert all(c.mean_rounds_to_target >= 0 for c in hit)
-    keys = list(spec.grid)
-    lines = grid_csv(results, keys).splitlines()
+    lines = grid_csv(results).splitlines()
     assert lines[0] == "cell_id,eta,local_steps,mean_final_loss,std_final_loss,mean_rounds_to_target"
-    assert len(lines) == 5
+    assert len(lines) == 7
     assert lines[1].startswith("0,0.05,1,")
+
+
+def test_run_grid_writes_the_table_fedsim_grid_writes(tmp_path, capsys):
+    """The harness and the CLI read one experiment file into one table."""
+    config = Path(__file__).resolve().parent.parent / "configs" / "grid_synthetic_scaffold.cfg"
+    values = parse_config_text(config.read_text(encoding="utf-8"))
+    _, results = run_grid({**values, "rounds": "960"})
+    assert main(["grid", "--config", str(config), "--override", "rounds=960",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert grid_csv(results).encode() == (tmp_path / "grid.csv").read_bytes()
 
 
 def _counted(counts: collections.Counter, name: str, fn):

@@ -316,12 +316,36 @@ def test_a_config_is_validated_in_build_run_alone(tmp_path):
     assert found == ["harness.build_run"], f"callers of validate_run_config: {found}"
 
 
+def string_constants(path: Path, values: set[str]) -> list[str]:
+    """Where `path` holds one of the strings `values` as a constant, an
+    f-string's literal part included."""
+    return [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(parse(path))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in values]
+
+
 def test_core_names_no_objective_kind():
     """What depends on the objective kind lives with the objective table in
     `harness`, so `core` parses and checks a config without knowing one."""
-    found = [f"core.py:{node.lineno} {node.value!r}" for node in ast.walk(parse(SRC / "core.py"))
-             if isinstance(node, ast.Constant) and node.value in OBJECTIVES]
+    found = string_constants(SRC / "core.py", set(OBJECTIVES))
     assert not found, f"objective kinds named in core.py: {found}"
+
+
+EXPERIMENT_NAMES = {"grid.", "seeds"}
+
+
+def test_the_experiment_format_is_read_in_one_module(tmp_path):
+    """`harness.run_grid` is the one reader of an experiment file, so no
+    other module names its `grid.` prefix or its `seeds` key, and a change
+    to the format lands in one module."""
+    sample = tmp_path / "sample.py"
+    sample.write_text('PREFIX = "grid."\nkey = f"grid.{name}"\n'
+                      'def f(values): return values["seeds"], "seeds list", "grid.seed"\n')
+    assert string_constants(sample, EXPERIMENT_NAMES) == [
+        "sample.py:1 'grid.'", "sample.py:2 'grid.'", "sample.py:3 'seeds'"]
+    assert string_constants(SRC / "harness.py", EXPERIMENT_NAMES), "the check no longer sees the reader"
+    found = [entry for path in sorted(SRC.glob("*.py")) if path.name != "harness.py"
+             for entry in string_constants(path, EXPERIMENT_NAMES)]
+    assert not found, f"experiment-file names outside harness.py: {found}"
 
 
 def test_the_engine_checks_no_config():
