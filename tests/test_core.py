@@ -322,6 +322,18 @@ def test_regularized_pattern_rejects_s_clients():
         build_run(build_run_config(dict(values, s_clients="7")))
 
 
+def test_experiment_grid_expansion_order():
+    # The first grid key varies slowest, in the order the file lists it.
+    values = {"n_clients": "2", "s_clients": "2", "rounds": "2", "algorithm": "fedavg",
+              "objective": "quadratic", "centers": "1; 3", "sigma": "0", "eval_every": "1",
+              "grid.eta": "0.1, 0.2", "grid.local_steps": "1, 2, 3", "seeds": "0"}
+    _, cells = harness.run_grid(values)
+    assert len(cells) == 6
+    assert cells[0].overrides == {"eta": "0.1", "local_steps": "1"}
+    assert cells[1].overrides == {"eta": "0.1", "local_steps": "2"}
+    assert cells[-1].overrides == {"eta": "0.2", "local_steps": "3"}
+
+
 def test_run_record_validation():
     with pytest.raises(ValueError, match="length"):
         RunRecord(rounds=[0, 1], grad_norms=[0.0], train_losses=[0.0, 0.0],
